@@ -21,17 +21,68 @@ implementation is fast enough to run everywhere.
 MMSE functions are computed numerically by Gauss–Hermite quadrature on the
 per-dimension PAM decomposition of square QAM, then cached as monotone
 interpolation tables.
+
+The water level
+---------------
+Per row of gains the level follows one fixed trajectory: with
+``η_high = max g``, bracket from ``η_low = η_high·1e-12``, dividing
+``η_low`` by 1e3 until the total power at ``η_low`` reaches the budget
+(at most 60 tries; a row that never gets there keeps its last ``η_low``),
+then bisect in log space (``η_mid = √(η_low·η_high)``) until the total is
+within ``tolerance`` of the budget or ``max_bisections`` run out, and
+rescale the powers at ``η_low`` to the budget exactly.
+
+One private kernel, :func:`_waterfill`, walks that trajectory for a whole
+stack of rows at once, and every entry point goes through it:
+:func:`mercury_waterfilling` is a one-row stack, and
+:func:`mercury_allocate_batch` stacks its full (constellation × drop count
+× row) grid into one sweep.  The rows lie end to end in one flat array,
+ordered constellation-major, so each iteration makes one ``np.interp``
+per constellation table and one row-wise sum of a ``reshape(k, w)`` view
+per run of equal-width rows.  Both granularities are forced by bit-identity:
+
+* *Sums per width.*  NumPy's pairwise summation groups a row's elements
+  by the row's length, so a row must be summed over exactly its own
+  elements; zero-padding rows to a common width changes the rounding.
+* *Interps per table.*  Merging the tables into one ``np.interp`` (by
+  offsetting their abscissae, say) does not reproduce each table's
+  interpolation bit for bit.
+
+Each iteration evaluates only the rows still live, and a row leaves the
+stack as soon as the rest of its trajectory is known, by two exits that
+are exact — the iterations they skip cannot change the level the row
+ends at, so its powers are bitwise those of the full trajectory:
+
+* *Saturation.*  Interpolating the decreasing table never returns more
+  than its value at 0, so no element's power at any level exceeds its
+  cap ``mmse⁻¹(0)/g``, and (rounding being monotone) no row total
+  exceeds the row's total at the cap.  A row whose cap total falls
+  short of the budget therefore fails all 60 bracket tries: it skips
+  the loop and takes the level the serial fallback ends at directly.
+  Such rows — strong channels on a small constellation — are most of a
+  COPA+ grid.
+* *Fixed point.*  Once ``η_mid`` rounds to ``η_low`` or ``η_high``, a
+  bisection step leaves ``(η_low, η_high)`` unchanged, and every later
+  step repeats it; the row stops there.
+
+A gain ``g ≤ η`` maps to a ratio ``η/g ≥ 1`` above every table's largest
+MMSE (which is below 1 at any positive SNR), so ``np.interp`` returns its
+``right=0`` and the element gets exactly the zero power the serial rule
+assigns to inactive subcarriers.  Rate selection for the grid runs once
+per constellation over all drops (:func:`repro.phy.rates.best_rate_batch`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..phy.constants import MCS_TABLE, MODULATIONS, Modulation
-from ..phy.rates import best_rate, best_rate_batch
+# ``best_rate`` stays bound here for the benchmark's layer trace, which
+# patches it by name (bench/layers.py).
+from ..phy.rates import best_rate, best_rate_batch  # noqa: F401
 from .equi_snr import Allocation, BatchAllocation
 
 __all__ = [
@@ -168,13 +219,133 @@ def mmse_inverse(target, modulation: Modulation) -> np.ndarray:
 
     Targets at or above 1 map to SNR 0; targets at or below the table
     floor map to the top of the SNR grid (effectively "unbounded power",
-    which the water-level bisection in :func:`mercury_waterfilling` never
-    actually requests).
+    which the water level never actually requests).
     """
     grid, values = mmse_curve(modulation.bits_per_symbol)
     target = np.asarray(target, dtype=float)
     # values are decreasing in snr; np.interp needs increasing x.
     return np.interp(target, values[::-1], grid[::-1], left=grid[-1], right=0.0)
+
+
+#: Lower-bracket expansions (each divides η by 1e3) before the water
+#: level gives up and rescales the powers it has.
+_BRACKET_TRIES = 60
+
+
+def _runs(values: np.ndarray) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of each run of equal consecutive ``values``."""
+    if not values.size:
+        return []
+    edges = np.flatnonzero(values[1:] != values[:-1]) + 1
+    bounds = np.concatenate(([0], edges, [values.size])).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class _Stack:
+    """Rows of gains laid end to end in one flat array.
+
+    Row ``r`` has ``widths[r]`` elements and the constellation
+    ``modulations[codes[r]]``.  Levels are interpolated once per run of
+    rows sharing a constellation table and summed once per run of rows
+    sharing a width, so every row is summed over exactly its own elements.
+    """
+
+    def __init__(self, gains: np.ndarray, widths: np.ndarray, codes: np.ndarray, modulations):
+        self.gains, self.widths, self.codes, self.modulations = gains, widths, codes, modulations
+        stops = np.cumsum(widths)
+        starts = stops - widths
+        self.tables = [(modulations[codes[a]], starts[a], stops[b - 1]) for a, b in _runs(codes)]
+        self.sums = [(a, b, widths[a], starts[a], stops[b - 1]) for a, b in _runs(widths)]
+
+    def powers(self, eta: np.ndarray) -> np.ndarray:
+        """Every element's mercury power at its row's water level ``1/eta``."""
+        levels = np.repeat(eta, self.widths) / self.gains
+        for modulation, start, stop in self.tables:
+            levels[start:stop] = mmse_inverse(levels[start:stop], modulation)
+        with np.errstate(over="ignore"):
+            levels /= self.gains
+        return levels
+
+    def totals(self, powers: np.ndarray) -> np.ndarray:
+        """Per-row sums of ``powers``."""
+        out = np.empty(self.widths.size)
+        for a, b, width, start, stop in self.sums:
+            np.add.reduce(powers[start:stop].reshape(b - a, width), axis=1, out=out[a:b])
+        return out
+
+    def take(self, keep: np.ndarray) -> "_Stack":
+        """The stack of the rows where ``keep`` is true."""
+        elements = np.repeat(keep, self.widths)
+        return _Stack(self.gains[elements], self.widths[keep], self.codes[keep], self.modulations)
+
+
+def _waterfill(
+    blocks: Sequence[Tuple[Modulation, np.ndarray]],
+    total_power: float,
+    tolerance: float,
+    max_bisections: int,
+) -> List[np.ndarray]:
+    """Mercury/water-filling of a stack of blocks in one water-level sweep.
+
+    Each block is ``(modulation, gains)`` with gains of shape (k, w) and
+    at least one positive gain per row; non-positive gains get zero
+    power.  Returns one (k, w) powers array per block, every row equal
+    bit for bit to the serial bracket-and-bisect trajectory (see the
+    module docstring).
+    """
+    modulations = list(dict.fromkeys(modulation for modulation, _ in blocks))
+    widths = np.concatenate([np.full(g.shape[0], g.shape[1]) for _, g in blocks])
+    codes = np.concatenate([np.full(g.shape[0], modulations.index(m)) for m, g in blocks])
+    gains = np.concatenate([g.ravel() for _, g in blocks])
+    high = np.concatenate([g.max(axis=1) for _, g in blocks])
+    # mmse⁻¹(η/∞)/∞ = 0 at every η: exactly the power a non-positive gain gets.
+    gains[~(gains > 0)] = np.inf
+    stack = _Stack(gains, widths, codes, modulations)
+
+    low = high * 1e-12
+    # Each row's final level starts where the serial bracket gives up.
+    eta = low.copy()
+    for _ in range(_BRACKET_TRIES):
+        eta /= 1e3
+    # Saturated rows fall short of the budget even at the table cap, so
+    # their bracket never closes and they keep that level.
+    live = stack.totals(stack.powers(np.zeros(widths.size))) >= total_power
+    rows = np.flatnonzero(live)
+    sub, low, high = stack.take(live), low[live], high[live]
+    bisecting = np.zeros(rows.size, dtype=bool)
+    steps = np.zeros(rows.size, dtype=int)
+    band = tolerance * total_power
+    while rows.size:
+        mid = np.sqrt(low * high)
+        totals = sub.totals(sub.powers(np.where(bisecting, mid, low)))
+        found = ~bisecting & (totals >= total_power)
+        missed = ~bisecting & ~found
+        converged = bisecting & (np.abs(totals - total_power) <= band)
+        raise_low = converged | (bisecting & (totals > total_power))
+        new_low = np.where(raise_low, mid, np.where(missed, low / 1e3, low))
+        new_high = np.where(bisecting & ~raise_low, mid, high)
+        steps = np.where(found, 0, steps + 1)
+        done = (
+            converged
+            # A bracket that did not move repeats this step from now on.
+            | (bisecting & (new_low == low) & (new_high == high))
+            | (bisecting & (steps >= max_bisections))
+            | (found & (max_bisections <= 0))
+            | (missed & (steps >= _BRACKET_TRIES))
+        )
+        low, high, bisecting = new_low, new_high, bisecting | found
+        if done.any():
+            eta[rows[done]] = low[done]
+            keep = ~done
+            rows, low, high = rows[keep], low[keep], high[keep]
+            bisecting, steps = bisecting[keep], steps[keep]
+            sub = sub.take(keep)
+
+    powers = stack.powers(eta)
+    scale = total_power / np.maximum(stack.totals(powers), 1e-300)
+    powers *= np.repeat(scale, widths)
+    splits = np.cumsum([g.size for _, g in blocks])[:-1]
+    return [part.reshape(g.shape) for part, (_, g) in zip(np.split(powers, splits), blocks)]
 
 
 def mercury_waterfilling(
@@ -187,50 +358,19 @@ def mercury_waterfilling(
     """Optimal powers for a discrete constellation over parallel channels.
 
     ``gains[k]`` is the SINR per unit power on subcarrier k.  Returns the
-    per-subcarrier powers summing to ``total_power`` (within tolerance).
+    per-subcarrier powers summing to ``total_power`` (within tolerance);
+    subcarriers with non-positive gain get none, and without any positive
+    gain every power is zero.
     """
     gains = np.asarray(gains, dtype=float)
     if total_power <= 0:
         raise ValueError("total_power must be positive")
-    positive = gains > 0
-    if not positive.any():
+    if not (gains > 0).any():
         return np.zeros_like(gains)
-
-    def powers_for(eta: float) -> np.ndarray:
-        powers = np.zeros_like(gains)
-        active = gains > eta
-        if active.any():
-            ratio = eta / gains[active]
-            powers[active] = mmse_inverse(ratio, modulation) / gains[active]
-        return powers
-
-    # Total power decreases monotonically in eta; bisect in log space.
-    eta_high = float(gains[positive].max())
-    eta_low = eta_high * 1e-12
-    # Expand the lower bracket until it yields at least the requested power.
-    for _ in range(60):
-        if powers_for(eta_low).sum() >= total_power:
-            break
-        eta_low /= 1e3
-    else:
-        # MMSE saturation: even "infinite water" can't absorb the budget on
-        # this grid; fall back to proportional scaling of the max solution.
-        powers = powers_for(eta_low)
-        return powers * (total_power / max(powers.sum(), 1e-300))
-
-    for _ in range(max_bisections):
-        eta_mid = np.sqrt(eta_low * eta_high)
-        total = powers_for(eta_mid).sum()
-        if abs(total - total_power) <= tolerance * total_power:
-            eta_low = eta_mid
-            break
-        if total > total_power:
-            eta_low = eta_mid
-        else:
-            eta_high = eta_mid
-    powers = powers_for(eta_low)
-    scale = total_power / max(powers.sum(), 1e-300)
-    return powers * scale
+    (powers,) = _waterfill(
+        [(modulation, gains.reshape(1, -1))], total_power, tolerance, max_bisections
+    )
+    return powers.reshape(gains.shape)
 
 
 def mercury_waterfilling_batch(
@@ -242,13 +382,7 @@ def mercury_waterfilling_batch(
 ) -> np.ndarray:
     """Row-batched :func:`mercury_waterfilling`, bit-identical per row.
 
-    ``gains`` has shape (n_rows, n_sc) and must be strictly positive
-    (the batched caller routes rows with non-positive gains to the serial
-    path).  Every row follows exactly the serial water-level trajectory:
-    the same bracket expansion, the same per-row bisection sequence (rows
-    that converge freeze their bracket while the rest keep bisecting) and
-    the same final proportional rescale — so the returned powers match
-    the serial call row for row.
+    ``gains`` has shape (n_rows, n_sc) and must be strictly positive.
     """
     gains = np.asarray(gains, dtype=float)
     if total_power <= 0:
@@ -257,47 +391,8 @@ def mercury_waterfilling_batch(
         raise ValueError("gains must have shape (n_rows, n_subcarriers)")
     if not np.all(gains > 0):
         raise ValueError("batched mercury/water-filling requires strictly positive gains")
-    n_rows = gains.shape[0]
-
-    def powers_for(eta: np.ndarray) -> np.ndarray:
-        active = gains > eta[:, None]
-        with np.errstate(over="ignore"):
-            ratio = np.where(active, eta[:, None] / gains, 0.0)
-            return np.where(active, mmse_inverse(ratio, modulation) / gains, 0.0)
-
-    # Total power decreases monotonically in eta; bisect in log space.
-    eta_high = gains.max(axis=1)
-    eta_low = eta_high * 1e-12
-    # Expand each row's lower bracket until it yields the requested power;
-    # rows exhausting the 60 tries are MMSE-saturated and skip bisection
-    # (their proportional rescale below matches the serial fallback).
-    bracketed = np.zeros(n_rows, dtype=bool)
-    for _ in range(60):
-        pending = ~bracketed
-        bracketed |= pending & (powers_for(eta_low).sum(axis=1) >= total_power)
-        pending = ~bracketed
-        if not pending.any():
-            break
-        eta_low = np.where(pending, eta_low / 1e3, eta_low)
-
-    settled = ~bracketed
-    for _ in range(max_bisections):
-        active_rows = ~settled
-        if not active_rows.any():
-            break
-        eta_mid = np.sqrt(eta_low * eta_high)
-        totals = powers_for(eta_mid).sum(axis=1)
-        converged = active_rows & (np.abs(totals - total_power) <= tolerance * total_power)
-        eta_low = np.where(converged, eta_mid, eta_low)
-        settled |= converged
-        active_rows &= ~converged
-        go_up = active_rows & (totals > total_power)
-        eta_low = np.where(go_up, eta_mid, eta_low)
-        eta_high = np.where(active_rows & ~go_up, eta_mid, eta_high)
-
-    powers = powers_for(eta_low)
-    scale = total_power / np.maximum(powers.sum(axis=1), 1e-300)
-    return powers * scale[:, None]
+    (powers,) = _waterfill([(modulation, gains)], total_power, tolerance, max_bisections)
+    return powers
 
 
 #: Default drop-count candidates for the subcarrier-selection loop.  The
@@ -307,7 +402,6 @@ def mercury_waterfilling_batch(
 #: the optimization oracle (:mod:`repro.core.oracle`) sweeps the same grid
 #: with an independent inner solver.
 DEFAULT_DROPS: Tuple[int, ...] = (0, 1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 26, 32, 40)
-_DEFAULT_DROPS = DEFAULT_DROPS  # back-compat alias
 
 
 def mercury_allocate(
@@ -322,49 +416,11 @@ def mercury_allocate(
     signature contract: ``gains`` is S(I)NR per unit power).  For each
     candidate drop count and constellation, allocate the remaining
     subcarriers by mercury/water-filling and predict goodput with the
-    single-decoder rate model; keep the best.
+    single-decoder rate model; keep the best.  One row of
+    :func:`mercury_allocate_batch`.
     """
     gains = np.asarray(gains, dtype=float)
-    n = gains.size
-    order = np.argsort(gains)
-    drops = _DEFAULT_DROPS if drop_candidates is None else tuple(drop_candidates)
-
-    best_goodput = 0.0
-    best_powers = np.zeros(n)
-    best_used = np.zeros(n, dtype=bool)
-    best_mcs = None
-    for drop in drops:
-        if drop >= n:
-            continue
-        kept = order[drop:]
-        kept = kept[gains[kept] > 0]
-        if kept.size == 0:
-            continue
-        sub_gains = gains[kept]
-        for modulation in modulations:
-            powers_kept = mercury_waterfilling(sub_gains, total_power, modulation)
-            sinr = np.zeros(n)
-            sinr[kept] = powers_kept * sub_gains
-            used = np.zeros(n, dtype=bool)
-            used[kept] = powers_kept > 0
-            if not used.any():
-                continue
-            table = [m for m in MCS_TABLE if m.modulation == modulation]
-            selection = best_rate(sinr, used=used, mcs_table=table)
-            if selection.goodput_bps > best_goodput:
-                best_goodput = selection.goodput_bps
-                best_powers = np.zeros(n)
-                best_powers[kept] = powers_kept
-                best_used = used
-                best_mcs = selection.mcs
-
-    return Allocation(
-        powers=best_powers,
-        used=best_used,
-        equalized_snr=0.0,  # mercury does not equalize; field unused here
-        mcs=best_mcs,
-        goodput_bps=float(best_goodput),
-    )
+    return mercury_allocate_batch(gains[None], total_power, drop_candidates, modulations).row(0)
 
 
 def mercury_allocate_batch(
@@ -373,67 +429,73 @@ def mercury_allocate_batch(
     drop_candidates: Optional[Sequence[int]] = None,
     modulations: Sequence[Modulation] = MODULATIONS,
 ) -> BatchAllocation:
-    """Row-batched :func:`mercury_allocate`, bit-identical per row.
+    """:func:`mercury_allocate` for every row of ``gains`` (n_rows, n_sc).
 
-    ``gains`` has shape (n_rows, n_sc).  Rows with strictly positive
-    gains — the overwhelmingly common case, since the engine feeds
-    matched-filter gains over noise — share one vectorized sweep of the
-    (drop count × constellation) grid; any row with a non-positive gain
-    falls back to the serial :func:`mercury_allocate` (its kept-subcarrier
-    filter makes the batch ragged), so results match in every case.
+    For each drop count ``d`` below n_sc, a row keeps its gains from rank
+    ``d`` on in ascending order, less the non-positive ones (which sort
+    first).  Every (constellation, drop, row) cell with a kept subcarrier
+    joins one :func:`_waterfill` sweep; rate selection then runs once per
+    constellation over all drops.  A row's winner is its first strict
+    goodput maximum in drop-major, constellation-minor order; a row with
+    no positive goodput gets no power and MCS index -1.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2:
         raise ValueError("gains must have shape (n_rows, n_subcarriers)")
     n_rows, n = gains.shape
-    drops = _DEFAULT_DROPS if drop_candidates is None else tuple(drop_candidates)
+    drops = [d for d in (DEFAULT_DROPS if drop_candidates is None else drop_candidates) if d < n]
+    if not (n_rows and drops and modulations):
+        return BatchAllocation(
+            powers=np.zeros((n_rows, n)),
+            used=np.zeros((n_rows, n), dtype=bool),
+            equalized_snr=np.zeros(n_rows),
+            mcs_index=np.full(n_rows, -1),
+            goodput_bps=np.zeros(n_rows),
+        )
+    order = np.argsort(gains, axis=1)
+    ranked = np.take_along_axis(gains, order, axis=1)
+    # First kept rank per (drop, row).
+    first = np.maximum.outer(np.asarray(drops, dtype=int), (gains <= 0).sum(axis=1))
 
-    best_goodput = np.zeros(n_rows)
-    best_powers = np.zeros((n_rows, n))
-    best_used = np.zeros((n_rows, n), dtype=bool)
-    best_mcs_index = np.full(n_rows, -1)
+    blocks, cells = [], []
+    for m, modulation in enumerate(modulations):
+        for d, starts in enumerate(first):
+            for start in np.unique(starts[starts < n]).tolist():
+                members = np.flatnonzero(starts == start)
+                blocks.append((modulation, ranked[members, start:]))
+                cells.append((m, d, members, start))
+    ranked_powers = np.zeros((len(modulations), len(drops), n_rows, n))
+    if blocks:
+        levels = _waterfill(blocks, total_power, tolerance=1e-9, max_bisections=80)
+        for (m, d, members, start), powers in zip(cells, levels):
+            ranked_powers[m, d, members, start:] = powers
 
-    batchable = np.all(gains > 0, axis=1)
-    rows = np.nonzero(batchable)[0]
-    if rows.size:
-        sub = gains[rows]
-        order = np.argsort(sub, axis=1)
-        for drop in drops:
-            if drop >= n:
-                continue
-            kept = order[:, drop:]
-            sub_gains = np.take_along_axis(sub, kept, axis=1)
-            for modulation in modulations:
-                powers_kept = mercury_waterfilling_batch(sub_gains, total_power, modulation)
-                sinr = np.zeros((rows.size, n))
-                np.put_along_axis(sinr, kept, powers_kept * sub_gains, axis=1)
-                used = np.zeros((rows.size, n), dtype=bool)
-                np.put_along_axis(used, kept, powers_kept > 0, axis=1)
-                table = [m for m in MCS_TABLE if m.modulation == modulation]
-                selection = best_rate_batch(sinr, used=used, mcs_table=table)
-                improved = used.any(axis=1) & (selection.goodput_bps > best_goodput[rows])
-                if not improved.any():
-                    continue
-                powers_full = np.zeros((rows.size, n))
-                np.put_along_axis(powers_full, kept, powers_kept, axis=1)
-                take = np.zeros(n_rows, dtype=bool)
-                take[rows] = improved
-                best_goodput[take] = selection.goodput_bps[improved]
-                best_powers[take] = powers_full[improved]
-                best_used[take] = used[improved]
-                best_mcs_index[take] = selection.mcs_index[improved]
+    # Rate selection sees each constellation's cells in subcarrier order.
+    rows = np.arange(n_rows)
+    inverse = np.argsort(order, axis=1)
+    tiled = np.tile(gains, (len(drops), 1))
+    goodput = np.zeros((len(modulations), len(drops), n_rows))
+    mcs_index = np.full(goodput.shape, -1)
+    for m, modulation in enumerate(modulations):
+        powers = ranked_powers[m][:, rows[:, None], inverse].reshape(-1, n)
+        used = powers > 0
+        sinr = np.where(used, powers * tiled, 0.0)
+        table = [mcs for mcs in MCS_TABLE if mcs.modulation == modulation]
+        selection = best_rate_batch(sinr, used=used, mcs_table=table)
+        goodput[m] = selection.goodput_bps.reshape(len(drops), n_rows)
+        mcs_index[m] = selection.mcs_index.reshape(len(drops), n_rows)
 
-    for b in np.nonzero(~batchable)[0]:
-        serial = mercury_allocate(gains[b], total_power, drop_candidates, modulations)
-        best_goodput[b] = serial.goodput_bps
-        best_powers[b] = serial.powers
-        best_used[b] = serial.used
-        best_mcs_index[b] = -1 if serial.mcs is None else serial.mcs.index
-
+    # Column c of a row's candidates is drop c // n_mod, constellation c % n_mod.
+    candidates = goodput.transpose(2, 1, 0).reshape(n_rows, -1)
+    best = candidates.argmax(axis=1)
+    won = candidates[rows, best] > 0
+    d, m = np.divmod(best, len(modulations))
+    winners = ranked_powers[m[:, None], d[:, None], rows[:, None], inverse]
+    powers = np.where(won[:, None], winners, 0.0)
     return BatchAllocation(
-        powers=best_powers,
-        used=best_used,
+        powers=powers,
+        used=powers > 0,
         equalized_snr=np.zeros(n_rows),
-        mcs_index=best_mcs_index,
-        goodput_bps=best_goodput,
+        mcs_index=np.where(won, mcs_index[m, d, rows], -1),
+        goodput_bps=np.where(won, candidates[rows, best], 0.0),
     )

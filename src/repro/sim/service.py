@@ -1121,9 +1121,10 @@ class AllocationService:
     def query(self, channels) -> ServiceAnswer:
         """Serve one strategy query: warm cache first, engine on miss."""
         col = active(self.collector)
-        key = self.query_key(channels)
         start = time.perf_counter()
-        with col.span("service.query", key=key[:12], grid_db=self.grid_db):
+        with col.span("service.query", grid_db=self.grid_db) as span:
+            key = self.query_key(channels)
+            span.set_attr("key", key[:12])
             result = self.cache.load_service_answer(key, collector=self.collector)
             hit = result is not None
             if hit:

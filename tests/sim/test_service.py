@@ -408,6 +408,22 @@ class TestAllocationService:
         assert col.metrics.counters["service.hit"] == 1.0
         assert sum(span.name == "service.query" for span in col.spans) == 2
 
+    def test_elapsed_and_span_include_the_key(self, cache, channel_sets, monkeypatch):
+        col = Collector()
+        svc = AllocationService(cache, config=CONFIG, collector=col)
+        svc.query(channel_sets[0])  # warm the cell; the timed query hits
+        compose = svc.query_key
+
+        def slow_key(channels):
+            time.sleep(0.02)
+            return compose(channels)
+
+        monkeypatch.setattr(svc, "query_key", slow_key)
+        answer = svc.query(channel_sets[0])
+        assert answer.hit and answer.elapsed_s >= 0.02
+        span = [span for span in col.spans if span.name == "service.query"][-1]
+        assert span.duration_s >= 0.02 and span.attrs["key"] == answer.key[:12]
+
     def test_invalid_grid_rejected(self, cache):
         with pytest.raises(ValueError):
             AllocationService(cache, grid_db=0.0)
