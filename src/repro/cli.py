@@ -61,10 +61,8 @@ def _default_workers() -> int:
 
 
 def _engine_options(args) -> EngineOptions:
-    """Typed engine options from the environment plus CLI overrides."""
-    options = EngineOptions.from_env()
-    if getattr(args, "backend", None):
-        options = options.replace(backend=args.backend)
+    """Typed engine options from the CLI overrides."""
+    options = EngineOptions()
     if getattr(args, "cluster_policy", None):
         options = options.replace(cluster_policy=args.cluster_policy)
     if getattr(args, "cluster_threshold", None) is not None:
@@ -163,7 +161,6 @@ def _check_resume_flags(args) -> bool:
 
 import numpy as np
 
-from .core.backend import available_backends
 from .core.clustering import CLUSTER_POLICIES
 from .core.options import EngineOptions
 from .obs import Collector, format_trace, write_json
@@ -602,13 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
             "per-topology evaluation (default: auto, bit-identical)",
         )
         command.add_argument(
-            "--backend",
-            choices=available_backends(),
-            default=None,
-            help="array backend for the batched engine "
-            "(default: $REPRO_BACKEND, else numpy)",
-        )
-        command.add_argument(
             "--trace",
             action="store_true",
             help="collect spans and print the run's timing tree",
@@ -784,12 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_count.add_argument(
         "--shard-size", type=_positive_int, default=None, help="topologies per shard"
     )
-    publish.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="array backend recorded in the manifest (default: $REPRO_BACKEND)",
-    )
     add_cache_args(publish)
     add_ncell_args(publish)
     publish.set_defaults(func=_cmd_service_publish)
@@ -868,9 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help="query each topology this many times (repeats hit the warm cache)",
-    )
-    query.add_argument(
-        "--backend", choices=available_backends(), default=None, help="array backend"
     )
     add_cache_args(query)
     add_obs_args(query)

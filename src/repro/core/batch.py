@@ -9,11 +9,10 @@ flattened to ``(B * n_sc, n_rx, n_tx)`` so the per-subcarrier gufunc
 kernels in :mod:`repro.phy.mimo` — which were always vectorized over
 their leading axis — evaluate every topology in single NumPy calls.
 
-**The reference contract is bit-identity**: under the reference
-``"numpy"`` backend, :func:`run_batch` over tasks ``[t0, .., tB]``
-returns exactly the :class:`StrategyOutcome` objects the serial engine
-produces for each task, bit for bit.  The building blocks that make
-this possible:
+**The contract is bit-identity**: :func:`run_batch` over tasks
+``[t0, .., tB]`` returns exactly the :class:`StrategyOutcome` objects the
+serial engine produces for each task, bit for bit.  The building blocks
+that make this possible:
 
 * NumPy's batched linalg (``svd``, ``solve``, ``matmul``) are per-2D-slice
   gufuncs — stacking more slices never changes a slice's result;
@@ -24,20 +23,6 @@ this possible:
   pairwise-summation grouping exactly;
 * CSI is measured per task with a fresh ``default_rng(task.seed)`` in the
   serial engine's exact draw order, so the randomness is untouched.
-
-Array ops route through a :class:`repro.core.backend.ArrayBackend`
-selected by ``EngineOptions.backend`` (``"numpy"`` by default).
-Backends that declare ``supports_fusion`` (``"jax"``, ``"numpy-fused"``)
-take a different route entirely: :meth:`BatchedStrategyEngine.run`
-dispatches to the trace-safe fused strategy-menu kernel in
-:mod:`repro.core.fused` (vmapped over topologies, jit-compiled with a
-compile cache).  Fused results are *not* bit-identical to the reference
-— trace-safety changes summation order — but must stay within the 1e-6
-relative tolerance policy documented in EXPERIMENTS.md; accordingly,
-:mod:`repro.sim.fingerprint` keys cache artifacts by backend name for
-every non-reference backend.  Work the kernel does not cover (the COPA+
-mercury allocator, ``oracle_check``) falls back to the reference NumPy
-path on the host.
 
 Batching changes observability granularity — one ``engine.batch`` span
 covers all B topologies, and counters are incremented in bulk — so
@@ -66,13 +51,8 @@ from ..phy.mimo import (
 )
 from ..phy.noise import ImperfectionModel
 from ..phy.rates import BatchRateSelection, best_rate_batch
-from ..phy.constants import MCS_TABLE
-from ..phy.rates import RateSelection
 from ..util import dbm_to_mw
-from . import equi_snr, fused, mercury
-from .backend import DEFAULT_BACKEND, ArrayBackend, get_backend
-from .equi_snr import Allocation
-from .equi_sinr import StreamAllocation
+from . import equi_snr, mercury
 from .equi_sinr import (
     BatchConcurrentContext,
     BatchStreamAllocation,
@@ -253,15 +233,6 @@ class BatchedStrategyEngine:
         self.collector = active(collector)
         first = tasks[0]
         self.options = first.options
-        self.backend: ArrayBackend = get_backend(self.options.backend or DEFAULT_BACKEND)
-        # The generic (non-fused) path runs the bit-exact NumPy reference
-        # kernels on the host; accelerator backends only execute the
-        # fused kernel.  ``_eager`` is the backend those host ops route
-        # through — the selected backend itself when it is numpy-flavored,
-        # the reference backend otherwise.
-        self._eager: ArrayBackend = (
-            self.backend if getattr(self.backend, "xp", None) is np else get_backend(DEFAULT_BACKEND)
-        )
         self.imperfections = (
             first.imperfections if first.imperfections is not None else ImperfectionModel()
         )
@@ -287,10 +258,7 @@ class BatchedStrategyEngine:
         # Stacked channels, keyed by (AP index, client index).  CSI draws
         # replicate the serial engine exactly: per task, a fresh
         # default_rng(seed) measuring every (ap, client) link in the
-        # serial nested-loop order.  The stacks stay on the host (the
-        # eager backend); the fused path transfers them to the device in
-        # one shot per run.
-        asarray = self._eager.asarray
+        # serial nested-loop order.
         shape = (self.B, self.n_sc, self.n_rx, self.n_tx)
         self.true: Dict[Tuple[int, int], np.ndarray] = {}
         self.csi: Dict[Tuple[int, int], np.ndarray] = {}
@@ -309,9 +277,6 @@ class BatchedStrategyEngine:
                         ap, client, self.imperfections, rng
                     )
                     self.true[(i, j)][b] = task.channels.channel(ap, client)
-        for link in self.true:
-            self.true[link] = asarray(self.true[link])
-            self.csi[link] = asarray(self.csi[link])
 
     # ------------------------------------------------------------------
     # channel access
@@ -328,8 +293,8 @@ class BatchedStrategyEngine:
         source = self.true[link] if true_channel else self.csi[link]
         if active_rx is None:
             return source
-        index = self._eager.xp.asarray(active_rx)[:, None, :, None]
-        return self._eager.take_along_axis(source, index, axis=2)
+        index = np.asarray(active_rx)[:, None, :, None]
+        return np.take_along_axis(source, index, axis=2)
 
     # ------------------------------------------------------------------
     # design construction (from CSI — what the APs can actually compute)
@@ -355,13 +320,12 @@ class BatchedStrategyEngine:
     def _sda_design_pair(self, leader: int) -> List[_BatchDesign]:
         """SDA designs with AP ``leader`` leading; index order is [AP1, AP2]."""
         follower = 1 - leader
-        xp = self._eager.xp
         follower_own = self.csi[(follower, follower)]
         # Per-row best antenna: same multi-axis reduction as the serial
         # _best_antenna, evaluated on each row's contiguous slice.
         keep = np.array(
             [
-                int(xp.argmax(xp.sum(xp.abs(follower_own[b]) ** 2, axis=(0, 2))))
+                int(np.argmax(np.sum(np.abs(follower_own[b]) ** 2, axis=(0, 2))))
                 for b in range(self.B)
             ]
         )
@@ -388,20 +352,18 @@ class BatchedStrategyEngine:
     # ------------------------------------------------------------------
 
     def _stream_gains(self, design: _BatchDesign) -> np.ndarray:
-        xp = self._eager.xp
         channel = self._flat(self._gather((design.ap, design.client), design.active_rx, False))
-        effective = self._eager.matmul(channel, design.precoder)
-        gains = xp.sum(xp.abs(effective) ** 2, axis=1)
+        effective = np.matmul(channel, design.precoder)
+        gains = np.sum(np.abs(effective) ** 2, axis=1)
         return gains.reshape(self.B, self.n_sc, design.n_streams)
 
     def _cross_coupling(
         self, design: _BatchDesign, victim: int, victim_active_rx: Optional[np.ndarray]
     ) -> np.ndarray:
-        xp = self._eager.xp
         channel = self._flat(self._gather((design.ap, victim), victim_active_rx, False))
-        effective = self._eager.matmul(channel, design.precoder)
+        effective = np.matmul(channel, design.precoder)
         n_rx_active = effective.shape[1]
-        coupling = xp.sum(xp.abs(effective) ** 2, axis=1) / n_rx_active
+        coupling = np.sum(np.abs(effective) ** 2, axis=1) / n_rx_active
         return coupling.reshape(self.B, self.n_sc, design.n_streams)
 
     # ------------------------------------------------------------------
@@ -410,10 +372,9 @@ class BatchedStrategyEngine:
 
     def _equal_allocation(self, design: _BatchDesign) -> BatchStreamAllocation:
         """Status-quo 802.11: the power budget spread evenly everywhere."""
-        xp = self._eager.xp
         n_s = design.n_streams
-        powers = xp.full((self.B, self.n_sc, n_s), self.tx_power_mw / (n_s * self.n_sc))
-        used = xp.ones((self.B, self.n_sc, n_s), dtype=bool)
+        powers = np.full((self.B, self.n_sc, n_s), self.tx_power_mw / (n_s * self.n_sc))
+        used = np.ones((self.B, self.n_sc, n_s), dtype=bool)
         return BatchStreamAllocation(powers=powers, used=used, per_stream=[])
 
     def _sequential_allocation(
@@ -452,7 +413,7 @@ class BatchedStrategyEngine:
             # Nulls computed from noisy CSI bottom out at the estimation-error
             # floor; the allocator must plan for that residual (§2.2).
             victim_csi = self.csi[(i, 1 - i)]
-            entry_power = (self._eager.xp.abs(victim_csi) ** 2).reshape(self.B, -1).mean(axis=1)
+            entry_power = (np.abs(victim_csi) ** 2).reshape(self.B, -1).mean(axis=1)
             residual = self.imperfections.csi_error_linear * entry_power
             coupling.append(coupled + residual[:, None, None])
         context = BatchConcurrentContext(
@@ -495,7 +456,6 @@ class BatchedStrategyEngine:
         true_channel: bool,
     ) -> BatchRateSelection:
         """Batched rate selection for client ``receiver`` under one scheme."""
-        xp = self._eager.xp
         design = designs[receiver]
         alloc = allocations[receiver]
         n_s = design.n_streams
@@ -507,14 +467,14 @@ class BatchedStrategyEngine:
             self._gather((design.ap, design.client), design.active_rx, true_channel)
         )
         n_active = h_own.shape[1]
-        effective = self._eager.matmul(h_own, design.precoder)
-        data_powers = xp.where(alloc.used, alloc.powers, 0.0).reshape(n_flat, n_s)
+        effective = np.matmul(h_own, design.precoder)
+        data_powers = np.where(alloc.used, alloc.powers, 0.0).reshape(n_flat, n_s)
         own_radiated = radiated_powers_batch(alloc.powers, alloc.used, leakage).reshape(
             n_flat, n_s
         )
 
-        covariance = self.noise_floor_mw * xp.broadcast_to(
-            xp.eye(n_active, dtype=complex), (n_flat, n_active, n_active)
+        covariance = self.noise_floor_mw * np.broadcast_to(
+            np.eye(n_active, dtype=complex), (n_flat, n_active, n_active)
         ).copy()
         covariance += tx_noise_covariance(h_own, own_radiated.sum(axis=1), evm)
         if concurrent:
@@ -525,7 +485,7 @@ class BatchedStrategyEngine:
             ).reshape(n_flat, other.n_streams)
             h_cross_rows = self._gather((other.ap, design.client), design.active_rx, true_channel)
             h_cross = self._flat(h_cross_rows)
-            eff_cross = self._eager.matmul(h_cross, other.precoder)
+            eff_cross = np.matmul(h_cross, other.precoder)
             covariance += interference_covariance(eff_cross, other_radiated)
             covariance += tx_noise_covariance(h_cross, other_radiated.sum(axis=1), evm)
             if not true_channel:
@@ -536,16 +496,16 @@ class BatchedStrategyEngine:
                 # out antenna-major, so its flat np.mean sums elements in
                 # (rx, sc, tx) memory order; transpose to match that
                 # summation order bit for bit.
-                cross_power = xp.abs(h_cross_rows) ** 2
+                cross_power = np.abs(h_cross_rows) ** 2
                 entry_power = (
                     cross_power.transpose(0, 2, 1, 3).reshape(self.B, -1).mean(axis=1)
                 )
                 residual = (
                     self.imperfections.csi_error_linear
-                    * xp.repeat(entry_power, self.n_sc)
+                    * np.repeat(entry_power, self.n_sc)
                     * other_radiated.sum(axis=1)
                 )
-                covariance += residual[:, None, None] * xp.eye(n_active)[None, :, :]
+                covariance += residual[:, None, None] * np.eye(n_active)[None, :, :]
 
         sinr = mmse_sinr(effective, data_powers, covariance)
         return best_rate_batch(sinr.reshape(self.B, self.n_sc, n_s), used=alloc.used)
@@ -610,185 +570,12 @@ class BatchedStrategyEngine:
         follower_ok = max_nulled_streams(self.n_tx, 1, self.n_rx) >= 1
         return leader_ok and follower_ok
 
-    # ------------------------------------------------------------------
-    # fused path (accelerator backends)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _fused_rate_row(rate: Dict[str, np.ndarray], b: int) -> RateSelection:
-        """One client's :class:`RateSelection` from fused kernel leaves.
-
-        Mirrors ``BatchRateSelection.row``: a negative MCS index is the
-        no-viable-MCS sentinel and collapses to the zero selection.
-        """
-        index = int(rate["mcs_index"][b])
-        if index < 0:
-            return RateSelection(mcs=None, goodput_bps=0.0, fer=1.0, channel_ber=0.5, n_used=0)
-        return RateSelection(
-            mcs=MCS_TABLE[index],
-            goodput_bps=float(rate["goodput_bps"][b]),
-            fer=float(rate["fer"][b]),
-            channel_ber=float(rate["channel_ber"][b]),
-            n_used=int(rate["n_used"][b]),
-        )
-
-    @staticmethod
-    def _fused_alloc_row(alloc: Dict[str, object], b: int) -> StreamAllocation:
-        """One AP's :class:`StreamAllocation` from fused kernel leaves."""
-        per_stream = []
-        for stream in alloc["streams"]:
-            index = int(stream["mcs_index"][b])
-            per_stream.append(
-                Allocation(
-                    powers=np.asarray(stream["powers"][b], dtype=float),
-                    used=np.asarray(stream["used"][b], dtype=bool),
-                    equalized_snr=float(stream["equalized_snr"][b]),
-                    mcs=MCS_TABLE[index] if index >= 0 else None,
-                    goodput_bps=float(stream["goodput_bps"][b]),
-                )
-            )
-        return StreamAllocation(
-            powers=np.asarray(alloc["powers"][b], dtype=float),
-            used=np.asarray(alloc["used"][b], dtype=bool),
-            per_stream=per_stream,
-        )
-
-    def _fused_scheme_rows(
-        self, name: str, scheme: Dict[str, object], concurrent: bool, overhead: float
-    ) -> Tuple[List[SchemeResult], List[SchemeResult]]:
-        """(measured, predicted) result rows of one fused scheme."""
-        factor = self.overhead_model.net_throughput_factor(overhead)
-        share = 1.0 if concurrent else 0.5  # sequential senders split airtime
-        rows = []
-        for side in ("measured", "predicted"):
-            rates = scheme[side]
-            rows.append(
-                [
-                    SchemeResult(
-                        name=name,
-                        concurrent=concurrent,
-                        client_throughput_bps=(
-                            float(rates[0]["goodput_bps"][b]) * factor * share,
-                            float(rates[1]["goodput_bps"][b]) * factor * share,
-                        ),
-                        rates=(
-                            self._fused_rate_row(rates[0], b),
-                            self._fused_rate_row(rates[1], b),
-                        ),
-                        allocations=(
-                            self._fused_alloc_row(scheme["allocations"][0], b),
-                            self._fused_alloc_row(scheme["allocations"][1], b),
-                        ),
-                    )
-                    for b in range(self.B)
-                ]
-            )
-        return rows[0], rows[1]
-
-    def _run_fused(self, serial_allocator) -> List[StrategyOutcome]:
-        """Evaluate the menu through the compiled fused kernel.
-
-        One device dispatch covers the whole batch; results come back as
-        a pytree of host arrays that is materialized into the same
-        :class:`StrategyOutcome` objects the generic path builds.
-        Observability is batch-granular (one ``engine.batch`` span, bulk
-        counters) — observed tasks never reach this engine.
-        """
-        col = self.collector
-        stack = lambda source: np.stack(
-            [np.stack([source[(i, j)] for j in range(2)], axis=1) for i in range(2)],
-            axis=1,
-        )
-        params = {
-            "tx_power_mw": self.tx_power_mw,
-            "noise_mw": self.noise_floor_mw,
-            "csi_error": self.imperfections.csi_error_linear,
-            "evm": self.imperfections.tx_evm_linear,
-            "leakage": self.imperfections.carrier_leakage_linear,
-        }
-        with col.span(
-            "engine.batch",
-            allocator=getattr(serial_allocator, "__name__", str(serial_allocator)),
-            antennas=f"{self.n_tx}x{self.n_rx}",
-            topologies=self.B,
-            backend=self.backend.name,
-            fused=True,
-        ):
-            out = fused.run_fused_menu(
-                self.backend, stack(self.true), stack(self.csi), params, self.max_iterations
-            )
-
-            ovh = self.overheads
-            plan = [
-                ("csma", SCHEME_CSMA, False, ovh.csma),
-                ("copa_seq", SCHEME_COPA_SEQ, False, ovh.copa_sequential),
-                ("conc_bf", SCHEME_CONC_BF, True, ovh.copa_concurrent),
-                ("null", SCHEME_NULL, True, ovh.copa_concurrent),
-                ("conc_null", SCHEME_CONC_NULL, True, ovh.copa_concurrent),
-            ]
-            schemes_rows: List[Dict[str, SchemeResult]] = [{} for _ in range(self.B)]
-            predictions_rows: List[Dict[str, SchemeResult]] = [{} for _ in range(self.B)]
-            for key, name, concurrent, overhead in plan:
-                if key not in out:
-                    continue
-                actual, predicted = self._fused_scheme_rows(name, out[key], concurrent, overhead)
-                for b in range(self.B):
-                    schemes_rows[b][name] = actual[b]
-                    predictions_rows[b][name] = predicted[b]
-                if col.enabled:
-                    col.inc(f"engine.scheme.{name}", self.B)
-                    for result in actual:
-                        col.observe(f"scheme.{name}.measured_mbps", result.aggregate_mbps)
-
-            if "sda0_conc" in out:
-                # SDA: both leader roles evaluated, results averaged per
-                # scheme name exactly like the generic path.
-                for kind, name in (("null", SCHEME_NULL), ("conc", SCHEME_CONC_SDA)):
-                    roles = [
-                        self._fused_scheme_rows(name, out[f"sda{leader}_{kind}"], True, ovh.copa_concurrent)
-                        for leader in range(2)
-                    ]
-                    for b in range(self.B):
-                        schemes_rows[b][name] = average_results(
-                            name, [role[0][b] for role in roles]
-                        )
-                        predictions_rows[b][name] = average_results(
-                            name, [role[1][b] for role in roles]
-                        )
-                    if col.enabled:
-                        col.inc(f"engine.scheme.{name}", self.B)
-
-            with col.span("choose", batch=self.B):
-                copa = [choose_scheme(predictions_rows[b], fair=False) for b in range(self.B)]
-                fair = [choose_scheme(predictions_rows[b], fair=True) for b in range(self.B)]
-            if col.enabled:
-                col.inc("engine.runs", self.B)
-                for choice in copa:
-                    col.inc(f"engine.choice.{choice}")
-                for choice in fair:
-                    col.inc(f"engine.fair_choice.{choice}")
-
-        return [
-            StrategyOutcome(
-                schemes=schemes_rows[b],
-                predictions=predictions_rows[b],
-                copa_choice=copa[b],
-                copa_fair_choice=fair[b],
-            )
-            for b in range(self.B)
-        ]
-
     def run(self, allocator=None) -> List[StrategyOutcome]:
         """Evaluate the full menu for every task; one outcome per task.
 
         ``allocator`` overrides the options' serial per-stream allocator
         (used by :func:`run_batch` for the COPA+ mercury pass); it must
         have a batched twin in :data:`BATCHED_ALLOCATORS`.
-
-        Backends with ``supports_fusion`` dispatch to the compiled fused
-        kernel (:mod:`repro.core.fused`) when the run uses the default
-        Equi-S(I)NR allocator without oracle shadow-checks; everything
-        else takes the generic reference path below on the host.
         """
         serial_allocator = allocator
         if serial_allocator is None:
@@ -796,9 +583,6 @@ class BatchedStrategyEngine:
                 self.options.allocator if self.options.allocator is not None else equi_snr.allocate
             )
         batch_allocator = BATCHED_ALLOCATORS[serial_allocator]
-
-        if fused.supports(self.backend, serial_allocator, self.oracle_check):
-            return self._run_fused(serial_allocator)
 
         schemes_rows: List[Dict[str, SchemeResult]] = [{} for _ in range(self.B)]
         predictions_rows: List[Dict[str, SchemeResult]] = [{} for _ in range(self.B)]
@@ -816,7 +600,6 @@ class BatchedStrategyEngine:
             allocator=getattr(serial_allocator, "__name__", str(serial_allocator)),
             antennas=f"{self.n_tx}x{self.n_rx}",
             topologies=self.B,
-            backend=self.backend.name,
         ):
             with col.span("design", kind="beamforming"):
                 bf = self._bf_designs()

@@ -17,32 +17,27 @@ all.  The legacy ``engine_kwargs`` dict spelling is gone: entry points
 normalize their ``options`` argument with :meth:`resolve`, which accepts
 an :class:`EngineOptions` or ``None`` and raises a :class:`TypeError`
 for anything else (see the migration note in EXPERIMENTS.md).
+
+Every field is a physics or dispatch choice; none selects an execution
+substrate.  The batched engine (:mod:`repro.core.batch`) runs on plain
+NumPy only, bit-identical to the serial engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Optional
 
 __all__ = ["EngineOptions"]
 
 #: Fields never forwarded to :class:`StrategyEngine` as keyword
-#: arguments.  ``backend`` configures the execution substrate (excluded
-#: from fingerprints when left at the bit-identical reference); the
-#: cluster fields configure the N-cell dispatch layer
-#: (:class:`repro.core.ncell.GraphStrategyEngine`) and *are*
+#: arguments: they configure the N-cell dispatch layer
+#: (:class:`repro.core.ncell.GraphStrategyEngine`) instead, and *are*
 #: result-determining — ``repro.sim.fingerprint`` hashes them whenever
-#: they are set.
-_NON_ENGINE_FIELDS = frozenset({"backend", "cluster_policy", "cluster_threshold_db"})
-
-#: Fields consumed by the N-cell dispatch layer; see :meth:`cluster_kwargs`.
+#: they are set.  See :meth:`EngineOptions.cluster_kwargs`.
 _CLUSTER_FIELDS = ("cluster_policy", "cluster_threshold_db")
-
-#: Environment variables read by :meth:`EngineOptions.from_env`.
-_ENV_BACKEND = "REPRO_BACKEND"
 
 
 @dataclass(frozen=True)
@@ -68,16 +63,6 @@ class EngineOptions:
         the engine's collector), never raised — an oracle bug must not be
         able to fail an experiment.  Off by default: each check costs an
         extra oracle solve per stream.
-    backend:
-        Array backend for the batched engine, by registered name (see
-        :mod:`repro.core.backend`; ``None`` means ``"numpy"``).  Validated
-        against the registry at construction so a typo fails here, in the
-        caller's stack frame, instead of inside a worker process.  The
-        reference backend is bit-identical to the serial path; other
-        backends stay within the documented 1e-6 tolerance policy, so
-        ``repro.sim.fingerprint`` keys cache artifacts by backend name
-        for every non-reference choice.  Excluded from
-        :meth:`engine_kwargs` (the serial engine does not take it).
     cluster_policy:
         Cluster-formation policy for N-AP topologies (``"fixed"``,
         ``"threshold"`` or ``"greedy"``, see
@@ -97,7 +82,6 @@ class EngineOptions:
     max_iterations: Optional[int] = None
     tx_power_dbm: Optional[float] = None
     oracle_check: Optional[bool] = None
-    backend: Optional[str] = None
     cluster_policy: Optional[str] = None
     cluster_threshold_db: Optional[float] = None
 
@@ -122,16 +106,6 @@ class EngineOptions:
             raise TypeError(
                 f"oracle_check must be a bool, got {type(self.oracle_check).__name__}"
             )
-        if self.backend is not None:
-            if not isinstance(self.backend, str):
-                raise TypeError(f"backend must be a str, got {type(self.backend).__name__}")
-            from .backend import available_backends
-
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"unknown array backend {self.backend!r}; "
-                    f"registered backends: {available_backends()}"
-                )
         if self.cluster_policy is not None:
             from .clustering import CLUSTER_POLICIES
 
@@ -151,14 +125,14 @@ class EngineOptions:
     def engine_kwargs(self) -> Dict[str, Any]:
         """The non-default engine fields, as keyword arguments.
 
-        Execution-substrate fields (``backend``) are excluded — the
-        serial :class:`~repro.core.strategy.StrategyEngine` does not take
-        them; they steer the batched dispatch layer instead.
+        The cluster fields are excluded — the serial
+        :class:`~repro.core.strategy.StrategyEngine` does not take them;
+        see :meth:`cluster_kwargs`.
         """
         return {
             field.name: getattr(self, field.name)
             for field in fields(self)
-            if field.name not in _NON_ENGINE_FIELDS and getattr(self, field.name) is not None
+            if field.name not in _CLUSTER_FIELDS and getattr(self, field.name) is not None
         }
 
     def cluster_kwargs(self) -> Dict[str, Any]:
@@ -179,23 +153,9 @@ class EngineOptions:
 
         The frozen-dataclass analogue of ``dict.update``::
 
-            options = EngineOptions.from_env().replace(oracle_check=True)
+            options = EngineOptions(max_iterations=4).replace(oracle_check=True)
         """
         return dataclasses.replace(self, **overrides)
-
-    @classmethod
-    def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "EngineOptions":
-        """Options seeded from the environment (``REPRO_BACKEND``).
-
-        Only execution-substrate knobs are environment-selectable —
-        result-determining physics options must be explicit in code so a
-        stray shell variable can never silently change an experiment.
-        An unregistered ``REPRO_BACKEND`` value raises :class:`ValueError`
-        here, at the entry point, not inside a worker.
-        """
-        env = os.environ if environ is None else environ
-        backend = env.get(_ENV_BACKEND)
-        return cls(backend=backend or None)
 
     @classmethod
     def resolve(cls, value: Optional["EngineOptions"]) -> "EngineOptions":

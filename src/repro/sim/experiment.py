@@ -194,10 +194,9 @@ def run_experiment(
         automatically, ``1`` forces the legacy per-topology path.
     ``options``
         a validated :class:`~repro.core.options.EngineOptions` (e.g.
-        ``rate_selector`` for §4.6's multi-decoder evaluation, or
-        ``backend`` to pick the array backend), or ``None`` for all
-        defaults.  Anything else — including the long-retired
-        ``engine_kwargs`` dict — raises :class:`TypeError`.
+        ``rate_selector`` for §4.6's multi-decoder evaluation), or
+        ``None`` for all defaults.  Anything else — including the
+        long-retired ``engine_kwargs`` dict — raises :class:`TypeError`.
     ``collector``
         a :class:`repro.obs.Collector` that receives stage spans (scenario
         setup, runner dispatch, one subtree per topology and scheme) and

@@ -20,10 +20,6 @@ only**:
   are deliberately **excluded** — a retried, observed, chaos-injected or
   oracle-shadowed run produces the same bytes, so it must share keys
   with a clean run;
-* the ``backend`` option is hashed *iff* it names a non-reference
-  backend (see :data:`_REFERENCE_BACKEND`): reference runs keep their
-  historical keys, while tolerance-equivalent backends get their own —
-  a jax artifact must never be served to a numpy run as bit-identical;
 * callables are described by ``module.qualname``, never by ``repr`` (a
   memory address would change every process restart).
 
@@ -86,23 +82,11 @@ CHANNEL_IRRELEVANT_SPEC_FIELDS = frozenset({"name", "include_copa_plus"})
 #: option field conservatively changes the key until proven irrelevant.
 RESULT_IRRELEVANT_OPTION_FIELDS = frozenset({"oracle_check"})
 
-#: The backend whose results define bit-identity.  ``backend`` is hashed
-#: *conditionally*: the reference backend (or an unset field) is skipped
-#: — so every pre-existing cache key stays valid — while any other
-#: backend's name is folded in.  Non-reference backends (``"jax"``,
-#: ``"numpy-fused"``) are only tolerance-equivalent (1e-6, see
-#: EXPERIMENTS.md), so their artifacts must never be served to, or
-#: populated by, a reference run as "bit-identical".  Kept as a local
-#: constant rather than an import: this module hashes only stdlib-visible
-#: state on purpose (see the module docstring).
-_REFERENCE_BACKEND = "numpy"
-
 #: Option fields added after the ``repro.task/v1`` salt whose *unset*
 #: (``None``) value is skipped so every pre-existing cache key stays
-#: valid — mirroring the reference-backend rule above.  This is safe
-#: because an unset cluster field runs the identical legacy code path
-#: (the N=2 delegate is bit-identical by construction); any explicit
-#: value is hashed and therefore invalidates the key.
+#: valid.  This is safe because an unset cluster field runs the identical
+#: legacy code path (the N=2 delegate is bit-identical by construction);
+#: any explicit value is hashed and therefore invalidates the key.
 _DEFAULT_SKIPPED_OPTION_FIELDS = frozenset({"cluster_policy", "cluster_threshold_db"})
 
 #: ``ScenarioSpec`` fields added after the ``repro.channels/v1`` salt,
@@ -156,10 +140,6 @@ def _update_digest_with_task(digest, task) -> None:
         if field.name in RESULT_IRRELEVANT_OPTION_FIELDS:
             continue
         value = getattr(task.options, field.name)
-        if field.name == "backend" and value in (None, _REFERENCE_BACKEND):
-            # Reference-backend runs keep their historical keys; see
-            # _REFERENCE_BACKEND above.
-            continue
         if field.name in _DEFAULT_SKIPPED_OPTION_FIELDS and value is None:
             continue
         digest.update(f"opt|{field.name}={describe_value(value)}".encode())

@@ -61,6 +61,7 @@ import math
 import os
 import pickle
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -427,7 +428,8 @@ def evaluate_batch(tasks: Sequence[TopologyTask]) -> List[TaskResult]:
     to the per-topology path.  Tasks the batched engine cannot take
     (observed, fault-injected, custom allocators/selectors, non-2x2
     topologies) fall back to :func:`evaluate_topology` individually, as
-    does a whole group if its batched dispatch raises.  Per-task
+    does a whole group if its batched dispatch raises (with a
+    :class:`RuntimeWarning` naming the exception).  Per-task
     ``elapsed_s`` is the batch wall-clock divided evenly over its rows —
     the logical serial timeline the observability merge expects.
     """
@@ -440,9 +442,15 @@ def evaluate_batch(tasks: Sequence[TopologyTask]) -> List[TaskResult]:
         start = time.perf_counter()
         try:
             outcomes = batch_engine.run_batch(group)
-        except Exception:
+        except Exception as exc:
             # Never lose a sweep to a batching defect: replay the group
-            # through the reference per-topology path.
+            # through the reference per-topology path, and say so.
+            warnings.warn(
+                f"batched engine raised {type(exc).__name__} on a group of "
+                f"{len(group)} topologies; replaying it per topology",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             for task in group:
                 results[task.index] = evaluate_topology(task)
             continue

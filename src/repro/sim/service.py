@@ -1111,8 +1111,6 @@ class AllocationService:
             if f.name in RESULT_IRRELEVANT_OPTION_FIELDS:
                 continue
             value = getattr(self.options, f.name)
-            if f.name == "backend" and value in (None, "numpy"):
-                continue
             digest.update(f"opt|{f.name}={describe_value(value)}".encode())
         digest.update(repr(self.config.imperfections()).encode())
         digest.update(fingerprint_quantized(channels, self.grid_db).encode())

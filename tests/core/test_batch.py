@@ -247,6 +247,36 @@ class TestBitIdentity:
         for (a, _), (b, _) in zip(full[2:], tail):
             assert_same_outcome(a, b)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            EngineOptions(max_iterations=1),
+            EngineOptions(max_iterations=4),
+            EngineOptions(tx_power_dbm=10.0),
+            EngineOptions(tx_power_dbm=25.0),
+        ],
+        ids=["iter1", "iter4", "tx10dBm", "tx25dBm"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ScenarioSpec("1x1", 1, 1, include_copa_plus=True),
+            ScenarioSpec("4x2", 4, 2, include_copa_plus=False),
+        ],
+        ids=["1x1+plus", "4x2"],
+    )
+    def test_engine_options_match_serial(self, spec, options):
+        assert_batch_matches_serial(make_tasks(spec, 2, options=options))
+
+    def test_batch_span_attributes(self):
+        """The ``engine.batch`` span describes the run: allocator,
+        antenna configuration and batch size, nothing else."""
+        tasks = make_tasks(ScenarioSpec("3x2", 3, 2, include_copa_plus=False), 2)
+        collector = Collector()
+        run_batch(tasks, collector=collector)
+        (span,) = [s for s in collector.spans if s.name == "engine.batch"]
+        assert span.attrs == {"allocator": "allocate", "antennas": "3x2", "topologies": 2}
+
     def test_collector_counts_batched_runs(self):
         tasks = make_tasks(ScenarioSpec("1x1", 1, 1, include_copa_plus=False), 3)
         collector = Collector()

@@ -1,6 +1,7 @@
 """EngineOptions: validation, resolution, legacy-dict rejection."""
 
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -52,21 +53,6 @@ class TestValidation:
         with pytest.raises(TypeError):
             EngineOptions(tx_power_dbm="20")
 
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="registered backends"):
-            EngineOptions(backend="cupy-typo")
-
-    def test_non_str_backend_rejected(self):
-        with pytest.raises(TypeError):
-            EngineOptions(backend=3)
-
-    def test_registered_backend_accepted(self):
-        assert EngineOptions(backend="numpy").backend == "numpy"
-
-    def test_backend_never_reaches_the_serial_engine(self):
-        """``backend`` steers the dispatch substrate, not the physics."""
-        assert EngineOptions(backend="numpy").engine_kwargs() == {}
-
 
 class TestReplace:
     def test_replace_overrides_and_keeps_the_rest(self):
@@ -77,26 +63,33 @@ class TestReplace:
 
     def test_replace_revalidates(self):
         with pytest.raises(ValueError):
-            EngineOptions().replace(backend="cupy-typo")
+            EngineOptions().replace(max_iterations=0)
 
 
-class TestFromEnv:
-    def test_empty_environment_gives_defaults(self):
-        assert EngineOptions.from_env({}) == EngineOptions()
+class TestRetiredBackend:
+    """The array-backend option is gone from every spelling."""
 
-    def test_repro_backend_selects_the_backend(self):
-        assert EngineOptions.from_env({"REPRO_BACKEND": "numpy"}).backend == "numpy"
+    def test_fields_are_the_seven_engine_and_cluster_choices(self):
+        assert [f.name for f in fields(EngineOptions)] == [
+            "allocator",
+            "rate_selector",
+            "max_iterations",
+            "tx_power_dbm",
+            "oracle_check",
+            "cluster_policy",
+            "cluster_threshold_db",
+        ]
 
-    def test_blank_value_means_unset(self):
-        assert EngineOptions.from_env({"REPRO_BACKEND": ""}).backend is None
+    def test_backend_keyword_rejected(self):
+        with pytest.raises(TypeError, match="backend"):
+            EngineOptions(backend="numpy")
 
-    def test_unregistered_value_fails_at_the_entry_point(self):
-        with pytest.raises(ValueError, match="registered backends"):
-            EngineOptions.from_env({"REPRO_BACKEND": "cupy-typo"})
+    def test_replace_with_backend_rejected(self):
+        with pytest.raises(TypeError, match="backend"):
+            EngineOptions(max_iterations=4).replace(backend="numpy")
 
-    def test_reads_the_process_environment_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert EngineOptions.from_env().backend == "numpy"
+    def test_from_env_is_gone(self):
+        assert not hasattr(EngineOptions, "from_env")
 
 
 class TestResolve:

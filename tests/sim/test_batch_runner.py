@@ -86,17 +86,106 @@ class TestDispatch:
 
     def test_engine_failure_falls_back_to_serial(self, tasks, monkeypatch):
         """A batching defect must never lose a sweep: the group is replayed
-        through the reference per-topology path."""
+        through the reference per-topology path, with a warning naming the
+        exception type and the group size."""
 
         def boom(group, collector=None):
             raise RuntimeError("injected batching defect")
 
         monkeypatch.setattr(batch_engine, "run_batch", boom)
-        results = evaluate_batch(tasks)
+        with pytest.warns(
+            RuntimeWarning, match=rf"RuntimeError on a group of {len(tasks)} topologies"
+        ):
+            results = evaluate_batch(tasks)
         reference = [evaluate_topology(task) for task in tasks]
         assert_same_records(
             [r.record for r in results], [r.record for r in reference]
         )
+
+
+    @pytest.mark.parametrize(
+        "exc_type, n_tasks",
+        [(ValueError, 1), (FloatingPointError, 2), (np.linalg.LinAlgError, 3)],
+        ids=["ValueError", "FloatingPointError", "LinAlgError"],
+    )
+    def test_fallback_warning_names_the_failure(
+        self, tasks, monkeypatch, exc_type, n_tasks
+    ):
+        def boom(group, collector=None):
+            raise exc_type("injected batching defect")
+
+        monkeypatch.setattr(batch_engine, "run_batch", boom)
+        group = tasks[:n_tasks]
+        with pytest.warns(
+            RuntimeWarning,
+            match=rf"{exc_type.__name__} on a group of {n_tasks} topologies",
+        ):
+            results = evaluate_batch(group)
+        assert_same_records(
+            [r.record for r in results],
+            [evaluate_topology(task).record for task in group],
+        )
+
+    def test_fallback_is_visible_through_run_tasks(self, tasks, monkeypatch):
+        def boom(group, collector=None):
+            raise RuntimeError("injected batching defect")
+
+        monkeypatch.setattr(batch_engine, "run_batch", boom)
+        with pytest.warns(RuntimeWarning, match="replaying it per topology"):
+            replayed, _ = run_tasks(tasks, workers=1)
+        monkeypatch.undo()
+        legacy, _ = run_tasks(tasks, workers=1, batch_size=1)
+        assert_same_records(replayed, legacy)
+
+    def test_clean_batch_does_not_warn_about_replay(self, tasks):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate_batch(tasks)
+        assert not [w for w in caught if "replaying it per topology" in str(w.message)]
+
+
+EQUIVALENCE_SCENARIOS = {
+    "1x1": ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
+    "4x2": ScenarioSpec("4x2", 4, 2, include_copa_plus=False),
+    "3x2": ScenarioSpec("3x2", 3, 2, include_copa_plus=False),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EQUIVALENCE_SCENARIOS))
+def batched_and_legacy(request):
+    spec = EQUIVALENCE_SCENARIOS[request.param]
+    config = SimConfig(n_topologies=5)
+    batched = run_experiment(spec, config, workers=1)
+    legacy = run_experiment(spec, config, workers=1, batch_size=1)
+    return request.param, batched, legacy
+
+
+class TestScenarioEquivalence:
+    """Batched numpy and per-topology runs agree on every scenario.
+
+    Comparisons are exact: the batched engine promises the serial
+    engine's bits, not a tolerance.
+    """
+
+    def test_same_series_are_available(self, batched_and_legacy):
+        _, batched, legacy = batched_and_legacy
+        assert batched.available_series() == legacy.available_series()
+
+    def test_every_series_is_bit_identical(self, batched_and_legacy):
+        name, batched, legacy = batched_and_legacy
+        for key in legacy.available_series():
+            np.testing.assert_array_equal(
+                batched.series_mbps(key),
+                legacy.series_mbps(key),
+                err_msg=f"{name}/{key} diverged",
+            )
+
+    def test_scheme_choices_agree(self, batched_and_legacy):
+        _, batched, legacy = batched_and_legacy
+        assert len(batched.records) == len(legacy.records)
+        for a, b in zip(batched.records, legacy.records):
+            assert a.outcome.copa_choice == b.outcome.copa_choice
+            assert a.outcome.copa_fair_choice == b.outcome.copa_fair_choice
 
 
 class TestExperimentSurface:
@@ -109,18 +198,6 @@ class TestExperimentSurface:
         for key in batched.available_series():
             np.testing.assert_array_equal(
                 batched.series_mbps(key), legacy.series_mbps(key)
-            )
-
-    def test_backend_option_does_not_change_results(self):
-        spec = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
-        config = SimConfig(n_topologies=2)
-        default = run_experiment(spec, config, workers=1)
-        explicit = run_experiment(
-            spec, config, workers=1, options=EngineOptions(backend="numpy")
-        )
-        for key in default.available_series():
-            np.testing.assert_array_equal(
-                default.series_mbps(key), explicit.series_mbps(key)
             )
 
 

@@ -18,6 +18,7 @@ import pytest
 
 import repro.sim.checkpoint as checkpoint
 import repro.sim.fingerprint as fingerprint_module
+from repro.core import mercury
 from repro.core.options import EngineOptions
 from repro.phy.channel import ChannelSet
 from repro.sim.config import SimConfig
@@ -38,6 +39,7 @@ from repro.sim.fingerprint import (
     quantize_channels,
 )
 from repro.sim.runner import build_tasks
+from repro.sim.service import AllocationService
 
 CONFIG = SimConfig(n_topologies=2)
 SPEC = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
@@ -138,13 +140,6 @@ class TestExecutionOnlyFieldsExcluded:
         checked = dataclasses.replace(tasks[0], options=EngineOptions(oracle_check=True))
         assert fingerprint_task(checked) == fingerprint_task(tasks[0])
 
-    def test_reference_backend_option_does_not_move_the_key(self, tasks):
-        """The reference backend is bit-identical to the serial path, so
-        selecting it explicitly must hit the same cache entries as the
-        default ``backend=None``."""
-        switched = dataclasses.replace(tasks[0], options=EngineOptions(backend="numpy"))
-        assert fingerprint_task(switched) == fingerprint_task(tasks[0])
-
 
 class TestResultDeterminingFieldsIncluded:
     """Anything that changes the computed numbers must change the key."""
@@ -163,20 +158,6 @@ class TestResultDeterminingFieldsIncluded:
     def test_field_moves_task_key(self, tasks, override):
         changed = dataclasses.replace(tasks[0], **override)
         assert fingerprint_task(changed) != fingerprint_task(tasks[0])
-
-    def test_non_reference_backend_moves_the_key(self, tasks):
-        """Regression: non-reference backends are only tolerance-equivalent
-        (1e-6 relative), not bit-identical, so their artifacts must never
-        collide with reference-backend cache entries.  An earlier revision
-        excluded ``backend`` from the fingerprint unconditionally."""
-        fused = dataclasses.replace(
-            tasks[0], options=EngineOptions(backend="numpy-fused")
-        )
-        assert fingerprint_task(fused) != fingerprint_task(tasks[0])
-        # Distinct non-reference backends get distinct keys too.
-        jax = dataclasses.replace(tasks[0], options=EngineOptions(backend="jax"))
-        assert fingerprint_task(jax) != fingerprint_task(tasks[0])
-        assert fingerprint_task(jax) != fingerprint_task(fused)
 
     def test_channel_bytes_move_the_key(self, tasks):
         channels = tasks[0].channels
@@ -531,6 +512,122 @@ class TestQuantizedGoldenKeys:
         key = fingerprint_quantized(channels, 0.25)
         assert len(key) == 64
         int(key, 16)
+
+
+class TestServiceGoldenKeys:
+    """Pinned :meth:`AllocationService.query_key` digests for the module
+    fixture's first realization.
+
+    Same update policy as :class:`TestGoldenKeys`: bump ``SERVICE_SALT``
+    and regenerate these constants if a change to the key layout is
+    intentional; never update them without a salt bump — silent drift
+    here orphans every allocation-service cache entry in the field.
+    """
+
+    GOLDEN_DEFAULT = "9797e3e0d1d0dafc7da69ac119a7245e7e7687168efdf5a3bcca281782dfaa2d"
+    GOLDEN_MERCURY_PLUS = "3849fe4f33f8c10a57433f7c58fa6a3b00e51c41869e5d70180e0f1d3227801f"
+
+    @pytest.fixture(scope="class")
+    def channels(self):
+        return generate_channel_sets(SPEC, CONFIG)[0]
+
+    def test_default_options_key(self, channels):
+        service = AllocationService(cache=None, config=CONFIG)
+        assert service.query_key(channels) == self.GOLDEN_DEFAULT
+
+    def test_mercury_copa_plus_key(self, channels):
+        service = AllocationService(
+            cache=None,
+            config=CONFIG,
+            options=EngineOptions(allocator=mercury.mercury_allocate),
+            include_copa_plus=True,
+        )
+        assert service.query_key(channels) == self.GOLDEN_MERCURY_PLUS
+
+
+class TestOptionGoldenKeys:
+    """Pinned keys with each :class:`EngineOptions` field set on its own.
+
+    Every field that can reach a key is covered, so a change to how
+    options are described or filtered cannot move an existing cache,
+    checkpoint or service key unnoticed.  ``oracle_check`` is
+    result-irrelevant: its keys are the all-defaults ones.  Same update
+    policy as :class:`TestGoldenKeys`: never update these constants
+    without a salt bump.
+    """
+
+    #: field → (``AllocationService.query_key`` of the first realization,
+    #: ``fingerprint_tasks`` of the module fixture's channel sets).
+    GOLDEN = {
+        "allocator": (
+            "e8cf29e4411ce8681fcfd3c6885b36642d6cabc23913eb03fa6e2a8c4ce051e5",
+            "b7b9de61eb0aba5f8a666787ad475b045e094ee7cc80afe5812ddb4a33a1f06a",
+        ),
+        "rate_selector": (
+            "b818c2f36dbe72161595a365506c2a5779c04a7e819b24909ddc9de53869c3ad",
+            "f3223f22869008931b4a1edfa1f1adb9911e85d65c5d78bd568303666e5117b9",
+        ),
+        "max_iterations": (
+            "0f17c62a03c7ca3be6bc9d3e0c8699fa0559d49431541f7a7af6ed436e232824",
+            "22c9ff27e8527e2aff819d6d0f3c3e11c30e6cb3ce966f845b65a5b337767021",
+        ),
+        "tx_power_dbm": (
+            "ebe41eca3b3fb7fecbf1f65b901ca256c781be46fda2708899ad3aa0df4821ec",
+            "532355e2c58e0fb44e3f1854364a303baddbba2b3e84c92a4f9a0377e06d0c51",
+        ),
+        "oracle_check": (
+            TestServiceGoldenKeys.GOLDEN_DEFAULT,
+            TestGoldenKeys.GOLDEN_TASKS_KEY,
+        ),
+        "cluster_policy": (
+            "902572e05cf600bd6df0a1d173145cfbc3d0be6afc3a2ee40c30af29ec57ae3b",
+            "163a0f0807eebab367e4327e4793960ddedc677a8843a3e77d9d67dd7481c1ab",
+        ),
+        "cluster_threshold_db": (
+            "602c0ac081b88e25297d67009bcf878ed003c5098fd2ff03b8c4bb972ea4fb6e",
+            "5195536f46ecf20aeb0429ef8f307840ecc54bed6e07a2ad1685c8ef7753ed89",
+        ),
+    }
+
+    @staticmethod
+    def _options(field_name):
+        from repro.core import multi_decoder
+
+        value = {
+            "allocator": mercury.mercury_allocate,
+            "rate_selector": multi_decoder.per_subcarrier_rates,
+            "max_iterations": 4,
+            "tx_power_dbm": 20.0,
+            "oracle_check": True,
+            "cluster_policy": "threshold",
+            "cluster_threshold_db": -70.0,
+        }[field_name]
+        return EngineOptions(**{field_name: value})
+
+    @pytest.fixture(scope="class")
+    def channel_sets(self):
+        return generate_channel_sets(SPEC, CONFIG)
+
+    def test_every_field_is_pinned(self):
+        assert set(self.GOLDEN) == {f.name for f in dataclasses.fields(EngineOptions)}
+
+    @pytest.mark.parametrize("field_name", sorted(GOLDEN))
+    def test_service_key(self, channel_sets, field_name):
+        service = AllocationService(
+            cache=None, config=CONFIG, options=self._options(field_name)
+        )
+        assert service.query_key(channel_sets[0]) == self.GOLDEN[field_name][0]
+
+    @pytest.mark.parametrize("field_name", sorted(GOLDEN))
+    def test_tasks_key(self, channel_sets, field_name):
+        tasks = build_tasks(
+            channel_sets,
+            base_seed=CONFIG.seed,
+            coherence_s=CONFIG.coherence_s,
+            imperfections=CONFIG.imperfections(),
+            options=self._options(field_name),
+        )
+        assert fingerprint_tasks(tasks) == self.GOLDEN[field_name][1]
 
 
 class TestQuantizationSensitivity:

@@ -137,6 +137,32 @@ class TestManifest:
         with pytest.raises(ServiceError, match="schema"):
             ShardManifest.from_payload({"schema": "repro.shard/v0"})
 
+    def test_retired_option_in_manifest_rejected(self, tmp_path):
+        """A manifest naming an option this code no longer has (here the
+        retired array-backend field) must be refused, never served."""
+        shard_dir = str(tmp_path / "shards")
+        payload = publish_shards(shard_dir, SPEC, CONFIG).as_payload()
+        payload["options"] = {"backend": "numpy"}
+        with pytest.raises(ServiceError, match="malformed shard manifest"):
+            ShardManifest.from_payload(payload)
+
+    @pytest.mark.parametrize("backend", ["numpy-fused", "jax"])
+    def test_every_retired_backend_value_rejected(self, tmp_path, backend):
+        """The refusal does not depend on which substrate was named."""
+        shard_dir = str(tmp_path / "shards")
+        payload = publish_shards(shard_dir, SPEC, CONFIG).as_payload()
+        payload["options"] = {"max_iterations": 4, "backend": backend}
+        with pytest.raises(ServiceError, match="malformed shard manifest"):
+            ShardManifest.from_payload(payload)
+
+    def test_published_options_name_only_set_fields(self, tmp_path):
+        shard_dir = str(tmp_path / "shards")
+        options = EngineOptions(max_iterations=4, tx_power_dbm=20.0)
+        publish_shards(shard_dir, SPEC, CONFIG, options=options)
+        payload = json.load(open(os.path.join(shard_dir, "manifest.json")))
+        assert payload["options"] == {"max_iterations": 4, "tx_power_dbm": 20.0}
+        assert read_manifest(shard_dir).options == options
+
     def test_callable_options_round_trip_by_qualname(self, tmp_path):
         from repro.core.mercury import mercury_allocate
 

@@ -93,6 +93,34 @@ class TestArgumentValidation:
         assert args.resume is False
 
 
+class TestRetiredBackendFlag:
+    """``--backend`` is gone from every command that used to take it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "1x1"],
+            ["report", "1x1"],
+            ["service", "publish", "1x1", "--shard-dir", "shards"],
+            ["service", "query", "1x1"],
+        ],
+        ids=["run", "report", "service-publish", "service-query"],
+    )
+    def test_backend_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_repro_backend_variable_does_not_reach_the_options(self, monkeypatch):
+        from repro.cli import _engine_options
+        from repro.core.options import EngineOptions
+
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        args = build_parser().parse_args(["run", "1x1"])
+        assert _engine_options(args) == EngineOptions()
+
+
 class TestFaultTolerance:
     def test_run_accepts_retry_and_timeout_flags(self, capsys):
         assert (
