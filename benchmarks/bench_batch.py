@@ -2,8 +2,8 @@
 
 The batched engine (:mod:`repro.core.batch`) evaluates a whole stack of
 topologies as ``(n_topologies, n_sc, n_rx, n_tx)`` arrays in single
-NumPy calls instead of re-entering the serial strategy engine once per
-topology.  This harness measures the end-to-end sweep speedup of
+NumPy calls instead of running the engine once per topology as a
+one-row batch.  This harness measures the end-to-end sweep speedup of
 ``run_experiment`` with the default batched dispatch
 (``batch_size=None``) over the legacy per-topology path
 (``batch_size=1``) — same tasks, same seeds, same bits.
@@ -119,7 +119,6 @@ def run_benchmark(quick: bool = False) -> Dict[str, object]:
             "speedup_floor": QUICK_SPEEDUP_FLOOR if quick else SPEEDUP_FLOOR,
             "batch_size": int(batch_size),
             "repeats": repeats,
-            "backend": "numpy",
         },
         "host": {
             "python": platform.python_version(),
@@ -162,8 +161,6 @@ def validate_bench_payload(payload: Dict[str, object]) -> None:
             fail(f"batch.{key} must be a positive integer")
     if batch["batch_size"] < 2:
         fail("batch.batch_size must be >= 2 (otherwise nothing was batched)")
-    if not isinstance(batch.get("backend"), str) or not batch["backend"]:
-        fail("batch.backend must be a non-empty string")
 
 
 def format_report(payload: Dict[str, object]) -> str:

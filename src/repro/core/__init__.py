@@ -40,7 +40,6 @@ from .precoding import (
     beamforming_design,
     cross_coupling,
     nulling_design,
-    sda_designs,
     stream_gains,
 )
 from .strategy import (
@@ -110,6 +109,5 @@ __all__ = [
     "mmse_of_snr",
     "nulling_design",
     "radiated_powers",
-    "sda_designs",
     "stream_gains",
 ]

@@ -1,34 +1,46 @@
-"""Batched multi-topology strategy engine, bit-identical to the serial one.
+"""The COPA strategy engine (§3.3, Figure 8) for a batch of topologies.
 
-:class:`repro.core.strategy.StrategyEngine` evaluates one channel
-realization at a time; a sweep over hundreds of topologies therefore pays
-hundreds of small-array NumPy dispatches per scheme (SVD, matmul, solve,
-allocator inner loops).  This module restacks that hot path: a whole
-batch of topologies becomes ``(B, n_sc, n_rx, n_tx)`` channel tensors,
+:class:`BatchedStrategyEngine` is the one implementation of the strategy
+menu: it builds the transmit designs, allocates power, measures and
+predicts every scheme's throughput and makes the COPA and COPA-fair
+choices for B channel realizations of a cluster of k ≥ 1 (AP, client)
+pairs at once.  :class:`repro.core.strategy.StrategyEngine` is a one-row
+call of it; :func:`run_batch` evaluates a homogeneous group of runner
+tasks as B rows.
+
+The rows are stacked into ``(B, n_sc, n_rx, n_tx)`` channel tensors,
 flattened to ``(B * n_sc, n_rx, n_tx)`` so the per-subcarrier gufunc
-kernels in :mod:`repro.phy.mimo` — which were always vectorized over
-their leading axis — evaluate every topology in single NumPy calls.
-
-**The contract is bit-identity**: :func:`run_batch` over tasks
-``[t0, .., tB]`` returns exactly the :class:`StrategyOutcome` objects the
-serial engine produces for each task, bit for bit.  The building blocks
-that make this possible:
+kernels in :mod:`repro.phy.mimo` evaluate every topology in single NumPy
+calls.  A row's result never depends on which rows share its batch, bit
+for bit:
 
 * NumPy's batched linalg (``svd``, ``solve``, ``matmul``) are per-2D-slice
   gufuncs — stacking more slices never changes a slice's result;
 * elementwise ufuncs are value-wise, so a leading batch axis is free;
 * the only order-sensitive reductions (masked means/sums in the
   allocators and rate model) go through
-  :func:`repro.util.masked_row_apply`, which replicates the serial
-  pairwise-summation grouping exactly;
-* CSI is measured per task with a fresh ``default_rng(task.seed)`` in the
-  serial engine's exact draw order, so the randomness is untouched.
+  :func:`repro.util.masked_row_apply`, which replicates the one-row
+  pairwise-summation grouping exactly.
 
-Batching changes observability granularity — one ``engine.batch`` span
-covers all B topologies, and counters are incremented in bulk — so
-:func:`repro.sim.runner.run_tasks` only routes *unobserved* tasks through
-this engine; observed runs keep their exact per-topology trace shape via
-the per-task path (``partition_tasks`` enforces this).
+The cluster size k shapes the menu.  Nulling designs null the stacked
+antennas of every other client; sequential schemes give each client 1/k
+of the airtime; SDA (§3.4) is a two-AP protocol and runs only at k = 2;
+a lone AP (k = 1) is offered CSMA and COPA-SEQ only.  The Figure-6
+concurrent allocation runs batched at k = 2 and as N-player
+best-response dynamics (:func:`repro.core.oracle.allocate_graph`), one
+interference graph per row, at k ≥ 3.
+
+Any per-stream allocator and rate selector works.  One with a batched
+twin (:data:`BATCHED_ALLOCATORS`, ``best_rate_batch`` for ``best_rate``)
+runs batched; any other is lifted — called once per row, keeping each
+row's returned object (``per_subcarrier_rates``' selections, say).
+
+The engine starts from measured CSI (:func:`measure_csi`), so its caller
+owns the randomness: :func:`run_batch` measures each task with a fresh
+``default_rng(task.seed)``, ``StrategyEngine`` with the caller's
+generator.  Observability is batch-granular: one ``engine.run`` span
+covers all B rows, and counters are incremented in bulk with the same
+totals as B one-row runs.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ import numpy as np
 
 from ..mac.timing import MacOverheadModel
 from ..obs.collector import Collector, active
+from ..phy.channel import ChannelSet
 from ..phy.constants import TX_POWER_DBM
 from ..phy.mimo import (
     interference_covariance,
@@ -50,16 +63,19 @@ from ..phy.mimo import (
     tx_noise_covariance,
 )
 from ..phy.noise import ImperfectionModel
-from ..phy.rates import BatchRateSelection, best_rate_batch
+from ..phy.rates import best_rate, best_rate_batch
 from ..util import dbm_to_mw
 from . import equi_snr, mercury
+from .equi_snr import BatchAllocation
 from .equi_sinr import (
     BatchConcurrentContext,
     BatchStreamAllocation,
+    StreamAllocator,
     allocate_concurrent_batch,
     allocate_single_batch,
     radiated_powers_batch,
 )
+from .oracle import GraphPlayer, InterferenceGraph, allocate_graph
 from .strategy import (
     SCHEME_CONC_BF,
     SCHEME_CONC_NULL,
@@ -75,16 +91,17 @@ from .strategy import (
 
 __all__ = [
     "BATCHED_ALLOCATORS",
+    "BatchDesign",
     "BatchedStrategyEngine",
     "batchable",
     "group_key",
+    "measure_csi",
     "partition_tasks",
     "run_batch",
 ]
 
-#: Serial per-stream allocators with a registered batched twin.  Tasks
-#: whose ``options.allocator`` is not in this map (custom/ablation
-#: allocators) fall back to per-topology evaluation.
+#: Per-stream allocators with a batched twin.  Any other allocator is
+#: lifted: the engine calls it once per row.
 BATCHED_ALLOCATORS = {
     equi_snr.allocate: equi_snr.allocate_batch,
     mercury.mercury_allocate: mercury.mercury_allocate_batch,
@@ -100,21 +117,16 @@ BATCHED_ALLOCATORS = {
 def batchable(task) -> bool:
     """Can this task join a batched engine dispatch?
 
-    Requires: no fault injection, no per-task observation (batching would
-    change the trace shape), default rate selector, an allocator with a
-    batched twin, no explicit cluster policy (N-cell dispatch is
-    per-topology), and the engine's 2-AP/2-client topology with uniform
-    antenna counts (the stacked tensors need one shape).  N>2 tasks
-    therefore always classify to the per-topology path, where
+    Requires: no fault injection, no per-task observation (its trace
+    stays per topology), no explicit cluster policy (N-cell dispatch is
+    per-topology), and the 2-AP/2-client topology with uniform antenna
+    counts (the stacked tensors need one shape).  N>2 tasks therefore
+    always classify to the per-topology path, where
     ``evaluate_topology`` routes them through the interference-graph
-    engine.
+    engine.  Any allocator and rate selector batches.
     """
     options = task.options
     if getattr(task, "fault_plan", None) is not None or getattr(task, "observe", False):
-        return False
-    if options.rate_selector is not None:
-        return False
-    if options.allocator is not None and options.allocator not in BATCHED_ALLOCATORS:
         return False
     if getattr(options, "cluster_policy", None) is not None:
         return False
@@ -155,8 +167,8 @@ def partition_tasks(tasks: Sequence, max_batch: Optional[int] = None):
     Returns ``(batches, singles)``: ``batches`` is a list of task lists,
     each homogeneous under :func:`group_key` (and split into runs of at
     most ``max_batch`` when given); ``singles`` holds every task that
-    must go through the serial per-topology path.  Together they cover
-    the input exactly once; callers reassemble results by task index.
+    must go through the per-topology path.  Together they cover the
+    input exactly once; callers reassemble results by task index.
     """
     singles: List = []
     keyed: Dict[tuple, List] = {}
@@ -180,20 +192,48 @@ def partition_tasks(tasks: Sequence, max_batch: Optional[int] = None):
 
 
 # ---------------------------------------------------------------------------
-# The batched engine.
+# The engine.
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class _BatchDesign:
-    """Batched :class:`~repro.core.precoding.TransmissionDesign`.
+def measure_csi(
+    channels: ChannelSet, imperfections: ImperfectionModel, rng: np.random.Generator
+) -> Dict[Tuple[int, int], np.ndarray]:
+    """What the APs know: noisy CSI of every (AP, client) link (§3.1).
 
+    Keyed by (AP index, client index) and drawn from ``rng`` in nested
+    AP-then-client order, once per coherence interval.
+    """
+    topology = channels.topology
+    return {
+        (i, j): channels.measured_csi(ap.name, client.name, imperfections, rng)
+        for i, ap in enumerate(topology.aps)
+        for j, client in enumerate(topology.clients)
+    }
+
+
+def _lift_allocator(allocator: StreamAllocator):
+    """A batched per-stream allocator calling ``allocator`` once per row."""
+
+    def lifted(gains: np.ndarray, total_power: float) -> BatchAllocation:
+        return BatchAllocation.from_rows([allocator(row, total_power) for row in gains])
+
+    return lifted
+
+
+@dataclasses.dataclass
+class BatchDesign:
+    """One AP's transmit design for every row of a batch.
+
+    The batched :class:`~repro.core.precoding.TransmissionDesign`:
     ``precoder`` is flattened over (B, n_sc); ``active_rx`` is ``None``
     for all-antennas designs or a (B, n_active) index array (SDA keeps a
     different antenna per topology).
     """
 
+    #: AP index within the cluster.
     ap: int
+    #: Client index within the cluster.
     client: int
     #: (B * n_sc, n_tx, n_streams) unit-column precoders.
     precoder: np.ndarray
@@ -205,78 +245,64 @@ class _BatchDesign:
 
 
 class BatchedStrategyEngine:
-    """Evaluates the strategy menu for a batch of channel realizations.
+    """Evaluates the strategy menu for B channel realizations of one cluster.
 
-    ``tasks`` is a homogeneous group (see :func:`group_key`) of
-    :class:`repro.sim.runner.TopologyTask`-shaped objects.  :meth:`run`
-    returns one :class:`StrategyOutcome` per task, bit-identical to what
-    the serial :class:`~repro.core.strategy.StrategyEngine` produces for
-    that task's seed.
-
-    The collector, when enabled, records *batch-granular* spans (one
-    ``engine.batch`` span, one span per scheme) and bulk counters with
-    the same totals as B serial runs — but not the serial per-topology
-    trace shape; observed runner tasks therefore bypass this engine.
+    ``channels`` holds the B topologies' true channels, all with the same
+    k (AP, client) pairs and antenna counts; ``csi`` the matching
+    :func:`measure_csi` results.  The other parameters are
+    :class:`~repro.core.strategy.StrategyEngine`'s.  :meth:`run` returns
+    one :class:`StrategyOutcome` per row.
     """
 
-    def __init__(self, tasks: Sequence, collector: Optional[Collector] = None):
-        tasks = list(tasks)
-        if not tasks:
-            raise ValueError("BatchedStrategyEngine needs at least one task")
-        key = group_key(tasks[0])
-        for task in tasks[1:]:
-            if group_key(task) != key:
-                raise ValueError(
-                    "tasks are not homogeneous; partition with partition_tasks() first"
-                )
-        self.tasks = tasks
+    def __init__(
+        self,
+        channels: Sequence[ChannelSet],
+        csi: Sequence[Dict[Tuple[int, int], np.ndarray]],
+        imperfections: Optional[ImperfectionModel] = None,
+        overhead_model: Optional[MacOverheadModel] = None,
+        coherence_s: float = 0.030,
+        tx_power_dbm: float = TX_POWER_DBM,
+        allocator: StreamAllocator = equi_snr.allocate,
+        max_iterations: int = 8,
+        rate_selector=best_rate,
+        collector: Optional[Collector] = None,
+        oracle_check: bool = False,
+    ):
+        channels = list(channels)
+        if not channels or len(csi) != len(channels):
+            raise ValueError("BatchedStrategyEngine needs one CSI measurement per topology")
+        self.channels = channels
         self.collector = active(collector)
-        first = tasks[0]
-        self.options = first.options
-        self.imperfections = (
-            first.imperfections if first.imperfections is not None else ImperfectionModel()
-        )
-        self.overhead_model = MacOverheadModel()
-        self.overheads = self.overhead_model.overheads(first.coherence_s)
-        tx_power_dbm = (
-            self.options.tx_power_dbm if self.options.tx_power_dbm is not None else TX_POWER_DBM
-        )
+        self.imperfections = imperfections if imperfections is not None else ImperfectionModel()
+        self.overhead_model = overhead_model if overhead_model is not None else MacOverheadModel()
+        self.overheads = self.overhead_model.overheads(coherence_s)
         self.tx_power_mw = float(dbm_to_mw(tx_power_dbm))
-        self.max_iterations = (
-            self.options.max_iterations if self.options.max_iterations is not None else 8
-        )
-        self.oracle_check = bool(self.options.oracle_check)
-        self.noise_floor_mw = float(first.channels.noise_floor_mw)
+        self.allocator = allocator
+        self.max_iterations = max_iterations
+        self.rate_selector = rate_selector
+        self.oracle_check = oracle_check
+        self.noise_floor_mw = float(channels[0].noise_floor_mw)
 
-        topology = first.channels.topology
+        topology = channels[0].topology
+        self.k = len(topology.aps)
         self.n_tx = topology.aps[0].n_antennas
         self.n_rx = topology.clients[0].n_antennas
-        sample = first.channels.channel(topology.aps[0].name, topology.clients[0].name)
-        self.n_sc = sample.shape[0]
-        self.B = len(tasks)
+        self.n_sc = csi[0][(0, 0)].shape[0]
+        self.B = len(channels)
 
-        # Stacked channels, keyed by (AP index, client index).  CSI draws
-        # replicate the serial engine exactly: per task, a fresh
-        # default_rng(seed) measuring every (ap, client) link in the
-        # serial nested-loop order.
-        shape = (self.B, self.n_sc, self.n_rx, self.n_tx)
-        self.true: Dict[Tuple[int, int], np.ndarray] = {}
-        self.csi: Dict[Tuple[int, int], np.ndarray] = {}
-        for i in range(2):
-            for j in range(2):
-                self.true[(i, j)] = np.empty(shape, dtype=complex)
-                self.csi[(i, j)] = np.empty(shape, dtype=complex)
-        for b, task in enumerate(tasks):
-            topo = task.channels.topology
-            ap_names = [ap.name for ap in topo.aps]
-            client_names = [c.name for c in topo.clients]
-            rng = np.random.default_rng(task.seed)
-            for i, ap in enumerate(ap_names):
-                for j, client in enumerate(client_names):
-                    self.csi[(i, j)][b] = task.channels.measured_csi(
-                        ap, client, self.imperfections, rng
-                    )
-                    self.true[(i, j)][b] = task.channels.channel(ap, client)
+        # Stacked channels, keyed by (AP index, client index).
+        self.csi: Dict[Tuple[int, int], np.ndarray] = {
+            link: np.stack([row[link] for row in csi]) for link in csi[0]
+        }
+        self.true: Dict[Tuple[int, int], np.ndarray] = {
+            (i, j): np.stack(
+                [
+                    c.channel(c.topology.aps[i].name, c.topology.clients[j].name)
+                    for c in channels
+                ]
+            )
+            for i, j in csi[0]
+        }
 
     # ------------------------------------------------------------------
     # channel access
@@ -296,33 +322,44 @@ class BatchedStrategyEngine:
         index = np.asarray(active_rx)[:, None, :, None]
         return np.take_along_axis(source, index, axis=2)
 
+    def _others(self, i: int) -> List[int]:
+        return [j for j in range(self.k) if j != i]
+
     # ------------------------------------------------------------------
     # design construction (from CSI — what the APs can actually compute)
     # ------------------------------------------------------------------
 
-    def _bf_designs(self) -> List[_BatchDesign]:
+    def beamforming_designs(self) -> List[BatchDesign]:
+        """SVD transmit beamforming toward each AP's own client."""
         n_streams = min(self.n_rx, self.n_tx)
         return [
-            _BatchDesign(ap=i, client=i, precoder=svd_beamformer(self._flat(self.csi[(i, i)]), n_streams))
-            for i in range(2)
+            BatchDesign(
+                ap=i, client=i, precoder=svd_beamformer(self._flat(self.csi[(i, i)]), n_streams)
+            )
+            for i in range(self.k)
         ]
 
-    def _null_designs(self) -> List[_BatchDesign]:
-        limit = max_nulled_streams(self.n_tx, self.n_rx, self.n_rx)
+    def nulling_designs(self) -> List[BatchDesign]:
+        """Each AP nulls every other client's stacked antennas, full or reduced rank."""
+        limit = max_nulled_streams(self.n_tx, self.n_rx, self._victim_antennas())
         designs = []
-        for i in range(2):
-            precoder = nulling_precoder(
-                self._flat(self.csi[(i, i)]), self._flat(self.csi[(i, 1 - i)]), limit
-            )
-            designs.append(_BatchDesign(ap=i, client=i, precoder=precoder))
+        for i in range(self.k):
+            victims = np.concatenate([self.csi[(i, j)] for j in self._others(i)], axis=2)
+            precoder = nulling_precoder(self._flat(self.csi[(i, i)]), self._flat(victims), limit)
+            designs.append(BatchDesign(ap=i, client=i, precoder=precoder))
         return designs
 
-    def _sda_design_pair(self, leader: int) -> List[_BatchDesign]:
-        """SDA designs with AP ``leader`` leading; index order is [AP1, AP2]."""
+    def sda_designs(self, leader: int) -> List[BatchDesign]:
+        """§3.4's shut-down-antenna designs with AP ``leader`` leading (k = 2).
+
+        The follower's client keeps only its strongest antenna (by CSI
+        power); the leader nulls that one antenna at full rank while the
+        follower sends a reduced-rank transmission nulled at all of the
+        leader client's antennas.  Index order is [AP1, AP2].
+        """
         follower = 1 - leader
         follower_own = self.csi[(follower, follower)]
-        # Per-row best antenna: same multi-axis reduction as the serial
-        # _best_antenna, evaluated on each row's contiguous slice.
+        # Per-row strongest antenna, reduced over each row's contiguous slice.
         keep = np.array(
             [
                 int(np.argmax(np.sum(np.abs(follower_own[b]) ** 2, axis=(0, 2))))
@@ -340,9 +377,9 @@ class BatchedStrategyEngine:
             self._flat(self.csi[(follower, leader)]),
             max_nulled_streams(self.n_tx, 1, self.n_rx),
         )
-        pair: List[Optional[_BatchDesign]] = [None, None]
-        pair[leader] = _BatchDesign(ap=leader, client=leader, precoder=leader_precoder)
-        pair[follower] = _BatchDesign(
+        pair: List[Optional[BatchDesign]] = [None, None]
+        pair[leader] = BatchDesign(ap=leader, client=leader, precoder=leader_precoder)
+        pair[follower] = BatchDesign(
             ap=follower, client=follower, precoder=follower_precoder, active_rx=keep_rx
         )
         return pair  # type: ignore[return-value]
@@ -351,41 +388,91 @@ class BatchedStrategyEngine:
     # gains and coupling (batched precoding.stream_gains / cross_coupling)
     # ------------------------------------------------------------------
 
-    def _stream_gains(self, design: _BatchDesign) -> np.ndarray:
+    def _stream_gains(self, design: BatchDesign) -> np.ndarray:
         channel = self._flat(self._gather((design.ap, design.client), design.active_rx, False))
         effective = np.matmul(channel, design.precoder)
         gains = np.sum(np.abs(effective) ** 2, axis=1)
         return gains.reshape(self.B, self.n_sc, design.n_streams)
 
-    def _cross_coupling(
-        self, design: _BatchDesign, victim: int, victim_active_rx: Optional[np.ndarray]
-    ) -> np.ndarray:
-        channel = self._flat(self._gather((design.ap, victim), victim_active_rx, False))
+    def _coupling(self, designs: Sequence[BatchDesign], victim: int, source: int) -> np.ndarray:
+        """Interference gain of ``source``'s streams at ``victim``'s client.
+
+        Mean received power per active victim antenna and unit transmit
+        power, plus the residual floor: nulls computed from noisy CSI
+        bottom out at the estimation error, and the allocator must plan
+        for it (§2.2).
+        """
+        design = designs[source]
+        channel = self._flat(self._gather((source, victim), designs[victim].active_rx, False))
         effective = np.matmul(channel, design.precoder)
-        n_rx_active = effective.shape[1]
-        coupling = np.sum(np.abs(effective) ** 2, axis=1) / n_rx_active
-        return coupling.reshape(self.B, self.n_sc, design.n_streams)
+        coupled = np.sum(np.abs(effective) ** 2, axis=1) / effective.shape[1]
+        coupled = coupled.reshape(self.B, self.n_sc, design.n_streams)
+        entry_power = (np.abs(self.csi[(source, victim)]) ** 2).reshape(self.B, -1).mean(axis=1)
+        residual = self.imperfections.csi_error_linear * entry_power
+        return coupled + residual[:, None, None]
+
+    def interference_graphs(self, designs: Sequence[BatchDesign]) -> List[InterferenceGraph]:
+        """Each row's k-player interference graph under ``designs``, from CSI.
+
+        Players carry their stream gains and edge (victim, source) the
+        source's coupling at the victim — the k-player form of the
+        Figure-6 context.
+        """
+        gains = [self._stream_gains(design) for design in designs]
+        coupling = {
+            (victim, source): self._coupling(designs, victim, source)
+            for victim in range(self.k)
+            for source in self._others(victim)
+        }
+        graphs = []
+        for b, channels in enumerate(self.channels):
+            players = [
+                GraphPlayer(
+                    name=channels.topology.aps[design.ap].name,
+                    gains=gains[i][b],
+                    budget=self.tx_power_mw,
+                    noise_mw=self.noise_floor_mw,
+                )
+                for i, design in enumerate(designs)
+            ]
+            graphs.append(
+                InterferenceGraph(
+                    players=players,
+                    coupling={edge: value[b] for edge, value in coupling.items()},
+                    leakage_linear=self.imperfections.carrier_leakage_linear,
+                )
+            )
+        return graphs
 
     # ------------------------------------------------------------------
     # power allocation
     # ------------------------------------------------------------------
 
-    def _equal_allocation(self, design: _BatchDesign) -> BatchStreamAllocation:
+    def equal_allocation(self, design: BatchDesign) -> BatchStreamAllocation:
         """Status-quo 802.11: the power budget spread evenly everywhere."""
         n_s = design.n_streams
         powers = np.full((self.B, self.n_sc, n_s), self.tx_power_mw / (n_s * self.n_sc))
         used = np.ones((self.B, self.n_sc, n_s), dtype=bool)
         return BatchStreamAllocation(powers=powers, used=used, per_stream=[])
 
+    @staticmethod
+    def _batched(allocator: StreamAllocator):
+        twin = BATCHED_ALLOCATORS.get(allocator)
+        return twin if twin is not None else _lift_allocator(allocator)
+
     def _sequential_allocation(
-        self, design: _BatchDesign, batch_allocator, serial_allocator
+        self, design: BatchDesign, allocator: StreamAllocator
     ) -> BatchStreamAllocation:
         """Equi-SNR (Algorithm 1) per stream, no concurrent interference."""
         gains = self._stream_gains(design)
         allocation = allocate_single_batch(
-            gains, self.tx_power_mw, noise_mw=self.noise_floor_mw, allocator=batch_allocator
+            gains, self.tx_power_mw, noise_mw=self.noise_floor_mw, allocator=self._batched(allocator)
         )
         if self.oracle_check:
+            # Shadow mode: record agreement, never fail the engine.  The
+            # concurrent path is covered offline by the differential
+            # harness (repro.core.differential), whose problems are exactly
+            # reproducible.
             from .oracle import shadow_check_single
 
             collector = self.collector if self.collector.enabled else None
@@ -394,44 +481,50 @@ class BatchedStrategyEngine:
                     gains[b],
                     self.tx_power_mw,
                     allocation.row(b),
-                    serial_allocator,
+                    allocator,
                     noise_mw=self.noise_floor_mw,
                     collector=collector,
                 )
         return allocation
 
-    def _concurrent_allocation(
-        self, designs: Sequence[_BatchDesign], batch_allocator
+    def concurrent_allocation(
+        self, designs: Sequence[BatchDesign], allocator: Optional[StreamAllocator] = None
     ) -> List[BatchStreamAllocation]:
-        """The Fig. 6 iterative Equi-SINR joint allocation, all rows at once."""
-        gains = []
-        coupling = []
-        for i in range(2):
-            design = designs[i]
-            gains.append(self._stream_gains(design))
-            coupled = self._cross_coupling(design, 1 - i, designs[1 - i].active_rx)
-            # Nulls computed from noisy CSI bottom out at the estimation-error
-            # floor; the allocator must plan for that residual (§2.2).
-            victim_csi = self.csi[(i, 1 - i)]
-            entry_power = (np.abs(victim_csi) ** 2).reshape(self.B, -1).mean(axis=1)
-            residual = self.imperfections.csi_error_linear * entry_power
-            coupling.append(coupled + residual[:, None, None])
-        context = BatchConcurrentContext(
-            gains=gains,
-            coupling=coupling,
-            budgets=[self.tx_power_mw, self.tx_power_mw],
-            noise_mw=[self.noise_floor_mw] * 2,
-            leakage_linear=self.imperfections.carrier_leakage_linear,
-        )
-        allocations, _, _ = allocate_concurrent_batch(
-            context,
-            max_iterations=self.max_iterations,
-            allocator=batch_allocator,
-            collector=self.collector if self.collector.enabled else None,
-        )
-        return allocations
+        """The Fig. 6 iterative Equi-SINR joint allocation of every row.
+
+        ``allocator`` defaults to the engine's.  Two APs iterate batched;
+        larger clusters run the k-player best-response dynamics row by row.
+        """
+        allocator = allocator if allocator is not None else self.allocator
+        collector = self.collector if self.collector.enabled else None
+        if self.k == 2:
+            context = BatchConcurrentContext(
+                gains=[self._stream_gains(design) for design in designs],
+                coupling=[self._coupling(designs, 1 - i, i) for i in range(2)],
+                budgets=[self.tx_power_mw, self.tx_power_mw],
+                noise_mw=[self.noise_floor_mw] * 2,
+                leakage_linear=self.imperfections.carrier_leakage_linear,
+            )
+            allocations, _, _ = allocate_concurrent_batch(
+                context,
+                max_iterations=self.max_iterations,
+                allocator=self._batched(allocator),
+                collector=collector,
+            )
+            return allocations
+        rows = [
+            allocate_graph(
+                graph,
+                max_iterations=self.max_iterations,
+                allocator=allocator,
+                collector=collector,
+            ).allocations
+            for graph in self.interference_graphs(designs)
+        ]
+        return [BatchStreamAllocation.from_rows([row[i] for row in rows]) for i in range(self.k)]
 
     def _note_allocations(self, allocations: Sequence[BatchStreamAllocation]) -> None:
+        """Feed dropped-subcarrier counts from Algorithm 1 into the metrics."""
         if not self.collector.enabled:
             return
         streams = 0
@@ -450,12 +543,12 @@ class BatchedStrategyEngine:
     def _rate_of(
         self,
         receiver: int,
-        designs: Sequence[_BatchDesign],
+        designs: Sequence[BatchDesign],
         allocations: Sequence[BatchStreamAllocation],
         concurrent: bool,
         true_channel: bool,
-    ) -> BatchRateSelection:
-        """Batched rate selection for client ``receiver`` under one scheme."""
+    ) -> list:
+        """Each row's rate selection for client ``receiver`` under one scheme."""
         design = designs[receiver]
         alloc = allocations[receiver]
         n_s = design.n_streams
@@ -476,10 +569,12 @@ class BatchedStrategyEngine:
         covariance = self.noise_floor_mw * np.broadcast_to(
             np.eye(n_active, dtype=complex), (n_flat, n_active, n_active)
         ).copy()
+        # Own transmitter's EVM noise reaches the own client too.
         covariance += tx_noise_covariance(h_own, own_radiated.sum(axis=1), evm)
-        if concurrent:
-            other = designs[1 - receiver]
-            other_alloc = allocations[1 - receiver]
+        interferers = self._others(receiver) if concurrent else []
+        for other_index in interferers:
+            other = designs[other_index]
+            other_alloc = allocations[other_index]
             other_radiated = radiated_powers_batch(
                 other_alloc.powers, other_alloc.used, leakage
             ).reshape(n_flat, other.n_streams)
@@ -489,13 +584,13 @@ class BatchedStrategyEngine:
             covariance += interference_covariance(eff_cross, other_radiated)
             covariance += tx_noise_covariance(h_cross, other_radiated.sum(axis=1), evm)
             if not true_channel:
-                # Prediction mode: the expected nulling residual from CSI
-                # estimation error (§2.2), with each row's entry power
-                # taken over the same active-antenna slice as serially.
-                # The serial slice comes from fancy indexing and is laid
-                # out antenna-major, so its flat np.mean sums elements in
-                # (rx, sc, tx) memory order; transpose to match that
-                # summation order bit for bit.
+                # Prediction mode: through its own CSI the other AP's nulls
+                # look infinitely deep, but the AP knows its null depth is
+                # limited by CSI estimation error (§2.2): add the expected
+                # residual, error variance × total power per victim antenna.
+                # Each row's entry power is a mean over its active-antenna
+                # slice in (rx, sc, tx) order — the order a one-row fancy
+                # index lays that slice out in memory.
                 cross_power = np.abs(h_cross_rows) ** 2
                 entry_power = (
                     cross_power.transpose(0, 2, 1, 3).reshape(self.B, -1).mean(axis=1)
@@ -507,34 +602,41 @@ class BatchedStrategyEngine:
                 )
                 covariance += residual[:, None, None] * np.eye(n_active)[None, :, :]
 
-        sinr = mmse_sinr(effective, data_powers, covariance)
-        return best_rate_batch(sinr.reshape(self.B, self.n_sc, n_s), used=alloc.used)
+        sinr = mmse_sinr(effective, data_powers, covariance).reshape(self.B, self.n_sc, n_s)
+        if self.rate_selector is best_rate:
+            selection = best_rate_batch(sinr, used=alloc.used)
+            return [selection.row(b) for b in range(self.B)]
+        return [self.rate_selector(sinr[b], used=alloc.used[b]) for b in range(self.B)]
 
     def _scheme_rows(
         self,
         name: str,
-        designs: Sequence[_BatchDesign],
+        designs: Sequence[BatchDesign],
         allocations: Sequence[BatchStreamAllocation],
         concurrent: bool,
         overhead: float,
         true_channel: bool,
     ) -> List[SchemeResult]:
         rates = [
-            self._rate_of(i, designs, allocations, concurrent, true_channel) for i in range(2)
+            self._rate_of(i, designs, allocations, concurrent, true_channel)
+            for i in range(self.k)
         ]
         factor = self.overhead_model.net_throughput_factor(overhead)
-        if concurrent:
-            throughput = [r.goodput_bps * factor for r in rates]
-        else:
-            # Sequential senders take turns: each client gets half the airtime.
-            throughput = [r.goodput_bps * factor / 2.0 for r in rates]
+
+        def throughput(rate) -> float:
+            if concurrent:
+                return rate.goodput_bps * factor
+            # Sequential senders take turns: each client's airtime share is
+            # 1/k over the k transmitters (1/2 in the paper's topologies).
+            return rate.goodput_bps * factor / float(self.k)
+
         return [
             SchemeResult(
                 name=name,
                 concurrent=concurrent,
-                client_throughput_bps=(float(throughput[0][b]), float(throughput[1][b])),
-                rates=(rates[0].row(b), rates[1].row(b)),
-                allocations=(allocations[0].row(b), allocations[1].row(b)),
+                client_throughput_bps=tuple(throughput(r[b]) for r in rates),
+                rates=tuple(r[b] for r in rates),
+                allocations=tuple(a.row(b) for a in allocations),
             )
             for b in range(self.B)
         ]
@@ -556,34 +658,45 @@ class BatchedStrategyEngine:
     # scheme menu
     # ------------------------------------------------------------------
 
+    def _victim_antennas(self) -> int:
+        return (self.k - 1) * self.n_rx
+
     def _full_nulling_feasible(self) -> bool:
+        """Can each AP send full rank while nulling every victim antenna?"""
         full_rank = min(self.n_tx, self.n_rx)
-        return max_nulled_streams(self.n_tx, self.n_rx, self.n_rx) >= full_rank
+        return (
+            self.k >= 2
+            and max_nulled_streams(self.n_tx, self.n_rx, self._victim_antennas()) >= full_rank
+        )
 
     def _reduced_nulling_feasible(self) -> bool:
-        return max_nulled_streams(self.n_tx, self.n_rx, self.n_rx) >= 1
+        return (
+            self.k >= 2 and max_nulled_streams(self.n_tx, self.n_rx, self._victim_antennas()) >= 1
+        )
 
     def _sda_applicable(self) -> bool:
-        if self._full_nulling_feasible() or self.n_rx < 2:
+        """SDA helps a pair when full nulling is overconstrained but shutting
+        one victim antenna restores enough degrees of freedom (§3.4).
+
+        Both roles must be feasible: the leader nulls the follower client's
+        single remaining antenna, *and* the follower (reduced rank) must
+        still null all of the leader client's antennas — so e.g. two
+        2-antenna APs with 2-antenna clients cannot use SDA.
+        """
+        if self.k != 2 or self._full_nulling_feasible() or self.n_rx < 2:
             return False
         leader_ok = max_nulled_streams(self.n_tx, self.n_rx, 1) >= 1
         follower_ok = max_nulled_streams(self.n_tx, 1, self.n_rx) >= 1
         return leader_ok and follower_ok
 
-    def run(self, allocator=None) -> List[StrategyOutcome]:
-        """Evaluate the full menu for every task; one outcome per task.
+    def run(self, allocator: Optional[StreamAllocator] = None) -> List[StrategyOutcome]:
+        """Evaluate the full menu for every row; one outcome per row.
 
-        ``allocator`` overrides the options' serial per-stream allocator
-        (used by :func:`run_batch` for the COPA+ mercury pass); it must
-        have a batched twin in :data:`BATCHED_ALLOCATORS`.
+        ``allocator`` overrides the engine's per-stream allocator for this
+        run (:func:`run_batch`'s COPA+ mercury pass reuses the measured
+        CSI this way).
         """
-        serial_allocator = allocator
-        if serial_allocator is None:
-            serial_allocator = (
-                self.options.allocator if self.options.allocator is not None else equi_snr.allocate
-            )
-        batch_allocator = BATCHED_ALLOCATORS[serial_allocator]
-
+        allocator = allocator if allocator is not None else self.allocator
         schemes_rows: List[Dict[str, SchemeResult]] = [{} for _ in range(self.B)]
         predictions_rows: List[Dict[str, SchemeResult]] = [{} for _ in range(self.B)]
         ovh = self.overheads
@@ -596,47 +709,46 @@ class BatchedStrategyEngine:
                 predictions_rows[b][name] = predicted[b]
 
         with col.span(
-            "engine.batch",
-            allocator=getattr(serial_allocator, "__name__", str(serial_allocator)),
+            "engine.run",
+            allocator=getattr(allocator, "__name__", str(allocator)),
             antennas=f"{self.n_tx}x{self.n_rx}",
             topologies=self.B,
         ):
             with col.span("design", kind="beamforming"):
-                bf = self._bf_designs()
+                bf = self.beamforming_designs()
 
             with col.span(f"scheme:{SCHEME_CSMA}"):
                 with col.span("allocate"):
-                    equal_bf = [self._equal_allocation(d) for d in bf]
+                    equal_bf = [self.equal_allocation(d) for d in bf]
                 store(SCHEME_CSMA, self._both(SCHEME_CSMA, bf, equal_bf, False, ovh.csma))
 
             with col.span(f"scheme:{SCHEME_COPA_SEQ}"):
                 with col.span("allocate"):
-                    seq_alloc = [
-                        self._sequential_allocation(bf[i], batch_allocator, serial_allocator)
-                        for i in range(2)
-                    ]
+                    seq_alloc = [self._sequential_allocation(d, allocator) for d in bf]
                 self._note_allocations(seq_alloc)
                 store(
                     SCHEME_COPA_SEQ,
                     self._both(SCHEME_COPA_SEQ, bf, seq_alloc, False, ovh.copa_sequential),
                 )
 
-            with col.span(f"scheme:{SCHEME_CONC_BF}"):
-                with col.span("allocate"):
-                    conc_bf_alloc = self._concurrent_allocation(bf, batch_allocator)
-                self._note_allocations(conc_bf_alloc)
-                store(
-                    SCHEME_CONC_BF,
-                    self._both(SCHEME_CONC_BF, bf, conc_bf_alloc, True, ovh.copa_concurrent),
-                )
+            if self.k >= 2:
+                with col.span(f"scheme:{SCHEME_CONC_BF}"):
+                    with col.span("allocate"):
+                        conc_bf_alloc = self.concurrent_allocation(bf, allocator)
+                    self._note_allocations(conc_bf_alloc)
+                    store(
+                        SCHEME_CONC_BF,
+                        self._both(SCHEME_CONC_BF, bf, conc_bf_alloc, True, ovh.copa_concurrent),
+                    )
 
             if self._reduced_nulling_feasible():
                 with col.span("design", kind="nulling"):
-                    null_designs = self._null_designs()
+                    null_designs = self.nulling_designs()
                 if self._full_nulling_feasible():
+                    # Vanilla nulling baseline: equal power, no selection.
                     with col.span(f"scheme:{SCHEME_NULL}"):
                         with col.span("allocate"):
-                            equal_null = [self._equal_allocation(d) for d in null_designs]
+                            equal_null = [self.equal_allocation(d) for d in null_designs]
                         store(
                             SCHEME_NULL,
                             self._both(
@@ -645,7 +757,7 @@ class BatchedStrategyEngine:
                         )
                 with col.span(f"scheme:{SCHEME_CONC_NULL}"):
                     with col.span("allocate"):
-                        conc_null_alloc = self._concurrent_allocation(null_designs, batch_allocator)
+                        conc_null_alloc = self.concurrent_allocation(null_designs, allocator)
                     self._note_allocations(conc_null_alloc)
                     store(
                         SCHEME_CONC_NULL,
@@ -659,22 +771,25 @@ class BatchedStrategyEngine:
                 for leader in range(2):
                     with col.span("sda.role", leader=leader):
                         with col.span("design", kind="sda"):
-                            designs = self._sda_design_pair(leader)
+                            designs = self.sda_designs(leader)
+                        # Vanilla Null+SDA baseline (equal power)...
                         with col.span(f"scheme:{SCHEME_NULL}"):
                             with col.span("allocate"):
-                                equal = [self._equal_allocation(d) for d in designs]
+                                equal = [self.equal_allocation(d) for d in designs]
                             a_eq, p_eq = self._both(
                                 SCHEME_NULL, designs, equal, True, ovh.copa_concurrent
                             )
+                        # ...and COPA's allocated SDA strategy.
                         with col.span(f"scheme:{SCHEME_CONC_SDA}"):
                             with col.span("allocate"):
-                                alloc = self._concurrent_allocation(designs, batch_allocator)
+                                alloc = self.concurrent_allocation(designs, allocator)
                             self._note_allocations(alloc)
                             a, p = self._both(
                                 SCHEME_CONC_SDA, designs, alloc, True, ovh.copa_concurrent
                             )
                     sda_actual.append((a_eq, a))
                     sda_predicted.append((p_eq, p))
+                # Reported as the average over the two leader roles.
                 for b in range(self.B):
                     schemes_rows[b][SCHEME_NULL] = average_results(
                         SCHEME_NULL, [role[0][b] for role in sda_actual]
@@ -715,13 +830,31 @@ def run_batch(
 ) -> List[Tuple[StrategyOutcome, Optional[StrategyOutcome]]]:
     """Evaluate a homogeneous task group; returns (outcome, plus_outcome) pairs.
 
-    The COPA+ pass reuses the engine's measured CSI — the serial path
-    re-measures with a fresh ``default_rng(task.seed)``, which draws the
-    identical estimate, so sharing it preserves bit-identity.
+    Each task's CSI is measured with a fresh ``default_rng(task.seed)``,
+    exactly as the per-topology path measures it.  The COPA+ pass reuses
+    that CSI: a re-measurement would draw the identical estimate.
     """
-    engine = BatchedStrategyEngine(tasks, collector=collector)
+    tasks = list(tasks)
+    if not tasks:
+        raise ValueError("run_batch needs at least one task")
+    key = group_key(tasks[0])
+    if any(group_key(task) != key for task in tasks[1:]):
+        raise ValueError("tasks are not homogeneous; partition with partition_tasks() first")
+    first = tasks[0]
+    imperfections = first.imperfections if first.imperfections is not None else ImperfectionModel()
+    engine = BatchedStrategyEngine(
+        [task.channels for task in tasks],
+        [
+            measure_csi(task.channels, imperfections, np.random.default_rng(task.seed))
+            for task in tasks
+        ],
+        imperfections=imperfections,
+        coherence_s=first.coherence_s,
+        collector=collector,
+        **first.options.engine_kwargs(),
+    )
     outcomes = engine.run()
     plus: List[Optional[StrategyOutcome]] = [None] * len(outcomes)
-    if engine.tasks[0].include_copa_plus:
+    if first.include_copa_plus:
         plus = list(engine.run(allocator=mercury.mercury_allocate))
     return list(zip(outcomes, plus))

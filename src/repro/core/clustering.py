@@ -12,7 +12,7 @@ Policies
 --------
 ``fixed``
     One cluster containing every AP (full coordination).  This is the
-    default and makes the N=2 case collapse to the legacy 2-AP engine.
+    default and makes the N=2 case collapse to the 2-AP engine.
 ``threshold``
     Single-linkage connected components over the cross-gain graph: APs
     *i* and *j* share an edge when the stronger of the two cross links

@@ -251,6 +251,18 @@ class BatchStreamAllocation:
             total = total + allocation.n_dropped()
         return total
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[StreamAllocation]) -> "BatchStreamAllocation":
+        """Stack per-row :class:`StreamAllocation` results; :meth:`row` inverts it."""
+        return cls(
+            powers=np.stack([a.powers for a in rows]),
+            used=np.stack([a.used for a in rows]),
+            per_stream=[
+                BatchAllocation.from_rows([a.per_stream[s] for a in rows])
+                for s in range(len(rows[0].per_stream))
+            ],
+        )
+
     def row(self, b: int) -> StreamAllocation:
         """Materialize row ``b`` as the serial :class:`StreamAllocation`."""
         return StreamAllocation(

@@ -204,6 +204,17 @@ class BatchAllocation:
         """(n_rows,) dropped-subcarrier counts, as ints."""
         return (~self.used).sum(axis=1)
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[Allocation]) -> "BatchAllocation":
+        """Stack per-row :class:`Allocation` results; :meth:`row` inverts it."""
+        return cls(
+            powers=np.stack([a.powers for a in rows]),
+            used=np.stack([a.used for a in rows]),
+            equalized_snr=np.array([a.equalized_snr for a in rows], dtype=float),
+            mcs_index=np.array([-1 if a.mcs is None else a.mcs.index for a in rows]),
+            goodput_bps=np.array([a.goodput_bps for a in rows], dtype=float),
+        )
+
     def row(self, b: int, mcs_table: Sequence[Mcs] = MCS_TABLE) -> Allocation:
         """Materialize row ``b`` as the serial :class:`Allocation`."""
         index = int(self.mcs_index[b])

@@ -1,14 +1,14 @@
 """N-AP interference-graph strategy engine with dynamic clustering.
 
 COPA's engine (:class:`repro.core.strategy.StrategyEngine`) coordinates
-exactly two interfering (AP, client) networks.  This module generalizes
+one cluster of interfering (AP, client) networks.  This module applies
 it to N networks partitioned into coordination clusters
 (:mod:`repro.core.clustering`):
 
 * **within a cluster** the full COPA machinery runs — sequential power
-  allocation, concurrent beamforming/nulling with the N-player
-  best-response dynamics from the PR-6 oracle
-  (:func:`repro.core.oracle.allocate_graph`), and the incentive-compatible
+  allocation, concurrent beamforming/nulling (at k ≥ 3 APs with the
+  N-player best-response dynamics from the PR-6 oracle,
+  :func:`repro.core.oracle.allocate_graph`), and the incentive-compatible
   strategy choice;
 * **across clusters** networks fall back to plain CSMA: clusters take
   turns on the medium and do not interfere (idealized carrier sense, the
@@ -16,10 +16,10 @@ it to N networks partitioned into coordination clusters
 
 Reduction guarantees, enforced by ``tests/core/test_ncell_reduction.py``:
 
-* N = 2 in a single cluster delegates verbatim to the legacy 2-AP engine
-  with the caller's RNG, so it is **bit-identical by construction**;
-* a cluster of exactly two APs inside a larger topology also runs the
-  legacy engine (SDA roles included) on the restricted channel set;
+* N = 2 in a single cluster delegates verbatim to the 2-AP engine with
+  the caller's RNG, so it is **bit-identical by construction**;
+* a cluster of exactly two APs inside a larger topology runs the same
+  2-AP menu (SDA roles included) on the restricted channel set;
 * a cluster of one AP degenerates to CSMA/COPA-SEQ — no concurrent
   schemes, no interference.
 
@@ -44,20 +44,16 @@ from ..mac.timing import MacOverheadModel
 from ..obs.collector import Collector, active
 from ..phy.channel import ChannelSet
 from ..phy.constants import TX_POWER_DBM
-from ..phy.mimo import max_nulled_streams
 from ..phy.noise import ImperfectionModel
 from ..phy.rates import best_rate
 from ..phy.topology import Topology
 from . import equi_snr
 from .clustering import DEFAULT_CLUSTER_POLICY, form_clusters
-from .equi_sinr import StreamAllocation, StreamAllocator
-from .oracle import GraphPlayer, InterferenceGraph, allocate_graph
-from .precoding import TransmissionDesign, cross_coupling, multi_nulling_design, stream_gains
+from .equi_sinr import StreamAllocator
 from .schemes import Scheme
 from .strategy import SchemeResult, StrategyEngine, StrategyOutcome
 
 __all__ = [
-    "ClusterEngine",
     "GraphStrategyEngine",
     "GraphStrategyOutcome",
     "restrict_channels",
@@ -112,162 +108,6 @@ def restrict_channels(channels: ChannelSet, members: Sequence[int]) -> ChannelSe
     )
 
 
-class ClusterEngine(StrategyEngine):
-    """The COPA strategy engine for one coordination cluster of k ≠ 2 APs.
-
-    Shares design construction, allocation plumbing, measurement, and the
-    choice rule with :class:`StrategyEngine`; what changes for k ≥ 3:
-
-    * nulling designs null the *stacked* antennas of every other client
-      in the cluster (:func:`repro.core.precoding.multi_nulling_design`);
-    * the concurrent Equi-SINR iteration runs as N-player best-response
-      dynamics over the cluster's interference graph
-      (:func:`repro.core.oracle.allocate_graph`), which reproduces the
-      2-player Figure-6 iteration exactly at k = 2;
-    * SDA stays off — the paper's §3.4 role protocol is defined for a
-      pair, and pair clusters keep using the legacy engine.
-
-    At k = 1 the menu degenerates to CSMA and COPA-SEQ (no concurrent
-    partner, no interference).
-    """
-
-    @property
-    def cluster_size(self) -> int:
-        return len(self.ap_names)
-
-    # -- designs --------------------------------------------------------
-
-    def _null_designs(self) -> List[TransmissionDesign]:
-        designs = []
-        for i, ap in enumerate(self.ap_names):
-            own = self.client_names[i]
-            victims = [
-                self.csi[(ap, victim)]
-                for j, victim in enumerate(self.client_names)
-                if j != i
-            ]
-            designs.append(multi_nulling_design(self.csi[(ap, own)], victims, ap=ap, client=own))
-        return designs
-
-    # -- feasibility gates ----------------------------------------------
-
-    def _victim_antennas(self) -> int:
-        return (self.cluster_size - 1) * self.n_rx
-
-    def _full_nulling_feasible(self) -> bool:
-        if self.cluster_size < 2:
-            return False
-        full_rank = min(self.n_tx, self.n_rx)
-        return max_nulled_streams(self.n_tx, self.n_rx, self._victim_antennas()) >= full_rank
-
-    def _reduced_nulling_feasible(self) -> bool:
-        if self.cluster_size < 2:
-            return False
-        return max_nulled_streams(self.n_tx, self.n_rx, self._victim_antennas()) >= 1
-
-    def _sda_applicable(self) -> bool:
-        return False
-
-    # -- concurrent allocation ------------------------------------------
-
-    def concurrent_graph(self, designs: Sequence[TransmissionDesign]) -> InterferenceGraph:
-        """The cluster's interference graph under the given designs.
-
-        Built from CSI exactly like the 2-AP :class:`ConcurrentContext`:
-        signal gains via :func:`stream_gains`, coupling via
-        :func:`cross_coupling` plus the §2.2 CSI-error residual floor.
-        """
-        players = []
-        for design in designs:
-            own_csi = self.csi[(design.ap, design.client)]
-            players.append(
-                GraphPlayer(
-                    name=design.ap,
-                    gains=stream_gains(own_csi, design),
-                    budget=self.tx_power_mw,
-                    noise_mw=self.channels.noise_floor_mw,
-                )
-            )
-        coupling: Dict[Tuple[int, int], np.ndarray] = {}
-        for victim in range(len(designs)):
-            for source in range(len(designs)):
-                if source == victim:
-                    continue
-                victim_csi = self.csi[(designs[source].ap, designs[victim].client)]
-                coupled = cross_coupling(
-                    victim_csi, designs[source], victim_active_rx=designs[victim].active_rx
-                )
-                residual = self.imperfections.csi_error_linear * float(
-                    np.mean(np.abs(victim_csi) ** 2)
-                )
-                coupling[(victim, source)] = coupled + residual
-        return InterferenceGraph(
-            players=players,
-            coupling=coupling,
-            leakage_linear=self.imperfections.carrier_leakage_linear,
-        )
-
-    def _concurrent_allocation(self, designs: Sequence[TransmissionDesign]) -> List[StreamAllocation]:
-        result = allocate_graph(
-            self.concurrent_graph(designs),
-            max_iterations=self.max_iterations,
-            allocator=self.allocator,
-            collector=self.collector if self.collector.enabled else None,
-        )
-        return result.allocations
-
-    # -- menu -----------------------------------------------------------
-
-    def run(self) -> StrategyOutcome:
-        if self.cluster_size != 1:
-            return super().run()
-        return self._run_isolated()
-
-    def _run_isolated(self) -> StrategyOutcome:
-        """The k = 1 menu: CSMA and COPA-SEQ, nobody to coordinate with."""
-        schemes: Dict[str, SchemeResult] = {}
-        predictions: Dict[str, SchemeResult] = {}
-        ovh = self.overheads
-        col = self.collector
-
-        with col.span(
-            "engine.run",
-            allocator=getattr(self.allocator, "__name__", str(self.allocator)),
-            antennas=f"{self.n_tx}x{self.n_rx}",
-        ):
-            with col.span("design", kind="beamforming"):
-                bf = self._bf_designs()
-
-            with col.span(f"scheme:{Scheme.CSMA}"):
-                with col.span("allocate"):
-                    equal_bf = [self._equal_allocation(d) for d in bf]
-                schemes[Scheme.CSMA], predictions[Scheme.CSMA] = self._both(
-                    Scheme.CSMA, bf, equal_bf, False, ovh.csma
-                )
-
-            with col.span(f"scheme:{Scheme.COPA_SEQ}"):
-                with col.span("allocate"):
-                    seq_alloc = [self._sequential_allocation(design) for design in bf]
-                self._note_allocations(seq_alloc)
-                schemes[Scheme.COPA_SEQ], predictions[Scheme.COPA_SEQ] = self._both(
-                    Scheme.COPA_SEQ, bf, seq_alloc, False, ovh.copa_sequential
-                )
-
-            with col.span("choose"):
-                copa_choice = self._choose(predictions, fair=False)
-                copa_fair_choice = self._choose(predictions, fair=True)
-            if col.enabled:
-                col.inc("engine.runs")
-                col.inc(f"engine.choice.{copa_choice}")
-                col.inc(f"engine.fair_choice.{copa_fair_choice}")
-        return StrategyOutcome(
-            schemes=schemes,
-            predictions=predictions,
-            copa_choice=copa_choice,
-            copa_fair_choice=copa_fair_choice,
-        )
-
-
 @dataclass
 class GraphStrategyOutcome:
     """Outcome of an N-AP run combined across coordination clusters.
@@ -317,14 +157,13 @@ class GraphStrategyEngine:
     """Evaluates the COPA strategy menu over an N-AP interference graph.
 
     Forms coordination clusters from the topology's link gains (no RNG
-    involved), runs one engine per cluster — the legacy 2-AP
-    :class:`StrategyEngine` for pair clusters, :class:`ClusterEngine`
-    otherwise — and combines the per-cluster menus under the CSMA-across-
-    clusters airtime model described in the module docstring.
+    involved), runs one :class:`StrategyEngine` per cluster on its
+    restricted channels, and combines the per-cluster menus under the
+    CSMA-across-clusters airtime model described in the module docstring.
 
     With a single cluster the inner outcome is returned unchanged; in
-    particular N = 2 with one cluster constructs the legacy engine with
-    the caller's RNG, making it bit-identical to today's 2-AP path by
+    particular N = 2 with one cluster constructs the 2-AP engine with
+    the caller's RNG, making it bit-identical to the 2-AP path by
     construction.
     """
 
@@ -375,9 +214,10 @@ class GraphStrategyEngine:
 
     # -- engine construction --------------------------------------------
 
-    def _engine_for(self, channels: ChannelSet, rng: np.random.Generator):
-        cls = StrategyEngine if len(channels.topology.aps) == 2 else ClusterEngine
-        return cls(channels, rng=rng, collector=self._raw_collector, **self._engine_kwargs)
+    def _engine_for(self, channels: ChannelSet, rng: np.random.Generator) -> StrategyEngine:
+        return StrategyEngine(
+            channels, rng=rng, collector=self._raw_collector, **self._engine_kwargs
+        )
 
     def run(self):
         """Evaluate all clusters and combine their menus.

@@ -19,8 +19,8 @@ an :class:`EngineOptions` or ``None`` and raises a :class:`TypeError`
 for anything else (see the migration note in EXPERIMENTS.md).
 
 Every field is a physics or dispatch choice; none selects an execution
-substrate.  The batched engine (:mod:`repro.core.batch`) runs on plain
-NumPy only, bit-identical to the serial engine.
+substrate.  The strategy engine (:mod:`repro.core.batch`) runs on plain
+NumPy only.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class EngineOptions:
         Cluster-formation policy for N-AP topologies (``"fixed"``,
         ``"threshold"`` or ``"greedy"``, see
         :mod:`repro.core.clustering`).  ``None`` means ``"fixed"`` (one
-        cluster of all APs) *and* keeps 2-AP tasks on the legacy engine
+        cluster of all APs) *and* keeps 2-AP tasks on the 2-AP engine
         and the batched fast path; any explicit value routes the task
         through :class:`repro.core.ncell.GraphStrategyEngine`.
         Result-determining: fingerprinted whenever set.

@@ -1,15 +1,17 @@
-"""Precoding-matrix construction for COPA's strategies (§3.3, §3.4).
+"""Per-topology transmit designs for COPA's strategies (§3.3).
 
-Builds, from (noisy) CSI, the four kinds of transmit designs the strategy
-selector weighs against each other:
+Builds, from (noisy) CSI, one AP's transmit design:
 
 * **beamforming** — SVD precoding toward the own client, used by CSMA,
   COPA-SEQ, and the non-nulled concurrent strategy;
 * **nulling** — nullspace projection toward the other AP's client combined
   with SVD beamforming inside the nullspace;
-* **SDA (shut-down antenna)** — the §3.4 trick for overconstrained
-  topologies: the follower's client disables its worst antenna so both APs
-  regain enough degrees of freedom to null.
+
+plus the per-unit-power signal gains and interference coupling the power
+allocators consume.  The strategy engine builds its designs batched
+(:mod:`repro.core.batch`, which also holds §3.4's shut-down-antenna
+designs); these one-topology forms are the reference the differential
+oracle harness (:mod:`repro.core.differential`) builds its problems from.
 
 A design records which client receive antennas are active so the SINR
 evaluation and the MMSE receiver use the same reduced channel.
@@ -18,7 +20,7 @@ evaluation and the MMSE receiver use the same reduced channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,8 +30,6 @@ __all__ = [
     "TransmissionDesign",
     "beamforming_design",
     "nulling_design",
-    "multi_nulling_design",
-    "sda_designs",
     "stream_gains",
     "cross_coupling",
 ]
@@ -92,8 +92,9 @@ def nulling_design(
     """Null toward the victim's active antennas, beamform to the own client.
 
     Raises ``ValueError`` when the problem is overconstrained (the
-    nullspace is empty) — callers then fall back to :func:`sda_designs` or
-    to a non-nulled strategy, mirroring Figure 8's strategy menu.
+    nullspace is empty) — callers then fall back to shut-down-antenna
+    designs or to a non-nulled strategy, mirroring Figure 8's strategy
+    menu.
     """
     own = _active(csi_own, active_rx)
     victim = _active(csi_cross, victim_active_rx)
@@ -113,80 +114,6 @@ def nulling_design(
     if active_rx is None:
         active_rx = tuple(range(n_rx))
     return TransmissionDesign(ap=ap, client=client, precoder=precoder, active_rx=active_rx)
-
-
-def multi_nulling_design(
-    csi_own: np.ndarray,
-    victim_csis: Sequence[np.ndarray],
-    ap: str,
-    client: str,
-    n_streams: Optional[int] = None,
-    active_rx: Optional[Tuple[int, ...]] = None,
-) -> TransmissionDesign:
-    """Null toward every victim in a coordination cluster at once.
-
-    The victims' antennas are stacked into one aggregate receive array, so
-    the nullspace projection zeroes the transmission at all of them
-    simultaneously — the N-cell generalization of :func:`nulling_design`
-    (with a single victim the two are identical).  Raises ``ValueError``
-    when the stacked problem is overconstrained, exactly like the 2-AP
-    case.
-    """
-    if not victim_csis:
-        raise ValueError("multi_nulling_design needs at least one victim")
-    stacked = np.concatenate(list(victim_csis), axis=1)
-    return nulling_design(
-        csi_own,
-        stacked,
-        ap=ap,
-        client=client,
-        n_streams=n_streams,
-        active_rx=active_rx,
-    )
-
-
-def _best_antenna(csi_own: np.ndarray) -> int:
-    """The client antenna with the highest mean received power."""
-    power = np.sum(np.abs(csi_own) ** 2, axis=(0, 2))
-    return int(np.argmax(power))
-
-
-def sda_designs(
-    leader_csi_own: np.ndarray,
-    leader_csi_cross: np.ndarray,
-    follower_csi_own: np.ndarray,
-    follower_csi_cross: np.ndarray,
-    leader_ap: str,
-    leader_client: str,
-    follower_ap: str,
-    follower_client: str,
-) -> Tuple[TransmissionDesign, TransmissionDesign]:
-    """§3.4's shut-down-antenna resolution of an overconstrained topology.
-
-    The follower's client keeps only its best antenna; the leader then
-    nulls toward that single antenna (cheap) while the follower sends a
-    reduced-rank transmission nulled at all of the leader client's
-    antennas.  ``*_csi_cross`` is the CSI from each AP to the *other* AP's
-    client.  Returns ``(leader_design, follower_design)``.
-    """
-    keep = _best_antenna(follower_csi_own)
-    follower_active: Tuple[int, ...] = (keep,)
-
-    leader_design = nulling_design(
-        leader_csi_own,
-        leader_csi_cross,
-        ap=leader_ap,
-        client=leader_client,
-        victim_active_rx=follower_active,
-    )
-    follower_design = nulling_design(
-        follower_csi_own,
-        follower_csi_cross,
-        ap=follower_ap,
-        client=follower_client,
-        active_rx=follower_active,
-    )
-    return leader_design, follower_design
 
 
 def stream_gains(true_or_csi_channel: np.ndarray, design: TransmissionDesign) -> np.ndarray:

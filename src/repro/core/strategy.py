@@ -1,8 +1,9 @@
 """§3.3: predicting the best strategy and §3.5: incentive compatibility.
 
-For one pair of interfering (AP, client) networks, this module builds the
-whole strategy menu of Figure 8, predicts each strategy's throughput from
-the (noisy) CSI the APs actually have, and picks:
+For a cluster of interfering (AP, client) networks — the paper's pair,
+or any k ≥ 1 — the strategy engine builds the whole menu of Figure 8,
+predicts each strategy's throughput from the (noisy) CSI the APs actually
+have, and picks:
 
 * **COPA** — the aggregate-throughput-maximizing strategy, and
 * **COPA fair** — the best strategy under the incentive-compatibility
@@ -12,6 +13,10 @@ the (noisy) CSI the APs actually have, and picks:
 Reported throughputs are then *measured* on the true channels (CSI error,
 TX noise and subcarrier leakage included), so a strategy the leader
 mispredicts really does cost throughput, exactly as on the testbed.
+
+This module holds the engine's result types and choice rule, and
+:class:`StrategyEngine`, the per-topology front of the one menu
+implementation in :mod:`repro.core.batch`.
 
 Scheme names follow the paper:
 
@@ -28,36 +33,24 @@ Scheme names follow the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..mac.timing import MacOverheadModel, MacOverheads
-from ..obs.collector import Collector, active
+from ..mac.timing import MacOverheadModel
+from ..obs.collector import Collector
 from ..phy.channel import ChannelSet
 from ..phy.constants import TX_POWER_DBM
-from ..phy.mimo import interference_covariance, max_nulled_streams, mmse_sinr, tx_noise_covariance
 from ..phy.noise import ImperfectionModel
 from ..phy.rates import RateSelection, best_rate
-from ..util import dbm_to_mw
 from . import equi_snr
-from .equi_sinr import (
-    ConcurrentContext,
-    StreamAllocation,
-    StreamAllocator,
-    allocate_concurrent,
-    allocate_single,
-    radiated_powers,
-)
-from .precoding import (
-    TransmissionDesign,
-    beamforming_design,
-    cross_coupling,
-    nulling_design,
-    sda_designs,
-    stream_gains,
-)
+from .equi_sinr import StreamAllocation, StreamAllocator
 from .schemes import COPA_CANDIDATES, Scheme
+
+# Bound here only so the benchmark's layer trace (bench/layers.py) can
+# patch them by name; this module calls neither.
+from ..phy.mimo import mmse_sinr  # noqa: F401
+from .equi_sinr import allocate_concurrent  # noqa: F401
 
 __all__ = [
     "Scheme",
@@ -157,9 +150,7 @@ def choose_scheme(
 
     With ``fair=True``, concurrent candidates are only admissible when
     neither client is predicted to fall below its COPA-SEQ throughput
-    (§3.5's incentive-compatibility tweak).  Shared by the serial
-    :class:`StrategyEngine` and the batched engine
-    (:mod:`repro.core.batch`) so the choice logic cannot drift.
+    (§3.5's incentive-compatibility tweak).
     """
     baseline = predictions[SCHEME_COPA_SEQ]
     best_name = SCHEME_COPA_SEQ
@@ -184,6 +175,12 @@ def choose_scheme(
 
 class StrategyEngine:
     """Evaluates the strategy menu for one channel realization.
+
+    A one-row call of :class:`repro.core.batch.BatchedStrategyEngine`,
+    the menu's only implementation, for a cluster of any k ≥ 1 (AP,
+    client) pairs: the constructor measures every (AP, client) link's CSI
+    from ``rng`` in nested AP-then-client order, and :meth:`run` returns
+    the batched engine's single outcome.
 
     Parameters
     ----------
@@ -229,410 +226,25 @@ class StrategyEngine:
         collector: Optional[Collector] = None,
         oracle_check: bool = False,
     ):
-        self.collector = active(collector)
-        self.channels = channels
-        self.imperfections = imperfections if imperfections is not None else ImperfectionModel()
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.overhead_model = overhead_model if overhead_model is not None else MacOverheadModel()
-        self.overheads: MacOverheads = self.overhead_model.overheads(coherence_s)
-        self.tx_power_mw = float(dbm_to_mw(tx_power_dbm))
-        self.allocator = allocator
-        self.max_iterations = max_iterations
-        self.oracle_check = oracle_check
-        #: Maps per-cell SINRs to a rate selection; ``best_rate`` models the
-        #: single-decoder constraint, ``per_subcarrier_rates`` the §4.6
-        #: one-decoder-per-coding-rate hardware.
-        self.rate_selector = rate_selector
+        from .batch import BatchedStrategyEngine, measure_csi  # batch imports this module
 
-        topology = channels.topology
-        self.ap_names = [ap.name for ap in topology.aps]
-        self.client_names = [c.name for c in topology.clients]
-        self.n_tx = topology.aps[0].n_antennas
-        self.n_rx = topology.clients[0].n_antennas
-
-        # What each AP knows: noisy CSI of its own and its cross link,
-        # measured once per coherence interval (§3.1).
-        self.csi: Dict[Tuple[str, str], np.ndarray] = {}
-        for ap in self.ap_names:
-            for client in self.client_names:
-                self.csi[(ap, client)] = channels.measured_csi(ap, client, self.imperfections, self.rng)
-
-    # ------------------------------------------------------------------
-    # channel access
-    # ------------------------------------------------------------------
-
-    def _channel(self, ap: str, client: str, true_channel: bool) -> np.ndarray:
-        if true_channel:
-            return self.channels.channel(ap, client)
-        return self.csi[(ap, client)]
-
-    # ------------------------------------------------------------------
-    # design construction (from CSI — what the APs can actually compute)
-    # ------------------------------------------------------------------
-
-    def _bf_designs(self) -> List[TransmissionDesign]:
-        return [
-            beamforming_design(
-                self.csi[(self.ap_names[i], self.client_names[i])],
-                ap=self.ap_names[i],
-                client=self.client_names[i],
-            )
-            for i in range(len(self.ap_names))
-        ]
-
-    def _null_designs(self) -> List[TransmissionDesign]:
-        """Full (or reduced-rank) nulling designs for both APs."""
-        designs = []
-        for i in range(2):
-            ap = self.ap_names[i]
-            own = self.client_names[i]
-            victim = self.client_names[1 - i]
-            designs.append(
-                nulling_design(
-                    self.csi[(ap, own)],
-                    self.csi[(ap, victim)],
-                    ap=ap,
-                    client=own,
-                )
-            )
-        return designs
-
-    def _sda_design_pair(self, leader: int) -> List[TransmissionDesign]:
-        """SDA designs with AP ``leader`` leading; index order is [AP1, AP2]."""
-        follower = 1 - leader
-        lead_ap, lead_client = self.ap_names[leader], self.client_names[leader]
-        fol_ap, fol_client = self.ap_names[follower], self.client_names[follower]
-        lead_design, fol_design = sda_designs(
-            leader_csi_own=self.csi[(lead_ap, lead_client)],
-            leader_csi_cross=self.csi[(lead_ap, fol_client)],
-            follower_csi_own=self.csi[(fol_ap, fol_client)],
-            follower_csi_cross=self.csi[(fol_ap, lead_client)],
-            leader_ap=lead_ap,
-            leader_client=lead_client,
-            follower_ap=fol_ap,
-            follower_client=fol_client,
+        imperfections = imperfections if imperfections is not None else ImperfectionModel()
+        rng = rng if rng is not None else np.random.default_rng(0)
+        #: The one-row engine holding this topology's measured CSI.
+        self.batch = BatchedStrategyEngine(
+            [channels],
+            [measure_csi(channels, imperfections, rng)],
+            imperfections=imperfections,
+            overhead_model=overhead_model,
+            coherence_s=coherence_s,
+            tx_power_dbm=tx_power_dbm,
+            allocator=allocator,
+            max_iterations=max_iterations,
+            rate_selector=rate_selector,
+            collector=collector,
+            oracle_check=oracle_check,
         )
-        pair: List[Optional[TransmissionDesign]] = [None, None]
-        pair[leader] = lead_design
-        pair[follower] = fol_design
-        return pair  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # power allocation
-    # ------------------------------------------------------------------
-
-    def _equal_allocation(self, design: TransmissionDesign) -> StreamAllocation:
-        """Status-quo 802.11: the power budget spread evenly everywhere."""
-        n_sc, n_s = design.n_subcarriers, design.n_streams
-        powers = np.full((n_sc, n_s), self.tx_power_mw / (n_s * n_sc))
-        used = np.ones((n_sc, n_s), dtype=bool)
-        return StreamAllocation(powers=powers, used=used, per_stream=[])
-
-    def _sequential_allocation(self, design: TransmissionDesign) -> StreamAllocation:
-        """Equi-SNR (Algorithm 1) per stream, no concurrent interference."""
-        gains = stream_gains(self.csi[(design.ap, design.client)], design)
-        allocation = allocate_single(
-            gains,
-            self.tx_power_mw,
-            noise_mw=self.channels.noise_floor_mw,
-            allocator=self.allocator,
-        )
-        if self.oracle_check:
-            # Shadow mode: record agreement, never fail the engine.  The
-            # concurrent path is covered offline by the differential
-            # harness (repro.core.differential), whose problems are exactly
-            # reproducible; the best-seen concurrent allocation is not
-            # re-checkable post hoc against any single interference vector.
-            from .oracle import shadow_check_single
-
-            shadow_check_single(
-                gains,
-                self.tx_power_mw,
-                allocation,
-                self.allocator,
-                noise_mw=self.channels.noise_floor_mw,
-                collector=self.collector if self.collector.enabled else None,
-            )
-        return allocation
-
-    def _concurrent_allocation(self, designs: Sequence[TransmissionDesign]) -> List[StreamAllocation]:
-        """The Fig. 6 iterative Equi-SINR joint allocation."""
-        gains = []
-        coupling = []
-        for i in range(2):
-            design = designs[i]
-            own_csi = self.csi[(design.ap, design.client)]
-            victim_name = designs[1 - i].client
-            victim_csi = self.csi[(design.ap, victim_name)]
-            gains.append(stream_gains(own_csi, design))
-            coupled = cross_coupling(victim_csi, design, victim_active_rx=designs[1 - i].active_rx)
-            # Nulls computed from noisy CSI bottom out at the estimation-error
-            # floor; the allocator must plan for that residual (§2.2).
-            residual = self.imperfections.csi_error_linear * float(
-                np.mean(np.abs(victim_csi) ** 2)
-            )
-            coupling.append(coupled + residual)
-        context = ConcurrentContext(
-            gains=gains,
-            coupling=coupling,
-            budgets=[self.tx_power_mw, self.tx_power_mw],
-            noise_mw=[self.channels.noise_floor_mw] * 2,
-            leakage_linear=self.imperfections.carrier_leakage_linear,
-        )
-        result = allocate_concurrent(
-            context,
-            max_iterations=self.max_iterations,
-            allocator=self.allocator,
-            collector=self.collector if self.collector.enabled else None,
-        )
-        return result.allocations
-
-    def _note_allocations(self, allocations: Sequence[StreamAllocation]) -> None:
-        """Feed dropped-subcarrier counts from Algorithm 1 into the metrics."""
-        if not self.collector.enabled:
-            return
-        dropped = sum(
-            stream.n_dropped for allocation in allocations for stream in allocation.per_stream
-        )
-        self.collector.inc("alloc.streams", sum(len(a.per_stream) for a in allocations))
-        self.collector.inc("alloc.dropped_subcarriers", dropped)
-
-    # ------------------------------------------------------------------
-    # throughput evaluation
-    # ------------------------------------------------------------------
-
-    def _rate_of(
-        self,
-        receiver: int,
-        designs: Sequence[TransmissionDesign],
-        allocations: Sequence[StreamAllocation],
-        concurrent: bool,
-        true_channel: bool,
-    ) -> RateSelection:
-        """Rate selection for client ``receiver`` under one scheme."""
-        design = designs[receiver]
-        alloc = allocations[receiver]
-        active = list(design.active_rx)
-        n_active = len(active)
-        n_sc = design.n_subcarriers
-
-        h_own = self._channel(design.ap, design.client, true_channel)[:, active, :]
-        effective = h_own @ design.precoder
-        data_powers = np.where(alloc.used, alloc.powers, 0.0)
-        own_radiated = radiated_powers(alloc.powers, alloc.used, self.imperfections.carrier_leakage_linear)
-
-        covariance = self.channels.noise_floor_mw * np.broadcast_to(
-            np.eye(n_active, dtype=complex), (n_sc, n_active, n_active)
-        ).copy()
-        # Own transmitter's EVM noise reaches the own client too.
-        covariance += tx_noise_covariance(
-            h_own, own_radiated.sum(axis=1), self.imperfections.tx_evm_linear
-        )
-        if concurrent:
-            for other_idx in range(len(designs)):
-                if other_idx == receiver:
-                    continue
-                other = designs[other_idx]
-                other_alloc = allocations[other_idx]
-                other_radiated = radiated_powers(
-                    other_alloc.powers, other_alloc.used, self.imperfections.carrier_leakage_linear
-                )
-                h_cross = self._channel(other.ap, design.client, true_channel)[:, active, :]
-                eff_cross = h_cross @ other.precoder
-                covariance += interference_covariance(eff_cross, other_radiated)
-                covariance += tx_noise_covariance(
-                    h_cross, other_radiated.sum(axis=1), self.imperfections.tx_evm_linear
-                )
-                if not true_channel:
-                    # Prediction mode: through its own CSI the other AP's nulls
-                    # look infinitely deep, but the AP knows its null depth is
-                    # limited by CSI estimation error (§2.2).  Add the expected
-                    # residual: per victim antenna, error variance × total power.
-                    entry_power = float(np.mean(np.abs(h_cross) ** 2))
-                    residual = (
-                        self.imperfections.csi_error_linear
-                        * entry_power
-                        * other_radiated.sum(axis=1)
-                    )
-                    covariance += residual[:, None, None] * np.eye(n_active)[None, :, :]
-
-        sinr = mmse_sinr(effective, data_powers, covariance)
-        return self.rate_selector(sinr, used=alloc.used)
-
-    def _scheme_result(
-        self,
-        name: str,
-        designs: Sequence[TransmissionDesign],
-        allocations: Sequence[StreamAllocation],
-        concurrent: bool,
-        overhead: float,
-        true_channel: bool,
-    ) -> SchemeResult:
-        rates = tuple(
-            self._rate_of(i, designs, allocations, concurrent, true_channel)
-            for i in range(len(designs))
-        )
-        factor = self.overhead_model.net_throughput_factor(overhead)
-        if concurrent:
-            throughput = tuple(r.goodput_bps * factor for r in rates)
-        else:
-            # Sequential senders take turns: each client's airtime share is
-            # 1/N over the N transmitters (1/2 in the paper's topologies).
-            throughput = tuple(r.goodput_bps * factor / float(len(designs)) for r in rates)
-        return SchemeResult(
-            name=name,
-            concurrent=concurrent,
-            client_throughput_bps=throughput,  # type: ignore[arg-type]
-            rates=rates,  # type: ignore[arg-type]
-            allocations=tuple(allocations),  # type: ignore[arg-type]
-        )
-
-    # ------------------------------------------------------------------
-    # scheme menu
-    # ------------------------------------------------------------------
-
-    def _full_nulling_feasible(self) -> bool:
-        """Can each AP send full rank while nulling every victim antenna?"""
-        full_rank = min(self.n_tx, self.n_rx)
-        return max_nulled_streams(self.n_tx, self.n_rx, self.n_rx) >= full_rank
-
-    def _reduced_nulling_feasible(self) -> bool:
-        return max_nulled_streams(self.n_tx, self.n_rx, self.n_rx) >= 1
-
-    def _sda_applicable(self) -> bool:
-        """SDA helps when full nulling is overconstrained but shutting one
-        victim antenna restores enough degrees of freedom (§3.4).
-
-        Both roles must be feasible: the leader nulls the follower client's
-        single remaining antenna, *and* the follower (reduced rank) must
-        still null all of the leader client's antennas — so e.g. two
-        2-antenna APs with 2-antenna clients cannot use SDA.
-        """
-        if self._full_nulling_feasible() or self.n_rx < 2:
-            return False
-        leader_ok = max_nulled_streams(self.n_tx, self.n_rx, 1) >= 1
-        follower_ok = max_nulled_streams(self.n_tx, 1, self.n_rx) >= 1
-        return leader_ok and follower_ok
-
-    def _average_results(self, name: str, results: Sequence[SchemeResult]) -> SchemeResult:
-        return average_results(name, results)
-
-    def _both(self, name, designs, allocations, concurrent, overhead):
-        """(measured, predicted) results of one scheme."""
-        col = self.collector
-        with col.span("measure", scheme=str(name)):
-            actual = self._scheme_result(name, designs, allocations, concurrent, overhead, True)
-        with col.span("predict", scheme=str(name)):
-            predicted = self._scheme_result(name, designs, allocations, concurrent, overhead, False)
-        if col.enabled:
-            col.inc(f"engine.scheme.{name}")
-            col.observe(f"scheme.{name}.measured_mbps", actual.aggregate_mbps)
-        return actual, predicted
 
     def run(self) -> StrategyOutcome:
         """Evaluate the full menu and make the COPA / COPA-fair choices."""
-        schemes: Dict[str, SchemeResult] = {}
-        predictions: Dict[str, SchemeResult] = {}
-        ovh = self.overheads
-        col = self.collector
-
-        with col.span(
-            "engine.run",
-            allocator=getattr(self.allocator, "__name__", str(self.allocator)),
-            antennas=f"{self.n_tx}x{self.n_rx}",
-        ):
-            with col.span("design", kind="beamforming"):
-                bf = self._bf_designs()
-
-            with col.span(f"scheme:{SCHEME_CSMA}"):
-                with col.span("allocate"):
-                    equal_bf = [self._equal_allocation(d) for d in bf]
-                schemes[SCHEME_CSMA], predictions[SCHEME_CSMA] = self._both(
-                    SCHEME_CSMA, bf, equal_bf, False, ovh.csma
-                )
-
-            with col.span(f"scheme:{SCHEME_COPA_SEQ}"):
-                with col.span("allocate"):
-                    seq_alloc = [self._sequential_allocation(design) for design in bf]
-                self._note_allocations(seq_alloc)
-                schemes[SCHEME_COPA_SEQ], predictions[SCHEME_COPA_SEQ] = self._both(
-                    SCHEME_COPA_SEQ, bf, seq_alloc, False, ovh.copa_sequential
-                )
-
-            with col.span(f"scheme:{SCHEME_CONC_BF}"):
-                with col.span("allocate"):
-                    conc_bf_alloc = self._concurrent_allocation(bf)
-                self._note_allocations(conc_bf_alloc)
-                schemes[SCHEME_CONC_BF], predictions[SCHEME_CONC_BF] = self._both(
-                    SCHEME_CONC_BF, bf, conc_bf_alloc, True, ovh.copa_concurrent
-                )
-
-            if self._reduced_nulling_feasible():
-                with col.span("design", kind="nulling"):
-                    null_designs = self._null_designs()
-                if self._full_nulling_feasible():
-                    # Vanilla nulling baseline: equal power, no selection.
-                    with col.span(f"scheme:{SCHEME_NULL}"):
-                        with col.span("allocate"):
-                            equal_null = [self._equal_allocation(d) for d in null_designs]
-                        schemes[SCHEME_NULL], predictions[SCHEME_NULL] = self._both(
-                            SCHEME_NULL, null_designs, equal_null, True, ovh.copa_concurrent
-                        )
-                with col.span(f"scheme:{SCHEME_CONC_NULL}"):
-                    with col.span("allocate"):
-                        conc_null_alloc = self._concurrent_allocation(null_designs)
-                    self._note_allocations(conc_null_alloc)
-                    schemes[SCHEME_CONC_NULL], predictions[SCHEME_CONC_NULL] = self._both(
-                        SCHEME_CONC_NULL, null_designs, conc_null_alloc, True, ovh.copa_concurrent
-                    )
-
-            if self._sda_applicable():
-                sda_actual, sda_predicted = [], []
-                for leader in range(2):
-                    with col.span("sda.role", leader=leader):
-                        with col.span("design", kind="sda"):
-                            designs = self._sda_design_pair(leader)
-                        # Vanilla Null+SDA baseline (equal power)...
-                        with col.span(f"scheme:{SCHEME_NULL}"):
-                            with col.span("allocate"):
-                                equal = [self._equal_allocation(d) for d in designs]
-                            a_eq, p_eq = self._both(
-                                SCHEME_NULL, designs, equal, True, ovh.copa_concurrent
-                            )
-                        # ...and COPA's allocated SDA strategy.
-                        with col.span(f"scheme:{SCHEME_CONC_SDA}"):
-                            with col.span("allocate"):
-                                alloc = self._concurrent_allocation(designs)
-                            self._note_allocations(alloc)
-                            a, p = self._both(
-                                SCHEME_CONC_SDA, designs, alloc, True, ovh.copa_concurrent
-                            )
-                    sda_actual.append((a_eq, a))
-                    sda_predicted.append((p_eq, p))
-                schemes[SCHEME_NULL] = self._average_results(SCHEME_NULL, [x[0] for x in sda_actual])
-                predictions[SCHEME_NULL] = self._average_results(SCHEME_NULL, [x[0] for x in sda_predicted])
-                schemes[SCHEME_CONC_SDA] = self._average_results(SCHEME_CONC_SDA, [x[1] for x in sda_actual])
-                predictions[SCHEME_CONC_SDA] = self._average_results(SCHEME_CONC_SDA, [x[1] for x in sda_predicted])
-
-            with col.span("choose"):
-                copa_choice = self._choose(predictions, fair=False)
-                copa_fair_choice = self._choose(predictions, fair=True)
-            if col.enabled:
-                col.inc("engine.runs")
-                col.inc(f"engine.choice.{copa_choice}")
-                col.inc(f"engine.fair_choice.{copa_fair_choice}")
-        return StrategyOutcome(
-            schemes=schemes,
-            predictions=predictions,
-            copa_choice=copa_choice,
-            copa_fair_choice=copa_fair_choice,
-        )
-
-    # ------------------------------------------------------------------
-    # choice
-    # ------------------------------------------------------------------
-
-    _COPA_CANDIDATES = COPA_CANDIDATES
-
-    def _choose(self, predictions: Dict[str, SchemeResult], fair: bool) -> str:
-        return choose_scheme(predictions, fair, candidates=self._COPA_CANDIDATES)
+        return self.batch.run()[0]

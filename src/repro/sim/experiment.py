@@ -49,7 +49,7 @@ class ScenarioSpec:
     #: Also run the impractical mercury/water-filling COPA+ variant.
     include_copa_plus: bool = True
     #: Number of interfering AP/client pairs.  2 (the paper's setting)
-    #: runs the legacy engine; larger counts route every topology through
+    #: runs the 2-AP engine; larger counts route every topology through
     #: the N-cell interference-graph engine (:mod:`repro.core.ncell`).
     n_aps: int = 2
 

@@ -198,42 +198,42 @@ def copa_vs_nopa_example(
 ) -> BerComparison:
     """Reproduce the §3.2.2 example: same nulling precoder, two allocations.
 
-    Runs the full strategy engine once, takes the concurrent-nulling
+    Measures CSI like the strategy engine, takes its concurrent-nulling
     designs, and evaluates the true per-subcarrier SINR under (a) equal
     power ("NoPA") and (b) COPA's Equi-SINR allocation, converting both to
     uncoded BER at each scheme's own best bitrate.
     """
+    from ..core.equi_sinr import radiated_powers
     from ..core.strategy import StrategyEngine
     from ..phy.ber import uncoded_ber
     from ..phy.rates import best_rate
 
     imperfections = imperfections if imperfections is not None else ImperfectionModel()
     rng = rng if rng is not None else np.random.default_rng(0)
-    engine = StrategyEngine(channels, imperfections=imperfections, rng=rng)
+    engine = StrategyEngine(channels, imperfections=imperfections, rng=rng).batch
 
-    designs = engine._null_designs()
-    equal = [engine._equal_allocation(d) for d in designs]
-    copa = engine._concurrent_allocation(designs)
+    designs = engine.nulling_designs()
+    equal = [engine.equal_allocation(d).row(0) for d in designs]
+    copa = [a.row(0) for a in engine.concurrent_allocation(designs)]
+    aps, clients = channels.topology.aps, channels.topology.clients
 
     def sinr_of(allocations):
         design = designs[client_index]
         alloc = allocations[client_index]
-        active = list(design.active_rx)
-        h_own = channels.channel(design.ap, design.client)[:, active, :]
+        client = clients[design.client].name
+        h_own = channels.channel(aps[design.ap].name, client)
         other = designs[1 - client_index]
         other_alloc = allocations[1 - client_index]
-        from ..core.equi_sinr import radiated_powers as _radiated
-
-        other_radiated = _radiated(
+        other_radiated = radiated_powers(
             other_alloc.powers, other_alloc.used, imperfections.carrier_leakage_linear
         )
-        own_radiated = _radiated(
+        own_radiated = radiated_powers(
             alloc.powers, alloc.used, imperfections.carrier_leakage_linear
         )
-        h_cross = channels.channel(other.ap, design.client)[:, active, :]
-        n_sc = h_own.shape[0]
+        h_cross = channels.channel(aps[other.ap].name, client)
+        n_sc, n_rx = h_own.shape[:2]
         cov = channels.noise_floor_mw * np.broadcast_to(
-            np.eye(len(active), dtype=complex), (n_sc, len(active), len(active))
+            np.eye(n_rx, dtype=complex), (n_sc, n_rx, n_rx)
         ).copy()
         cov += interference_covariance(h_cross @ other.precoder, other_radiated)
         cov += tx_noise_covariance(

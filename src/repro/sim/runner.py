@@ -177,8 +177,8 @@ def evaluate_topology(task: TopologyTask) -> TaskResult:
     kwargs = task.options.engine_kwargs()
     cluster_kwargs = task.options.cluster_kwargs()
     # N-AP topologies (or an explicit cluster policy) route through the
-    # interference-graph engine; plain 2-AP tasks keep the legacy engine,
-    # byte-for-byte.  The graph engine's single-cluster N=2 path delegates
+    # interference-graph engine; plain 2-AP tasks run StrategyEngine
+    # directly.  The graph engine's single-cluster N=2 path delegates
     # to StrategyEngine with the same RNG, so both spellings agree exactly.
     if len(task.channels.topology.aps) != 2 or cluster_kwargs:
         engine_cls: Callable = GraphStrategyEngine
@@ -425,9 +425,9 @@ def evaluate_batch(tasks: Sequence[TopologyTask]) -> List[TaskResult]:
     :func:`evaluate_topology`.  Tasks are grouped by
     :func:`repro.core.batch.group_key`; each group runs as one
     :class:`~repro.core.batch.BatchedStrategyEngine` dispatch, bit-identical
-    to the per-topology path.  Tasks the batched engine cannot take
-    (observed, fault-injected, custom allocators/selectors, non-2x2
-    topologies) fall back to :func:`evaluate_topology` individually, as
+    to the per-topology path.  Tasks that must stay per topology
+    (observed, fault-injected, cluster-policy, non-2x2 topologies) go
+    through :func:`evaluate_topology` individually, as
     does a whole group if its batched dispatch raises (with a
     :class:`RuntimeWarning` naming the exception).  Per-task
     ``elapsed_s`` is the batch wall-clock divided evenly over its rows —

@@ -1,12 +1,14 @@
 """Batched strategy engine: partitioning rules and bit-identity.
 
-The contract pinned here is the batched engine's reason to exist: for
-every batchable task, :func:`repro.core.batch.run_batch` returns the
-*same bits* as the serial :func:`repro.sim.runner.evaluate_topology` —
-every scheme, every prediction, every per-stream allocation array, every
-rate decision, and the COPA/COPA-fair choices derived from them.
-``pytest.approx`` would hide exactly the class of bug this suite exists
-to catch, so all comparisons are exact.
+The contract pinned here: for every batchable task,
+:func:`repro.core.batch.run_batch` over B rows returns the *same bits* as
+B one-row runs of the per-topology
+:func:`repro.sim.runner.evaluate_topology` — every scheme, every
+prediction, every per-stream allocation array, every rate decision, and
+the COPA/COPA-fair choices derived from them.  (That the one-row engine
+still reproduces the original serial engine is pinned separately, by
+``test_engine_digests.py``.)  ``pytest.approx`` would hide exactly the
+class of bug this suite exists to catch, so all comparisons are exact.
 """
 
 import dataclasses
@@ -22,9 +24,10 @@ from repro.core.batch import (
     partition_tasks,
     run_batch,
 )
+from repro.core.equi_snr import allocate_power_only, allocate_selection_only
+from repro.core.multi_decoder import per_subcarrier_rates
 from repro.core.options import EngineOptions
 from repro.obs.collector import Collector
-from repro.phy.rates import best_rate
 from repro.sim.config import SimConfig
 from repro.sim.experiment import ScenarioSpec, generate_channel_sets
 from repro.sim.faults import FaultKind, FaultPlan
@@ -65,11 +68,15 @@ def assert_same_allocation(a, b):
 
 
 def assert_same_rate(a, b):
-    assert a.mcs == b.mcs
-    assert a.goodput_bps == b.goodput_bps
-    assert a.fer == b.fer
-    assert a.channel_ber == b.channel_ber
-    assert a.n_used == b.n_used
+    """Equal selections of the same type (``RateSelection`` or the §4.6
+    ``MultiDecoderSelection``), field by field."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        left, right = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(left, np.ndarray):
+            np.testing.assert_array_equal(left, right)
+        else:
+            assert left == right
 
 
 def assert_same_scheme(a, b):
@@ -99,7 +106,7 @@ def assert_same_outcome(a, b):
         assert_same_scheme(a.predictions[key], b.predictions[key])
 
 
-def assert_batch_matches_serial(tasks):
+def assert_batch_matches_one_row(tasks):
     batches, singles = partition_tasks(tasks)
     assert not singles and len(batches) == 1
     for task, (outcome, plus) in zip(tasks, run_batch(batches[0])):
@@ -133,12 +140,12 @@ class TestBatchable:
         )
         assert not any(batchable(task) for task in tasks)
 
-    def test_custom_rate_selector_is_not(self):
+    def test_custom_rate_selector_is_batchable(self):
         tasks = make_tasks(
             ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
-            options=EngineOptions(rate_selector=best_rate),
+            options=EngineOptions(rate_selector=per_subcarrier_rates),
         )
-        assert not any(batchable(task) for task in tasks)
+        assert all(batchable(task) for task in tasks)
 
     def test_registered_allocator_twin_is_batchable(self):
         assert mercury.mercury_allocate in BATCHED_ALLOCATORS
@@ -148,15 +155,16 @@ class TestBatchable:
         )
         assert all(batchable(task) for task in tasks)
 
-    def test_unregistered_allocator_is_not(self):
+    def test_unregistered_allocator_is_batchable(self):
         def custom_allocator(*args, **kwargs):  # pragma: no cover - never called
             raise NotImplementedError
 
+        assert custom_allocator not in BATCHED_ALLOCATORS
         tasks = make_tasks(
             ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
             options=EngineOptions(allocator=custom_allocator),
         )
-        assert not any(batchable(task) for task in tasks)
+        assert all(batchable(task) for task in tasks)
 
 
 class TestPartition:
@@ -202,7 +210,7 @@ class TestPartition:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity against the serial engine.
+# Bit-identity: B rows against B one-row runs.
 # ---------------------------------------------------------------------------
 
 
@@ -217,25 +225,48 @@ class TestBitIdentity:
         ids=["1x1+plus", "4x2", "3x2+plus"],
     )
     def test_every_scenario_matches_serial_bit_for_bit(self, spec):
-        assert_batch_matches_serial(make_tasks(spec))
+        assert_batch_matches_one_row(make_tasks(spec))
 
     def test_weakened_interference_matches_serial(self):
         spec = ScenarioSpec(
             "4x2", 4, 2, interference_offset_db=-10.0, include_copa_plus=False
         )
-        assert_batch_matches_serial(make_tasks(spec, 2))
+        assert_batch_matches_one_row(make_tasks(spec, 2))
 
     def test_mercury_allocator_batch_matches_serial(self):
         spec = ScenarioSpec("3x2", 3, 2, include_copa_plus=False)
-        assert_batch_matches_serial(
+        assert_batch_matches_one_row(
             make_tasks(spec, 2, options=EngineOptions(allocator=mercury.mercury_allocate))
         )
+
+    @pytest.mark.parametrize(
+        "spec, options",
+        [
+            (
+                ScenarioSpec("4x2", 4, 2, include_copa_plus=False),
+                EngineOptions(allocator=allocate_power_only),
+            ),
+            (
+                ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
+                EngineOptions(allocator=allocate_selection_only),
+            ),
+            (
+                ScenarioSpec("3x2", 3, 2, include_copa_plus=True),
+                EngineOptions(rate_selector=per_subcarrier_rates),
+            ),
+        ],
+        ids=["power-only", "selection-only", "per-subcarrier-rates+plus"],
+    )
+    def test_lifted_allocator_and_selector_match_one_row(self, spec, options):
+        """Allocators and selectors without a batched twin run row by row;
+        B rows still equal B one-row runs, selection types included."""
+        assert_batch_matches_one_row(make_tasks(spec, 2, options=options))
 
     def test_oracle_check_batch_matches_serial(self):
         """Shadow oracle validation must neither change results nor crash
         the batched dispatch."""
         spec = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
-        assert_batch_matches_serial(
+        assert_batch_matches_one_row(
             make_tasks(spec, 2, options=EngineOptions(oracle_check=True))
         )
 
@@ -266,15 +297,15 @@ class TestBitIdentity:
         ids=["1x1+plus", "4x2"],
     )
     def test_engine_options_match_serial(self, spec, options):
-        assert_batch_matches_serial(make_tasks(spec, 2, options=options))
+        assert_batch_matches_one_row(make_tasks(spec, 2, options=options))
 
     def test_batch_span_attributes(self):
-        """The ``engine.batch`` span describes the run: allocator,
+        """The ``engine.run`` span describes the run: allocator,
         antenna configuration and batch size, nothing else."""
         tasks = make_tasks(ScenarioSpec("3x2", 3, 2, include_copa_plus=False), 2)
         collector = Collector()
         run_batch(tasks, collector=collector)
-        (span,) = [s for s in collector.spans if s.name == "engine.batch"]
+        (span,) = [s for s in collector.spans if s.name == "engine.run"]
         assert span.attrs == {"allocator": "allocate", "antennas": "3x2", "topologies": 2}
 
     def test_collector_counts_batched_runs(self):

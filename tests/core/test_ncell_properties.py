@@ -1,7 +1,7 @@
 """Oracle-checked properties of the N-AP interference-graph engine.
 
 Seeded sweeps over random N ∈ {3, 4, 6} office topologies build the
-cluster engine's concurrent interference graph and hold it against the
+strategy engine's concurrent interference graph and hold it against the
 PR-6 optimization oracle (:mod:`repro.core.oracle`):
 
 * **equilibrium tolerance** — ``equilibrium_gaps`` regrets stay inside
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core.clustering import form_clusters
-from repro.core.ncell import ClusterEngine
+from repro.core.strategy import StrategyEngine
 from repro.core.oracle import (
     InterferenceGraph,
     allocate_graph,
@@ -53,22 +53,24 @@ BUDGET_SLACK = 1.0 + 1e-9
 
 
 def _cluster_engine(n_aps, seed, ap_antennas=4, client_antennas=2):
+    """The one-row engine of a single N-AP cluster."""
     config = DEFAULT_CONFIG
     rng = np.random.default_rng(seed)
     topology = config.topology_generator().sample(
         rng, ap_antennas, client_antennas, n_aps=n_aps
     )
     channels = config.channel_model().realize(topology, rng)
-    return ClusterEngine(
+    return StrategyEngine(
         channels,
         imperfections=config.imperfections(),
         rng=np.random.default_rng(seed + 100),
-    )
+    ).batch
 
 
 def _engine_graph(n_aps, seed):
     engine = _cluster_engine(n_aps, seed)
-    return engine.concurrent_graph(engine._bf_designs())
+    (graph,) = engine.interference_graphs(engine.beamforming_designs())
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ Three layers of proof:
 import numpy as np
 import pytest
 
-from repro.core.ncell import ClusterEngine, GraphStrategyEngine, restrict_channels
+from repro.core.ncell import GraphStrategyEngine, restrict_channels
 from repro.core.options import EngineOptions
 from repro.core.schemes import Scheme
 from repro.core.strategy import StrategyEngine, StrategyOutcome
@@ -173,7 +173,7 @@ def test_singleton_combination_is_exact_airtime_stitching():
         zip(outcome.clusters, outcome.cluster_seeds)
     ):
         sub = restrict_channels(channels, cluster)
-        isolated = ClusterEngine(
+        isolated = StrategyEngine(
             sub, imperfections=imperfections, rng=np.random.default_rng(seed)
         ).run()
         # Stored per-cluster outcome is exactly the isolated replay...
@@ -188,18 +188,24 @@ def test_singleton_combination_is_exact_airtime_stitching():
 
 
 def test_isolated_menu_has_no_interference_terms():
-    """A 1-AP ClusterEngine never offers nulling or concurrent schemes."""
+    """A 1-AP cluster never offers nulling or concurrent schemes."""
     channels = _channels(3, 4, 2)
     sub = restrict_channels(channels, (0,))
     assert len(sub.topology.aps) == 1
-    engine = ClusterEngine(
+    engine = StrategyEngine(
         sub,
         imperfections=DEFAULT_CONFIG.imperfections(),
         rng=np.random.default_rng(7),
     )
-    assert engine.cluster_size == 1
-    assert not engine._full_nulling_feasible()
-    assert not engine._reduced_nulling_feasible()
+    assert engine.batch.k == 1
     outcome = engine.run()
     assert set(outcome.schemes) == {Scheme.CSMA, Scheme.COPA_SEQ}
+    assert set(outcome.predictions) == {Scheme.CSMA, Scheme.COPA_SEQ}
     assert outcome.copa_choice in (Scheme.CSMA, Scheme.COPA_SEQ)
+    # Alone on the medium: the sequential airtime share is the whole of it,
+    # so COPA-SEQ's measured throughput is its rate after MAC overhead.
+    copa_seq = outcome.schemes[Scheme.COPA_SEQ]
+    factor = engine.batch.overhead_model.net_throughput_factor(
+        engine.batch.overheads.copa_sequential
+    )
+    assert copa_seq.client_throughput_bps == (copa_seq.rates[0].goodput_bps * factor,)

@@ -7,9 +7,9 @@ from repro.core.precoding import (
     beamforming_design,
     cross_coupling,
     nulling_design,
-    sda_designs,
     stream_gains,
 )
+from repro.core.strategy import StrategyEngine
 from repro.util import is_unitary_columns
 
 #: Absolute tolerance for "this beam is nulled" checks.  The null-space
@@ -80,53 +80,39 @@ class TestNullingDesign:
 
 
 class TestSdaDesigns:
-    def test_overconstrained_case_resolved(self, rng):
+    """§3.4's shut-down-antenna designs, as the strategy engine builds them
+    from a 3×2 topology's CSI (one row, AP1 leading)."""
+
+    @staticmethod
+    def _engine(channels_3x2):
+        return StrategyEngine(channels_3x2, rng=np.random.default_rng(3)).batch
+
+    def test_overconstrained_case_resolved(self, channels_3x2):
         """Both APs regain enough freedom after shutting one antenna."""
-        leader_own = _channel(rng, n_tx=3)
-        leader_cross = _channel(rng, n_tx=3)
-        follower_own = _channel(rng, n_tx=3)
-        follower_cross = _channel(rng, n_tx=3)
-        leader, follower = sda_designs(
-            leader_own, leader_cross, follower_own, follower_cross,
-            "AP1", "C1", "AP2", "C2",
-        )
+        leader, follower = self._engine(channels_3x2).sda_designs(leader=0)
         # Paper: leader sends 2 streams, follower 1 (reduced rank).
         assert leader.n_streams == 2
         assert follower.n_streams == 1
-        assert len(follower.active_rx) == 1
+        assert follower.active_rx.shape == (1, 1)
 
-    def test_follower_keeps_best_antenna(self, rng):
-        follower_own = _channel(rng, n_tx=3)
-        follower_own[:, 1, :] *= 10.0  # antenna 1 is clearly better
-        leader, follower = sda_designs(
-            _channel(rng, n_tx=3), _channel(rng, n_tx=3),
-            follower_own, _channel(rng, n_tx=3),
-            "AP1", "C1", "AP2", "C2",
-        )
-        assert follower.active_rx == (1,)
+    def test_follower_keeps_best_antenna(self, channels_3x2):
+        engine = self._engine(channels_3x2)
+        engine.csi[(1, 1)][:, :, 1, :] *= 10.0  # antenna 1 is clearly better
+        _, follower = engine.sda_designs(leader=0)
+        assert follower.active_rx.tolist() == [[1]]
 
-    def test_leader_nulls_the_remaining_antenna(self, rng):
-        leader_own = _channel(rng, n_tx=3)
-        leader_cross = _channel(rng, n_tx=3)
-        follower_own = _channel(rng, n_tx=3)
-        follower_own[:, 0, :] *= 5.0
-        leader, follower = sda_designs(
-            leader_own, leader_cross, follower_own, _channel(rng, n_tx=3),
-            "AP1", "C1", "AP2", "C2",
-        )
-        kept = follower.active_rx[0]
-        leakage = leader_cross[:, [kept], :] @ leader.precoder
+    def test_leader_nulls_the_remaining_antenna(self, channels_3x2):
+        engine = self._engine(channels_3x2)
+        engine.csi[(1, 1)][:, :, 0, :] *= 5.0
+        leader, follower = engine.sda_designs(leader=0)
+        kept = int(follower.active_rx[0, 0])
+        leakage = engine.csi[(0, 1)][0][:, [kept], :] @ leader.precoder
         np.testing.assert_allclose(leakage, 0.0, atol=NULL_ATOL)
 
-    def test_follower_nulls_both_leader_antennas(self, rng):
-        leader_own = _channel(rng, n_tx=3)
-        follower_cross = _channel(rng, n_tx=3)
-        leader, follower = sda_designs(
-            leader_own, _channel(rng, n_tx=3),
-            _channel(rng, n_tx=3), follower_cross,
-            "AP1", "C1", "AP2", "C2",
-        )
-        leakage = follower_cross @ follower.precoder
+    def test_follower_nulls_both_leader_antennas(self, channels_3x2):
+        engine = self._engine(channels_3x2)
+        _, follower = engine.sda_designs(leader=0)
+        leakage = engine.csi[(1, 0)][0] @ follower.precoder
         np.testing.assert_allclose(leakage, 0.0, atol=NULL_ATOL)
 
 

@@ -59,7 +59,6 @@ class TestSchemaValidation:
             lambda p: p.pop("batch"),
             lambda p: p["batch"].__setitem__("speedup", -1),
             lambda p: p["batch"].__setitem__("batch_size", 1),
-            lambda p: p["batch"].__setitem__("backend", ""),
             lambda p: p["batch"].__setitem__("legacy_s", "slow"),
             lambda p: p["workload"].__setitem__("series", []),
             lambda p: p["workload"].pop("include_copa_plus"),
@@ -70,7 +69,6 @@ class TestSchemaValidation:
             "missing_batch",
             "negative_speedup",
             "unbatched_batch_size",
-            "empty_backend",
             "non_numeric_time",
             "empty_series",
             "missing_plus_flag",

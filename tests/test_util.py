@@ -9,6 +9,7 @@ from repro.util import (
     hermitian,
     is_unitary_columns,
     linear_to_db,
+    masked_row_apply,
     mw_to_dbm,
     q_function,
 )
@@ -66,3 +67,31 @@ class TestMatrixHelpers:
         q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         assert is_unitary_columns(q)
         assert not is_unitary_columns(2.0 * q)
+
+
+class TestMaskedRowApply:
+    """Per-row masked reductions equal reducing each row on its own."""
+
+    @staticmethod
+    def _rows(rng, n_rows):
+        values = rng.standard_normal((n_rows, 52, 2)) * 10.0 ** rng.uniform(-3, 3, (n_rows, 52, 2))
+        mask = rng.random((n_rows, 52, 2)) > 0.3
+        mask[-1] = False  # one empty row takes the fill value
+        return values, mask
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 7])
+    def test_matches_row_by_row_reduction_bit_for_bit(self, rng, n_rows):
+        values, mask = self._rows(rng, n_rows)
+        out = masked_row_apply(values, mask, lambda g: g.sum(axis=-1), fill=-1.0)
+        for b in range(n_rows):
+            selected = values[b][mask[b]]
+            expected = float(selected[None, :].sum(axis=-1)[0]) if selected.size else -1.0
+            assert out[b] == expected
+
+    def test_one_row_equals_its_row_in_a_batch(self, rng):
+        values, mask = self._rows(rng, 5)
+        mask[-1] = True
+        batched = masked_row_apply(values, mask, lambda g: g.mean(axis=-1))
+        for b in range(5):
+            alone = masked_row_apply(values[b : b + 1], mask[b : b + 1], lambda g: g.mean(axis=-1))
+            assert alone[0] == batched[b]
