@@ -14,7 +14,7 @@ distance) for the 133/171 code and its standard 802.11 puncturing patterns.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,28 +69,47 @@ def _as_batch(values) -> Tuple[np.ndarray, bool]:
     return array, False
 
 
+def _pairwise_error_probabilities(p: np.ndarray, distances: Sequence[int]) -> List[np.ndarray]:
+    """``pairwise_error_probability`` of each distance, from one power table.
+
+    ``p`` must already lie in the clip range [0, 0.5] (NaN passes through).
+    Each ``p**k`` and ``q**j`` the distances need is computed once, with
+    the same expression the per-distance formula uses, and shared by every
+    distance.  Each term keeps its association ``(C(d,k) * p**k) *
+    q**(d-k)``, the even-d tie term keeps its ``0.5 * C(d, d/2)`` prefix,
+    and terms are summed in increasing k after the tie term, starting
+    from zeros, so every distance's result is bit-identical to
+    evaluating the formula alone.
+    """
+    q = 1.0 - p
+    p_powers = {k: p**k for k in range((min(distances) + 1) // 2, max(distances) + 1)}
+    q_powers = [q**j for j in range(max(distances) // 2 + 1)]
+    probabilities = []
+    for distance in distances:
+        total = np.zeros_like(p)
+        if distance % 2:
+            start = (distance + 1) // 2
+        else:
+            start = distance // 2 + 1
+            half = distance // 2
+            total = total + 0.5 * _comb(distance, half) * p_powers[half] * q_powers[distance - half]
+        for k in range(start, distance + 1):
+            total = total + _comb(distance, k) * p_powers[k] * q_powers[distance - k]
+        probabilities.append(np.clip(total, 0.0, 1.0))
+    return probabilities
+
+
 def pairwise_error_probability(channel_ber, distance: int) -> np.ndarray:
     """Probability that a weight-``distance`` error event beats the decoder.
 
     Hard-decision Viterbi over a binary symmetric channel with crossover
-    probability ``channel_ber``:
+    probability ``channel_ber`` (clipped to [0, 0.5]):
 
     * odd d:   P_d = Σ_{k=(d+1)/2}^{d} C(d,k) p^k (1−p)^{d−k}
     * even d:  the k = d/2 term counts half (ties broken by a fair coin).
     """
     p, scalar = _as_batch(channel_ber)
-    p = np.clip(p, 0.0, 0.5)
-    q = 1.0 - p
-    total = np.zeros_like(p)
-    if distance % 2:
-        start = (distance + 1) // 2
-    else:
-        start = distance // 2 + 1
-        half = distance // 2
-        total = total + 0.5 * _comb(distance, half) * p**half * q ** (distance - half)
-    for k in range(start, distance + 1):
-        total = total + _comb(distance, k) * p**k * q ** (distance - k)
-    total = np.clip(total, 0.0, 1.0)
+    (total,) = _pairwise_error_probabilities(np.clip(p, 0.0, 0.5), (distance,))
     return total[0] if scalar else total
 
 
@@ -101,19 +120,33 @@ def coded_ber(channel_ber, code_rate: Tuple[int, int]) -> np.ndarray:
     justifies the averaging) uncoded BER seen by the decoder.  Beyond the
     union bound's validity region the result saturates at 0.5, modelling a
     decoder in free fall.
+
+    Two regions are exact constants and skip the bound entirely: p ≥
+    ``_UNION_BOUND_LIMIT`` (+inf included) gives 0.5, and p ≤ 0 (−0.0 and
+    −inf included) gives 0.0, because every term of every distance is
+    then zero.  The remaining elements, NaN included, are gathered into
+    one contiguous array and go through the bound with a single power
+    table shared by all distances of the spectrum.  The result is
+    bit-identical to summing ``weight * pairwise_error_probability(p, d)``
+    over the spectrum in order, then saturating and clipping to [0, 0.5].
     """
     if code_rate not in DISTANCE_SPECTRA:
         raise ValueError(f"unknown code rate {code_rate!r}")
     dfree, weights = DISTANCE_SPECTRA[code_rate]
     p, scalar = _as_batch(channel_ber)
-    bound = np.zeros_like(p)
-    for offset, weight in enumerate(weights):
-        if weight == 0:
-            continue
-        bound = bound + weight * pairwise_error_probability(p, dfree + offset)
-    bound = np.where(p >= _UNION_BOUND_LIMIT, 0.5, bound)
-    bound = np.clip(bound, 0.0, 0.5)
-    return bound[0] if scalar else bound
+    saturated = p >= _UNION_BOUND_LIMIT
+    out = np.where(saturated, 0.5, 0.0)
+    pending = ~(saturated | (p <= 0.0))
+    if pending.any():
+        # Pending values lie in (0, limit) or are NaN, inside the clip range.
+        live = p[pending]
+        terms = [(dfree + offset, weight) for offset, weight in enumerate(weights) if weight]
+        probabilities = _pairwise_error_probabilities(live, [distance for distance, _ in terms])
+        bound = np.zeros_like(live)
+        for (_, weight), probability in zip(terms, probabilities):
+            bound = bound + weight * probability
+        out[pending] = np.clip(bound, 0.0, 0.5)
+    return out[0] if scalar else out
 
 
 def frame_error_rate(post_viterbi_ber, n_payload_bits: int) -> np.ndarray:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.phy.coding import (
+    _UNION_BOUND_LIMIT,
     DISTANCE_SPECTRA,
+    _as_batch,
+    _comb,
     coded_ber,
     frame_error_rate,
     mpdu_error_rate,
@@ -165,3 +168,145 @@ class TestScalarArrayBitIdentity:
         lone = coded_ber(np.array([value]), (3, 4))[0]
         padded = np.concatenate([self.PS, [value], self.PS[::-1]])
         assert coded_ber(padded, (3, 4))[len(self.PS)] == lone
+
+
+# The per-distance union bound as it stood before the shared power table
+# and the saturation gather, kept verbatim as the bit-identity oracle.
+def _reference_pairwise_error_probability(channel_ber, distance: int) -> np.ndarray:
+    p, scalar = _as_batch(channel_ber)
+    p = np.clip(p, 0.0, 0.5)
+    q = 1.0 - p
+    total = np.zeros_like(p)
+    if distance % 2:
+        start = (distance + 1) // 2
+    else:
+        start = distance // 2 + 1
+        half = distance // 2
+        total = total + 0.5 * _comb(distance, half) * p**half * q ** (distance - half)
+    for k in range(start, distance + 1):
+        total = total + _comb(distance, k) * p**k * q ** (distance - k)
+    total = np.clip(total, 0.0, 1.0)
+    return total[0] if scalar else total
+
+
+def _reference_coded_ber(channel_ber, code_rate) -> np.ndarray:
+    if code_rate not in DISTANCE_SPECTRA:
+        raise ValueError(f"unknown code rate {code_rate!r}")
+    dfree, weights = DISTANCE_SPECTRA[code_rate]
+    p, scalar = _as_batch(channel_ber)
+    bound = np.zeros_like(p)
+    for offset, weight in enumerate(weights):
+        if weight == 0:
+            continue
+        bound = bound + weight * _reference_pairwise_error_probability(p, dfree + offset)
+    bound = np.where(p >= _UNION_BOUND_LIMIT, 0.5, bound)
+    bound = np.clip(bound, 0.0, 0.5)
+    return bound[0] if scalar else bound
+
+
+def _assert_same_bits(actual, expected):
+    assert type(actual) is type(expected)
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+_SPECIALS = np.array(
+    [
+        0.0,
+        -0.0,
+        -1e-300,
+        -0.01,
+        -1.0,
+        _UNION_BOUND_LIMIT,
+        np.nextafter(_UNION_BOUND_LIMIT, 0),
+        np.nextafter(_UNION_BOUND_LIMIT, 1),
+        0.5,
+        0.5000001,
+        0.9,
+        1.0,
+        1e300,
+        np.inf,
+        -np.inf,
+        np.nan,
+        -np.nan,
+        5e-324,
+    ]
+)
+
+
+def _channel_bers(seed: int) -> np.ndarray:
+    """Geometric, uniform and special channel BERs, shuffled together."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate(
+        [
+            np.geomspace(1e-300, 0.5),
+            np.geomspace(1e-6, 0.1, 400),
+            10.0 ** rng.uniform(-12.0, np.log10(0.5), 600),
+            rng.uniform(0.0, 0.1, 300),
+            _SPECIALS,
+        ]
+    )
+    return rng.permutation(values)
+
+
+class TestUnionBoundMatchesReference:
+    """``coded_ber`` and ``pairwise_error_probability`` reproduce the
+    per-distance reference bit for bit, saturated and NaN inputs included."""
+
+    RATES = sorted(DISTANCE_SPECTRA)
+
+    @pytest.mark.parametrize("code_rate", RATES)
+    @pytest.mark.parametrize("seed", [0, 1, 2015])
+    def test_one_dimensional(self, code_rate, seed):
+        ps = _channel_bers(seed)
+        _assert_same_bits(coded_ber(ps, code_rate), _reference_coded_ber(ps, code_rate))
+
+    @pytest.mark.parametrize("code_rate", RATES)
+    def test_equi_snr_row_shape(self, code_rate):
+        """Equi-SNR evaluates a (rows, 52) block of per-subcarrier BERs."""
+        ps = _channel_bers(7)[: 24 * 52].reshape(24, 52)
+        _assert_same_bits(coded_ber(ps, code_rate), _reference_coded_ber(ps, code_rate))
+
+    @pytest.mark.parametrize("code_rate", RATES)
+    def test_non_contiguous_view(self, code_rate):
+        ps = _channel_bers(8)[: 24 * 52].reshape(24, 52)[:, ::3]
+        _assert_same_bits(coded_ber(ps, code_rate), _reference_coded_ber(ps, code_rate))
+
+    @pytest.mark.parametrize("code_rate", RATES)
+    def test_python_floats_and_zero_d_arrays(self, code_rate):
+        for value in np.concatenate([np.geomspace(1e-300, 0.5), _SPECIALS]):
+            for scalar in (float(value), np.array(value)):
+                _assert_same_bits(
+                    coded_ber(scalar, code_rate), _reference_coded_ber(scalar, code_rate)
+                )
+
+    @pytest.mark.parametrize("code_rate", RATES)
+    def test_all_saturated_and_empty(self, code_rate):
+        for ps in (_SPECIALS[np.isfinite(_SPECIALS)], np.array([0.3, 0.0, -1.0]), np.array([])):
+            _assert_same_bits(coded_ber(ps, code_rate), _reference_coded_ber(ps, code_rate))
+
+    @pytest.mark.parametrize("code_rate", RATES)
+    def test_offset_among_saturated_and_zero_neighbours(self, code_rate):
+        value = 0.0123456789
+        neighbours = np.array([0.0, 0.3, -0.0, _UNION_BOUND_LIMIT, 0.0, 1.0, 0.0, 0.2])
+        lone = _reference_coded_ber(np.array([value]), code_rate)[0]
+        for offset in range(len(neighbours) + 1):
+            ps = np.insert(neighbours, offset, value)
+            out = coded_ber(ps, code_rate)
+            _assert_same_bits(out, _reference_coded_ber(ps, code_rate))
+            assert out[offset].tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("distance", range(1, 21))
+    def test_pairwise_error_probability(self, distance):
+        ps = _channel_bers(distance)
+        _assert_same_bits(
+            pairwise_error_probability(ps, distance),
+            _reference_pairwise_error_probability(ps, distance),
+        )
+        for value in (0.0123, -0.0, 0.7, np.nan):
+            _assert_same_bits(
+                pairwise_error_probability(value, distance),
+                _reference_pairwise_error_probability(value, distance),
+            )

@@ -26,6 +26,14 @@ gains_db = st.lists(
     max_size=52,
 )
 
+# Channel BERs: log-uniform over the union bound's working range, plus
+# uniform draws that also cover p ≤ 0 and the saturated region.
+channel_bers = st.one_of(
+    st.floats(min_value=-12.0, max_value=np.log10(0.5)).map(lambda e: 10.0**e),
+    st.floats(min_value=-0.1, max_value=0.6),
+)
+CODE_RATES = [(1, 2), (2, 3), (3, 4), (5, 6)]
+
 
 class TestAllocationInvariants:
     @given(gains_db, st.floats(min_value=1e-3, max_value=100.0))
@@ -128,6 +136,21 @@ class TestLinkModelBounds:
     def test_coded_ber_bounded(self, p, code_rate):
         out = float(coded_ber(p, code_rate))
         assert 0.0 <= out <= 0.5
+
+    # Rounding in the union-bound sum can put the outputs of floats a few
+    # ulps apart out of order by up to 2 ulps, hence the 1e-12 headroom.
+    @given(channel_bers, channel_bers, st.sampled_from(CODE_RATES))
+    @settings(max_examples=200, deadline=None)
+    def test_coded_ber_non_decreasing_in_p(self, a, b, code_rate):
+        low, high = sorted((a, b))
+        assert coded_ber(low, code_rate) <= coded_ber(high, code_rate) * (1.0 + 1e-12)
+
+    @given(channel_bers)
+    @settings(max_examples=200, deadline=None)
+    def test_lower_code_rate_never_decodes_worse(self, p):
+        bers = [float(coded_ber(p, code_rate)) for code_rate in CODE_RATES]
+        for stronger, weaker in zip(bers, bers[1:]):
+            assert stronger <= weaker * (1.0 + 1e-12)
 
     @given(
         st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
