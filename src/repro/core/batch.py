@@ -30,10 +30,12 @@ concurrent allocation runs batched at k = 2 and as N-player
 best-response dynamics (:func:`repro.core.oracle.allocate_graph`), one
 interference graph per row, at k ≥ 3.
 
-Any per-stream allocator and rate selector works.  One with a batched
-twin (:data:`BATCHED_ALLOCATORS`, ``best_rate_batch`` for ``best_rate``)
-runs batched; any other is lifted — called once per row, keeping each
-row's returned object (``per_subcarrier_rates``' selections, say).
+Any per-stream allocator and rate selector works.  Equi-SNR, mercury
+and ``best_rate`` are one-row calls of their batched forms, which the
+engine runs directly (:data:`BATCHED_ALLOCATORS`, ``best_rate_batch``).
+Any other callable (an ablation allocator, ``per_subcarrier_rates``, a
+user's) is lifted — called once per row, keeping each row's returned
+object.
 
 The engine starts from measured CSI (:func:`measure_csi`), so its caller
 owns the randomness: :func:`run_batch` measures each task with a fresh
@@ -66,13 +68,14 @@ from ..phy.noise import ImperfectionModel
 from ..phy.rates import best_rate, best_rate_batch
 from ..util import dbm_to_mw
 from . import equi_snr, mercury
-from .equi_snr import BatchAllocation
 from .equi_sinr import (
+    BATCHED_ALLOCATORS,
     BatchConcurrentContext,
     BatchStreamAllocation,
     StreamAllocator,
     allocate_concurrent_batch,
     allocate_single_batch,
+    _batched,
     radiated_powers_batch,
 )
 from .oracle import GraphPlayer, InterferenceGraph, allocate_graph
@@ -99,14 +102,6 @@ __all__ = [
     "partition_tasks",
     "run_batch",
 ]
-
-#: Per-stream allocators with a batched twin.  Any other allocator is
-#: lifted: the engine calls it once per row.
-BATCHED_ALLOCATORS = {
-    equi_snr.allocate: equi_snr.allocate_batch,
-    mercury.mercury_allocate: mercury.mercury_allocate_batch,
-}
-
 
 # ---------------------------------------------------------------------------
 # Task partitioning (duck-typed over repro.sim.runner.TopologyTask so the
@@ -210,15 +205,6 @@ def measure_csi(
         for i, ap in enumerate(topology.aps)
         for j, client in enumerate(topology.clients)
     }
-
-
-def _lift_allocator(allocator: StreamAllocator):
-    """A batched per-stream allocator calling ``allocator`` once per row."""
-
-    def lifted(gains: np.ndarray, total_power: float) -> BatchAllocation:
-        return BatchAllocation.from_rows([allocator(row, total_power) for row in gains])
-
-    return lifted
 
 
 @dataclasses.dataclass
@@ -455,18 +441,13 @@ class BatchedStrategyEngine:
         used = np.ones((self.B, self.n_sc, n_s), dtype=bool)
         return BatchStreamAllocation(powers=powers, used=used, per_stream=[])
 
-    @staticmethod
-    def _batched(allocator: StreamAllocator):
-        twin = BATCHED_ALLOCATORS.get(allocator)
-        return twin if twin is not None else _lift_allocator(allocator)
-
     def _sequential_allocation(
         self, design: BatchDesign, allocator: StreamAllocator
     ) -> BatchStreamAllocation:
         """Equi-SNR (Algorithm 1) per stream, no concurrent interference."""
         gains = self._stream_gains(design)
         allocation = allocate_single_batch(
-            gains, self.tx_power_mw, noise_mw=self.noise_floor_mw, allocator=self._batched(allocator)
+            gains, self.tx_power_mw, noise_mw=self.noise_floor_mw, allocator=_batched(allocator)
         )
         if self.oracle_check:
             # Shadow mode: record agreement, never fail the engine.  The
@@ -508,7 +489,7 @@ class BatchedStrategyEngine:
             allocations, _, _ = allocate_concurrent_batch(
                 context,
                 max_iterations=self.max_iterations,
-                allocator=self._batched(allocator),
+                allocator=_batched(allocator),
                 collector=collector,
             )
             return allocations

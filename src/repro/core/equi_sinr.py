@@ -17,13 +17,13 @@ with its AP1/AP2 subcarrier anecdote.  COPA's heuristic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..util import masked_row_means
-from . import equi_snr
+from . import equi_snr, mercury
 from .equi_snr import Allocation, BatchAllocation
 
 __all__ = [
@@ -69,36 +69,20 @@ def radiated_powers(powers: np.ndarray, used: np.ndarray, leakage_linear: float)
 
     A dropped subcarrier cannot radiate exactly zero (§3.2): it leaks
     ``leakage_linear`` times the mean power of its nearest active
-    neighbours (the adjacent-carrier leakage of real transceivers).
+    neighbours (the adjacent-carrier leakage of real transceivers).  One
+    row of :func:`radiated_powers_batch`.
     """
-    powers = np.asarray(powers, dtype=float)
-    used = np.asarray(used, dtype=bool)
-    radiated = np.where(used, powers, 0.0)
-    for s in range(powers.shape[1]):
-        dropped = ~used[:, s]
-        if not dropped.any() or used[:, s].sum() == 0:
-            continue
-        column = powers[:, s]
-        above = np.roll(column, -1)
-        below = np.roll(column, 1)
-        above_used = np.roll(used[:, s], -1)
-        below_used = np.roll(used[:, s], 1)
-        neighbour_sum = np.where(above_used, above, 0.0) + np.where(below_used, below, 0.0)
-        neighbour_count = above_used.astype(float) + below_used.astype(float)
-        fallback = float(column[used[:, s]].mean())
-        neighbour_mean = np.where(neighbour_count > 0, neighbour_sum / np.maximum(neighbour_count, 1), fallback)
-        radiated[dropped, s] = leakage_linear * neighbour_mean[dropped]
-    return radiated
+    return radiated_powers_batch(np.asarray(powers)[None], np.asarray(used)[None], leakage_linear)[0]
 
 
 def radiated_powers_batch(powers: np.ndarray, used: np.ndarray, leakage_linear: float) -> np.ndarray:
-    """Topology-batched :func:`radiated_powers`, bit-identical per row.
+    """:func:`radiated_powers` for every row of a batch of topologies.
 
     ``powers``/``used`` have shape (n_rows, n_sc, n_streams).  The only
     order-sensitive reduction — the mean over a stream's *used* powers
     that dropped subcarriers without active neighbours fall back to — is
-    done with :func:`repro.util.masked_row_means`, which preserves the
-    serial pairwise-summation grouping exactly.
+    done with :func:`repro.util.masked_row_means`, which keeps one row's
+    pairwise-summation grouping whatever the batch.
     """
     powers = np.asarray(powers, dtype=float)
     used = np.asarray(used, dtype=bool)
@@ -134,17 +118,19 @@ def effective_gains(
 
     The quantity Algorithm 1 consumes in its Equi-SINR flavour (§3.2.1):
     passing these gains to a plain Equi-SNR allocator equalizes SINR.
-    Shared by :func:`allocate_single` and the optimization oracle so both
-    agree on the problem being solved before comparing solutions.
+    Shared by :func:`allocate_single_batch` and the optimization oracle so
+    both agree on the problem being solved before comparing solutions.
+    ``gains`` is one stream (n_sc,) or has streams on its last axis,
+    (..., n_sc, n_streams); ``interference`` is then (n_sc,) or (..., n_sc).
     """
     gains = np.asarray(gains, dtype=float)
-    n_sc = gains.shape[0]
+    cells = gains.shape if gains.ndim == 1 else gains.shape[:-1]
     denominator = noise_mw + (
-        np.zeros(n_sc) if interference is None else np.asarray(interference, dtype=float)
+        np.zeros(cells) if interference is None else np.asarray(interference, dtype=float)
     )
     if gains.ndim == 1:
         return gains / denominator
-    return gains / denominator[:, None]
+    return gains / denominator[..., None]
 
 
 #: A per-stream allocator: (effective gains, power budget) → Allocation.
@@ -153,23 +139,24 @@ def effective_gains(
 StreamAllocator = Callable[[np.ndarray, float], Allocation]
 
 
-def _stream_budgets(gains: np.ndarray, total_power: float, split: str) -> np.ndarray:
-    """Divide the power budget between streams.
+#: Per-stream allocators with a registered batched form.  Any other
+#: allocator is lifted: its batched form calls it once per row.
+BATCHED_ALLOCATORS = {
+    equi_snr.allocate: equi_snr.allocate_batch,
+    mercury.mercury_allocate: mercury.mercury_allocate_batch,
+}
 
-    ``"equal"`` is the paper's choice (each stream optimized independently,
-    Fig. 6).  ``"proportional"`` weights budgets by each stream's mean gain
-    — a waterfilling-flavoured alternative benchmarked as an ablation.
-    """
-    n_streams = gains.shape[1]
-    if split == "equal":
-        return np.full(n_streams, total_power / n_streams)
-    if split == "proportional":
-        weights = gains.mean(axis=0)
-        total_weight = weights.sum()
-        if total_weight <= 0:
-            return np.full(n_streams, total_power / n_streams)
-        return total_power * weights / total_weight
-    raise ValueError(f"unknown stream split {split!r}")
+
+def _batched(allocator: StreamAllocator) -> BatchStreamAllocator:
+    """The batched form of ``allocator``: its registered twin, else a row-by-row lift."""
+    twin = BATCHED_ALLOCATORS.get(allocator)
+    if twin is not None:
+        return twin
+
+    def lifted(gains: np.ndarray, total_power: float) -> BatchAllocation:
+        return BatchAllocation.from_rows([allocator(row, total_power) for row in gains])
+
+    return lifted
 
 
 def allocate_single(
@@ -178,44 +165,34 @@ def allocate_single(
     interference: Optional[np.ndarray] = None,
     noise_mw: float = 1.0,
     allocator: StreamAllocator = equi_snr.allocate,
-    stream_split: str = "equal",
 ) -> StreamAllocation:
     """Allocate each stream of one transmission with no concurrent sender.
 
     ``gains`` has shape (n_sc, n_streams): the matched-filter signal gain.
-    The power budget is split between streams per ``stream_split`` (each
-    stream is then optimized independently per Fig. 6).  ``interference``
-    (n_sc,) optional per-subcarrier interference power at the client.
+    The power budget is split equally between streams, each then optimized
+    independently per Fig. 6.  ``interference`` (n_sc,) optional
+    per-subcarrier interference power at the client.  One row of
+    :func:`allocate_single_batch`.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2:
         raise ValueError("gains must have shape (n_subcarriers, n_streams)")
-    n_sc, n_streams = gains.shape
-    effective = effective_gains(gains, interference, noise_mw)
-    budgets = _stream_budgets(gains, total_power, stream_split)
-    empty = Allocation(
-        powers=np.zeros(n_sc),
-        used=np.zeros(n_sc, dtype=bool),
-        equalized_snr=0.0,
-        mcs=None,
-        goodput_bps=0.0,
-    )
-    allocations = [
-        allocator(effective[:, s], float(budgets[s])) if budgets[s] > 0 else empty
-        for s in range(n_streams)
-    ]
-    powers = np.stack([a.powers for a in allocations], axis=1)
-    used = np.stack([a.used for a in allocations], axis=1)
-    return StreamAllocation(powers=powers, used=used, per_stream=allocations)
+    return allocate_single_batch(
+        gains[None],
+        total_power,
+        interference=None if interference is None else np.asarray(interference)[None],
+        noise_mw=noise_mw,
+        allocator=_batched(allocator),
+    ).row(0)
 
 
 @dataclass
 class BatchStreamAllocation:
     """Per-AP allocation for a whole batch of topologies.
 
-    The struct-of-arrays counterpart of :class:`StreamAllocation`: row
-    ``b`` of every field is what the serial path computes for topology
-    ``b``.  ``per_stream`` holds one :class:`BatchAllocation` per stream.
+    The struct-of-arrays counterpart of :class:`StreamAllocation`:
+    :meth:`row` materializes topology ``b`` as one :class:`StreamAllocation`.
+    ``per_stream`` holds one :class:`BatchAllocation` per stream.
     """
 
     #: (n_rows, n_sc, n_streams) transmit powers in mW.
@@ -236,8 +213,8 @@ class BatchStreamAllocation:
     def predicted_goodput_bps(self) -> np.ndarray:
         """(n_rows,) replica of ``StreamAllocation.predicted_goodput_bps``.
 
-        Accumulated stream by stream in order, mirroring the serial
-        ``sum()`` over per-stream goodputs exactly.
+        Accumulated stream by stream in order, as that property's ``sum()``
+        over per-stream goodputs does.
         """
         total = np.zeros(self.n_rows)
         for allocation in self.per_stream:
@@ -264,7 +241,7 @@ class BatchStreamAllocation:
         )
 
     def row(self, b: int) -> StreamAllocation:
-        """Materialize row ``b`` as the serial :class:`StreamAllocation`."""
+        """Materialize row ``b`` as a :class:`StreamAllocation`."""
         return StreamAllocation(
             powers=self.powers[b].copy(),
             used=self.used[b].copy(),
@@ -285,20 +262,17 @@ def allocate_single_batch(
     noise_mw: float = 1.0,
     allocator: BatchStreamAllocator = equi_snr.allocate_batch,
 ) -> BatchStreamAllocation:
-    """Topology-batched :func:`allocate_single` (equal stream split).
+    """:func:`allocate_single` for every row of a batch of topologies.
 
     ``gains`` has shape (n_rows, n_sc, n_streams); ``interference`` is an
-    optional (n_rows, n_sc) array.  Row ``b`` of the result is
-    bit-identical to ``allocate_single(gains[b], ...)``.
+    optional (n_rows, n_sc) array.  The budget is split equally between
+    streams and ``allocator`` runs once per stream over all rows.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 3:
         raise ValueError("gains must have shape (n_rows, n_subcarriers, n_streams)")
     n_rows, n_sc, n_streams = gains.shape
-    denominator = noise_mw + (
-        np.zeros((n_rows, n_sc)) if interference is None else np.asarray(interference, dtype=float)
-    )
-    effective = gains / denominator[:, :, None]
+    effective = effective_gains(gains, interference, noise_mw)
     budget = total_power / n_streams
     empty = BatchAllocation(
         powers=np.zeros((n_rows, n_sc)),
@@ -353,18 +327,11 @@ class ConcurrentAllocation:
         return float(sum(a.predicted_goodput_bps for a in self.allocations))
 
 
-def _interference_at(context: ConcurrentContext, victim: int, other_radiated: np.ndarray) -> np.ndarray:
-    """Interference power (n_sc,) at client ``victim`` given the other AP's radiated powers."""
-    other = 1 - victim
-    return np.sum(context.coupling[other] * other_radiated, axis=1)
-
-
 def allocate_concurrent(
     context: ConcurrentContext,
     max_iterations: int = 8,
     tolerance: float = 1e-3,
     allocator: StreamAllocator = equi_snr.allocate,
-    on_iteration: Optional[Callable[[int, ConcurrentAllocation], None]] = None,
     collector=None,
 ) -> ConcurrentAllocation:
     """Run the Figure-6 iteration and return the best allocation found.
@@ -372,72 +339,22 @@ def allocate_concurrent(
     ``collector`` (a :class:`repro.obs.Collector`) records how hard the
     iteration worked: a histogram of iteration counts and convergence
     counters — the §3.2.1 telemetry the observability layer surfaces.
+    One row of :func:`allocate_concurrent_batch`.
     """
-    n_sc = context.gains[0].shape[0]
-
-    # Step 1: the other sender is assumed to spread power equally.
-    radiated = [
-        np.full(context.gains[a].shape, context.budgets[a] / (context.gains[a].shape[1] * n_sc))
-        for a in range(2)
-    ]
-
-    best: Optional[ConcurrentAllocation] = None
-    previous_powers: Optional[List[np.ndarray]] = None
-    converged = False
-    iterations_run = 0
-
-    for iteration in range(1, max_iterations + 1):
-        iterations_run = iteration
-        allocations: List[StreamAllocation] = []
-        for a in range(2):
-            interference = _interference_at(context, victim=a, other_radiated=radiated[1 - a])
-            allocations.append(
-                allocate_single(
-                    context.gains[a],
-                    context.budgets[a],
-                    interference=interference,
-                    noise_mw=context.noise_mw[a],
-                    allocator=allocator,
-                )
-            )
-        candidate = ConcurrentAllocation(allocations=allocations, iterations=iteration, converged=False)
-        if on_iteration is not None:
-            on_iteration(iteration, candidate)
-        if best is None or candidate.predicted_aggregate_bps > best.predicted_aggregate_bps:
-            best = candidate
-
-        new_radiated = [
-            radiated_powers(allocations[a].powers, allocations[a].used, context.leakage_linear)
-            for a in range(2)
-        ]
-        if previous_powers is not None:
-            scale = sum(context.budgets)
-            change = sum(
-                float(np.abs(new_radiated[a] - previous_powers[a]).sum()) for a in range(2)
-            )
-            if change <= tolerance * scale:
-                converged = True
-                radiated = new_radiated
-                break
-        previous_powers = new_radiated
-        radiated = new_radiated
-
-    assert best is not None
-    if collector is not None:
-        collector.observe("alloc.concurrent_iterations", iterations_run)
-        collector.inc("alloc.converged" if converged else "alloc.unconverged")
-        collector.inc(
-            "alloc.concurrent_dropped_subcarriers",
-            sum(
-                stream.n_dropped
-                for allocation in best.allocations
-                for stream in allocation.per_stream
-            ),
-        )
+    batch = BatchConcurrentContext(
+        gains=[np.asarray(g)[None] for g in context.gains],
+        coupling=[np.asarray(c)[None] for c in context.coupling],
+        budgets=context.budgets,
+        noise_mw=context.noise_mw,
+        leakage_linear=context.leakage_linear,
+    )
+    allocations, iterations, converged = allocate_concurrent_batch(
+        batch, max_iterations, tolerance, _batched(allocator), collector
+    )
     return ConcurrentAllocation(
-        allocations=best.allocations,
-        iterations=iterations_run,
-        converged=converged,
+        allocations=[allocation.row(0) for allocation in allocations],
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
     )
 
 
@@ -498,7 +415,7 @@ def allocate_concurrent_batch(
     allocator: BatchStreamAllocator = equi_snr.allocate_batch,
     collector=None,
 ):
-    """Topology-batched Figure-6 iteration, bit-identical per row.
+    """The Figure-6 iteration for every row of a batch of topologies.
 
     Returns ``(allocations, iterations, converged)`` where ``allocations``
     is a list of two :class:`BatchStreamAllocation` (one per AP) holding
@@ -506,11 +423,11 @@ def allocate_concurrent_batch(
     (n_rows,) arrays.  Rows converge independently: a row that meets the
     tolerance is frozen (its best solution, radiated powers and iteration
     count stop updating) while the rest of the batch keeps iterating, so
-    every row sees exactly the serial iteration trajectory.
+    every row follows the trajectory it would follow alone.
 
-    ``collector`` receives the same per-topology telemetry the serial
-    :func:`allocate_concurrent` records (iteration histogram, convergence
-    counters, dropped-subcarrier totals).
+    ``collector`` receives per-topology telemetry: one iteration-count
+    observation and one convergence counter per row, and the rows'
+    dropped-subcarrier total.
     """
     n_rows = context.n_rows
     n_sc = context.gains[0].shape[1]
@@ -577,8 +494,7 @@ def allocate_concurrent_batch(
             previous_powers = new_radiated
             radiated = new_radiated
         else:
-            # Frozen rows stop updating; the serial loop has already
-            # broken out of them.
+            # Frozen rows stop updating: alone, their loop would have ended.
             previous_powers = [
                 np.where(active[:, None, None], new_radiated[a], previous_powers[a])
                 for a in range(2)

@@ -42,7 +42,13 @@ __all__ = [
 #: optimization oracle (:mod:`repro.core.oracle`) must agree on which
 #: subcarriers are candidates at all before comparing allocations.
 MIN_GAIN = 1e-12
-_MIN_GAIN = MIN_GAIN  # back-compat alias
+
+
+def _check_budget(total_power) -> None:
+    """Reject a power budget (or any of a per-row array) that is not finite and positive."""
+    budgets = np.asarray(total_power, dtype=float)
+    if not np.all(np.isfinite(budgets) & (budgets > 0)):
+        raise ValueError("total_power must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -72,17 +78,13 @@ class Allocation:
 def equalizing_powers(gains: np.ndarray, used: np.ndarray, total_power: float):
     """Powers that equalize SNR over ``used``: p_k = S / g_k, Σ p_k = P.
 
-    Returns ``(powers, S)`` where S is the common received SNR.
+    Returns ``(powers, S)`` where S is the common received SNR.  One row
+    of :func:`equalizing_powers_batch`.
     """
-    gains = np.asarray(gains, dtype=float)
-    used = np.asarray(used, dtype=bool)
-    powers = np.zeros_like(gains)
-    if not used.any():
-        return powers, 0.0
-    inverse_sum = float(np.sum(1.0 / gains[used]))
-    equalized = total_power / inverse_sum
-    powers[used] = equalized / gains[used]
-    return powers, equalized
+    powers, equalized = equalizing_powers_batch(
+        np.asarray(gains, dtype=float)[None], np.asarray(used, dtype=bool)[None], total_power
+    )
+    return powers[0], float(equalized[0])
 
 
 def uniform_goodput(
@@ -114,74 +116,20 @@ def allocate(
     ``gains`` maps transmit power to received S(I)NR per subcarrier:
     received S(I)NR on subcarrier k is ``p_k * gains[k]`` (so for plain SNR,
     ``gains[k] = |h_k|^2 / noise``).  ``total_power`` is the stream's power
-    budget in mW.
+    budget in mW.  One row of :func:`allocate_batch`.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1:
         raise ValueError("gains must be one-dimensional (a single stream)")
-    if total_power <= 0:
-        raise ValueError("total_power must be positive")
-    n = gains.size
-    usable = gains > _MIN_GAIN
-
-    order = np.argsort(gains)  # weakest first
-    sorted_gains = gains[order]
-    # Suffix sums of 1/g: inverse_suffix[i] = Σ_{k ≥ i} 1/g_k (sorted order),
-    # skipping unusable subcarriers entirely.
-    with np.errstate(divide="ignore"):
-        inv = np.where(sorted_gains > _MIN_GAIN, 1.0 / np.maximum(sorted_gains, _MIN_GAIN), 0.0)
-    inverse_suffix = np.cumsum(inv[::-1])[::-1]
-    usable_suffix = np.cumsum(usable[order][::-1].astype(int))[::-1]
-
-    # Candidate i = "drop the weakest i subcarriers".
-    drop_counts = np.arange(n)
-    n_used = usable_suffix[drop_counts]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        equalized = np.where(
-            inverse_suffix[drop_counts] > 0,
-            total_power / inverse_suffix[drop_counts],
-            0.0,
-        )
-
-    best_goodput = np.zeros(n)
-    best_mcs_index = np.full(n, -1)
-    for mcs in mcs_table:
-        goodput = uniform_goodput(equalized, n_used, mcs, payload_bytes)
-        improved = goodput > best_goodput
-        best_goodput = np.where(improved, goodput, best_goodput)
-        best_mcs_index = np.where(improved, mcs.index, best_mcs_index)
-
-    best_i = int(np.argmax(best_goodput))
-    if best_goodput[best_i] <= 0.0:
-        return Allocation(
-            powers=np.zeros(n),
-            used=np.zeros(n, dtype=bool),
-            equalized_snr=0.0,
-            mcs=None,
-            goodput_bps=0.0,
-        )
-
-    used = np.zeros(n, dtype=bool)
-    kept = order[best_i:]
-    used[kept] = usable[kept]
-    powers, equalized_snr = equalizing_powers(gains, used, total_power)
-    mcs = next(m for m in mcs_table if m.index == best_mcs_index[best_i])
-    return Allocation(
-        powers=powers,
-        used=used,
-        equalized_snr=float(equalized_snr),
-        mcs=mcs,
-        goodput_bps=float(best_goodput[best_i]),
-    )
+    return allocate_batch(gains[None], total_power, mcs_table, payload_bytes).row(0, mcs_table)
 
 
 @dataclass
 class BatchAllocation:
     """Algorithm-1 results for one stream of a whole *batch* of topologies.
 
-    The struct-of-arrays counterpart of :class:`Allocation`: row ``b`` of
-    every field is exactly what :func:`allocate` returns for row ``b`` of
-    the batched gains (bit-identical, see :func:`allocate_batch`).
+    The struct-of-arrays counterpart of :class:`Allocation`: :meth:`row`
+    materializes row ``b`` of every field as one :class:`Allocation`.
     ``mcs_index`` is the MCS table index, ``-1`` encoding ``mcs=None``.
     """
 
@@ -216,7 +164,7 @@ class BatchAllocation:
         )
 
     def row(self, b: int, mcs_table: Sequence[Mcs] = MCS_TABLE) -> Allocation:
-        """Materialize row ``b`` as the serial :class:`Allocation`."""
+        """Materialize row ``b`` as an :class:`Allocation`."""
         index = int(self.mcs_index[b])
         mcs = None if index < 0 else next(m for m in mcs_table if m.index == index)
         return Allocation(
@@ -229,13 +177,14 @@ class BatchAllocation:
 
 
 def equalizing_powers_batch(gains: np.ndarray, used: np.ndarray, total_power) -> tuple:
-    """Row-batched :func:`equalizing_powers`, bit-identical per row.
+    """:func:`equalizing_powers` for every row of ``gains``.
 
     ``gains``/``used`` have shape (n_rows, n_sc); ``total_power`` is a
     scalar or (n_rows,) budget.  The inverse-gain sum — the one
     order-sensitive reduction — is evaluated per row over the masked-in
     subcarriers in original order (grouped by count, which preserves
-    NumPy's pairwise-summation grouping exactly).
+    NumPy's pairwise-summation grouping exactly), so a row's result does
+    not depend on the rows batched with it.
     """
     gains = np.asarray(gains, dtype=float)
     used = np.asarray(used, dtype=bool)
@@ -260,24 +209,23 @@ def allocate_batch(
 
     ``gains`` has shape (n_rows, n_sc): one row per (topology, stream)
     problem; ``total_power`` is a scalar or per-row budget.  Row ``b`` of
-    the result is **bit-identical** to ``allocate(gains[b], ...)`` — every
+    the result does not depend on the other rows, bit for bit: every
     per-row operation (argsort, suffix cumsum, elementwise goodput model,
-    argmax, equalization) reduces the same elements in the same order as
-    the serial code, just stacked along a leading axis.
+    argmax, equalization) reduces the row's own elements in the same order
+    whatever the batch, so :func:`allocate` is its one-row call.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2:
         raise ValueError("gains must have shape (n_rows, n_subcarriers)")
     n_rows, n = gains.shape
+    _check_budget(total_power)
     budgets = np.broadcast_to(np.asarray(total_power, dtype=float), (n_rows,))
-    if not np.all(budgets > 0):
-        raise ValueError("total_power must be positive")
-    usable = gains > _MIN_GAIN
+    usable = gains > MIN_GAIN
 
     order = np.argsort(gains, axis=1)  # weakest first, per row
     sorted_gains = np.take_along_axis(gains, order, axis=1)
     with np.errstate(divide="ignore"):
-        inv = np.where(sorted_gains > _MIN_GAIN, 1.0 / np.maximum(sorted_gains, _MIN_GAIN), 0.0)
+        inv = np.where(sorted_gains > MIN_GAIN, 1.0 / np.maximum(sorted_gains, MIN_GAIN), 0.0)
     inverse_suffix = np.cumsum(inv[:, ::-1], axis=1)[:, ::-1]
     usable_sorted = np.take_along_axis(usable, order, axis=1)
     usable_suffix = np.cumsum(usable_sorted[:, ::-1].astype(int), axis=1)[:, ::-1]
@@ -329,9 +277,8 @@ def allocate_power_only(
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1:
         raise ValueError("gains must be one-dimensional (a single stream)")
-    if total_power <= 0:
-        raise ValueError("total_power must be positive")
-    usable = gains > _MIN_GAIN
+    _check_budget(total_power)
+    usable = gains > MIN_GAIN
     powers, equalized = equalizing_powers(gains, usable, total_power)
     if not usable.any():
         return Allocation(powers=powers, used=usable, equalized_snr=0.0, mcs=None, goodput_bps=0.0)
@@ -363,13 +310,12 @@ def allocate_selection_only(
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1:
         raise ValueError("gains must be one-dimensional (a single stream)")
-    if total_power <= 0:
-        raise ValueError("total_power must be positive")
+    _check_budget(total_power)
     from ..phy.rates import best_rate
 
     n = gains.size
     order = np.argsort(gains)
-    usable = gains > _MIN_GAIN
+    usable = gains > MIN_GAIN
 
     best = Allocation(
         powers=np.zeros(n), used=np.zeros(n, dtype=bool), equalized_snr=0.0, mcs=None, goodput_bps=0.0

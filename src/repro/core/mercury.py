@@ -83,7 +83,7 @@ from ..phy.constants import MCS_TABLE, MODULATIONS, Modulation
 # ``best_rate`` stays bound here for the benchmark's layer trace, which
 # patches it by name (bench/layers.py).
 from ..phy.rates import best_rate, best_rate_batch  # noqa: F401
-from .equi_snr import Allocation, BatchAllocation
+from .equi_snr import Allocation, BatchAllocation, _check_budget
 
 __all__ = [
     "DEFAULT_DROPS",
@@ -363,8 +363,7 @@ def mercury_waterfilling(
     gain every power is zero.
     """
     gains = np.asarray(gains, dtype=float)
-    if total_power <= 0:
-        raise ValueError("total_power must be positive")
+    _check_budget(total_power)
     if not (gains > 0).any():
         return np.zeros_like(gains)
     (powers,) = _waterfill(
@@ -385,8 +384,7 @@ def mercury_waterfilling_batch(
     ``gains`` has shape (n_rows, n_sc) and must be strictly positive.
     """
     gains = np.asarray(gains, dtype=float)
-    if total_power <= 0:
-        raise ValueError("total_power must be positive")
+    _check_budget(total_power)
     if gains.ndim != 2:
         raise ValueError("gains must have shape (n_rows, n_subcarriers)")
     if not np.all(gains > 0):
@@ -442,6 +440,7 @@ def mercury_allocate_batch(
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2:
         raise ValueError("gains must have shape (n_rows, n_subcarriers)")
+    _check_budget(total_power)
     n_rows, n = gains.shape
     drops = [d for d in (DEFAULT_DROPS if drop_candidates is None else drop_candidates) if d < n]
     if not (n_rows and drops and modulations):

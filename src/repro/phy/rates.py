@@ -53,13 +53,25 @@ class RateSelection:
 _ZERO = RateSelection(mcs=None, goodput_bps=0.0, fer=1.0, channel_ber=0.5, n_used=0)
 
 
-def _as_2d(sinr) -> np.ndarray:
+def _one_stream_row(sinr, used):
+    """A per-transmission ``(sinr, used)`` as a one-row batch.
+
+    A 1-D SINR or mask is one stream; the SINR must then be
+    (n_subcarriers, n_streams) and the mask, if given, match it.
+    """
     sinr = np.asarray(sinr, dtype=float)
     if sinr.ndim == 1:
         sinr = sinr[:, None]
     if sinr.ndim != 2:
         raise ValueError("sinr must have shape (n_subcarriers,) or (n_subcarriers, n_streams)")
-    return sinr
+    if used is None:
+        return sinr[None], None
+    mask = np.asarray(used, dtype=bool)
+    if mask.ndim == 1:
+        mask = mask[:, None]
+    if mask.shape != sinr.shape:
+        raise ValueError(f"used mask shape {mask.shape} != sinr shape {sinr.shape}")
+    return sinr[None], mask[None]
 
 
 def evaluate_mcs(
@@ -74,28 +86,20 @@ def evaluate_mcs(
     treated as one stream); ``used`` is an optional boolean mask of the
     same shape — dropped cells carry no data and contribute nothing to the
     decoder's BER.  The PHY rate scales with the fraction of used cells,
-    so e.g. two full streams give 2× the single-stream MCS rate.
+    so e.g. two full streams give 2× the single-stream MCS rate.  One row
+    of :func:`evaluate_mcs_batch`.
     """
-    sinr = _as_2d(sinr_linear)
-    if used is None:
-        mask = np.ones(sinr.shape, dtype=bool)
-    else:
-        mask = np.asarray(used, dtype=bool)
-        if mask.ndim == 1:
-            mask = mask[:, None]
-        if mask.shape != sinr.shape:
-            raise ValueError(f"used mask shape {mask.shape} != sinr shape {sinr.shape}")
-    n_used = int(mask.sum())
-    if n_used == 0:
+    sinr, mask = _one_stream_row(sinr_linear, used)
+    goodput, fer, channel_ber, n_used = evaluate_mcs_batch(sinr, mcs, mask, payload_bytes)
+    if n_used[0] == 0:
         return _ZERO
-
-    bers = uncoded_ber(sinr[mask], mcs.modulation)
-    channel_ber = float(np.mean(bers))
-    post = float(coded_ber(channel_ber, mcs.code_rate))
-    fer = float(frame_error_rate(post, payload_bytes * 8))
-    phy_rate = mcs.rate_bps * n_used / N_DATA_SUBCARRIERS
-    goodput = phy_rate * (1.0 - fer)
-    return RateSelection(mcs=mcs, goodput_bps=goodput, fer=fer, channel_ber=channel_ber, n_used=n_used)
+    return RateSelection(
+        mcs=mcs,
+        goodput_bps=float(goodput[0]),
+        fer=float(fer[0]),
+        channel_ber=float(channel_ber[0]),
+        n_used=int(n_used[0]),
+    )
 
 
 def best_rate(
@@ -104,23 +108,22 @@ def best_rate(
     payload_bytes: int = MPDU_PAYLOAD_BYTES,
     mcs_table: Sequence[Mcs] = MCS_TABLE,
 ) -> RateSelection:
-    """The goodput-maximizing MCS for the given per-cell SINRs."""
-    best = _ZERO
-    for mcs in mcs_table:
-        candidate = evaluate_mcs(sinr_linear, mcs, used, payload_bytes)
-        if candidate.goodput_bps > best.goodput_bps:
-            best = candidate
-    return best
+    """The goodput-maximizing MCS for the given per-cell SINRs.
+
+    One row of :func:`best_rate_batch`; ``sinr_linear``/``used`` are
+    shaped as for :func:`evaluate_mcs`.
+    """
+    sinr, mask = _one_stream_row(sinr_linear, used)
+    return best_rate_batch(sinr, mask, payload_bytes, mcs_table).row(0, mcs_table)
 
 
 @dataclass
 class BatchRateSelection:
     """Rate selections for a batch of independent transmissions.
 
-    Struct-of-arrays counterpart of :class:`RateSelection`: row ``b``
-    materialized via :meth:`row` equals the serial result bit for bit.
-    ``mcs_index`` of ``-1`` encodes the no-viable-MCS sentinel
-    (:data:`_ZERO`).
+    Struct-of-arrays counterpart of :class:`RateSelection`: :meth:`row`
+    materializes row ``b`` as one :class:`RateSelection`.  ``mcs_index``
+    of ``-1`` encodes the no-viable-MCS sentinel (:data:`_ZERO`).
     """
 
     #: (n_rows,) chosen MCS table index; -1 means no MCS works.
@@ -171,23 +174,21 @@ def evaluate_mcs_batch(
     used=None,
     payload_bytes: int = MPDU_PAYLOAD_BYTES,
 ):
-    """Batched :func:`evaluate_mcs`: one row per transmission.
+    """:func:`evaluate_mcs` for a batch: one row per transmission.
 
     ``sinr_linear``/``used`` carry a leading row axis; trailing axes are
-    flattened row-major exactly like the serial masking does.  Returns
+    flattened row-major, as boolean masking of one row would.  Returns
     ``(goodput, fer, channel_ber, n_used)`` arrays; rows with no used
     cells get the :data:`_ZERO` values.  The decoder's channel BER — the
     one masked, order-sensitive mean — is computed per row with
-    :func:`repro.util.masked_row_means`, preserving bit-identity.
+    :func:`repro.util.masked_row_means`, so a row's result does not
+    depend on the rows batched with it.
     """
     flat_sinr, mask = _as_batch_2d(sinr_linear, used)
     n_used = mask.sum(axis=1)
     empty = n_used == 0
     bers = uncoded_ber(flat_sinr, mcs.modulation)
     channel_ber = masked_row_means(bers, mask, fill=0.5)
-    # The coded-BER chain is safe to vectorize because coding.py routes
-    # scalar inputs through a 1-element array: scalar (serial) and batched
-    # evaluations share one ufunc code path, bit for bit.
     post = coded_ber(channel_ber, mcs.code_rate)
     fer = frame_error_rate(post, payload_bytes * 8)
     phy_rate = mcs.rate_bps * n_used / N_DATA_SUBCARRIERS
@@ -206,7 +207,7 @@ def best_rate_batch(
     payload_bytes: int = MPDU_PAYLOAD_BYTES,
     mcs_table: Sequence[Mcs] = MCS_TABLE,
 ) -> BatchRateSelection:
-    """Batched :func:`best_rate`, bit-identical per row."""
+    """:func:`best_rate` for a batch: the strictly best MCS per row, in table order."""
     flat_sinr, mask = _as_batch_2d(sinr_linear, used)
     n_rows = flat_sinr.shape[0]
     best = BatchRateSelection(

@@ -92,42 +92,3 @@ class TestBestRate:
         sinr = np.full(52, db_to_linear(40.0))
         result = best_rate(sinr, mcs_table=MCS_TABLE[:3])
         assert result.mcs.index == 2
-
-
-class TestBatchBitIdentity:
-    """Batched rate selection row ``b`` equals the serial call, bit for bit."""
-
-    def _rows(self, rng, n_rows=6, n_sc=52, n_streams=2):
-        sinr = db_to_linear(rng.uniform(-5.0, 35.0, size=(n_rows, n_sc, n_streams)))
-        used = rng.random((n_rows, n_sc, n_streams)) > 0.2
-        used[0] = True  # one full row
-        used[1] = False  # one empty row (the _ZERO sentinel)
-        return sinr, used
-
-    def test_evaluate_mcs_batch_matches_serial(self, rng):
-        from repro.phy.rates import evaluate_mcs_batch
-
-        sinr, used = self._rows(rng)
-        mcs = MCS_TABLE[3]
-        goodput, fer, channel_ber, n_used = evaluate_mcs_batch(sinr, mcs, used)
-        for b in range(sinr.shape[0]):
-            serial = evaluate_mcs(sinr[b], mcs, used[b])
-            assert goodput[b] == serial.goodput_bps
-            assert fer[b] == serial.fer
-            assert int(n_used[b]) == serial.n_used
-            if serial.n_used:
-                assert channel_ber[b] == serial.channel_ber
-
-    def test_best_rate_batch_matches_serial(self, rng):
-        from repro.phy.rates import best_rate_batch
-
-        sinr, used = self._rows(rng)
-        batch = best_rate_batch(sinr, used)
-        for b in range(sinr.shape[0]):
-            serial = best_rate(sinr[b], used[b])
-            row = batch.row(b)
-            assert row.mcs == serial.mcs
-            assert row.goodput_bps == serial.goodput_bps
-            assert row.fer == serial.fer
-            assert row.channel_ber == serial.channel_ber
-            assert row.n_used == serial.n_used
