@@ -24,7 +24,7 @@ import numpy as np
 
 from ..util import masked_row_means
 from . import equi_snr, mercury
-from .equi_snr import Allocation, BatchAllocation
+from .equi_snr import Allocation, BatchAllocation, _check_budget
 
 __all__ = [
     "StreamAllocation",
@@ -252,6 +252,11 @@ class BatchStreamAllocation:
 #: A batched per-stream allocator: ((n_rows, n_sc) effective gains, power
 #: budget) → BatchAllocation.  ``equi_snr.allocate_batch`` and
 #: ``mercury.mercury_allocate_batch`` are the shipped implementations.
+#: Rows must be independent: row ``b`` of the result depends only on row
+#: ``b`` of the gains, bit for bit, whatever rows share the call.  The
+#: row-by-row lift of :func:`_batched` satisfies this by construction, and
+#: :func:`allocate_single_batch` relies on it to allocate all streams of
+#: an AP in one call.
 BatchStreamAllocator = Callable[[np.ndarray, float], BatchAllocation]
 
 
@@ -266,25 +271,46 @@ def allocate_single_batch(
 
     ``gains`` has shape (n_rows, n_sc, n_streams); ``interference`` is an
     optional (n_rows, n_sc) array.  The budget is split equally between
-    streams and ``allocator`` runs once per stream over all rows.
+    streams.  The streams are stacked stream-major into one
+    (n_streams · n_rows, n_sc) batch, ``allocator`` runs once over it, and
+    the result is split back per stream; row independence of batched
+    allocators makes this bit-identical to one call per stream.
+
+    A zero budget gives every stream an empty allocation (no power, no
+    MCS, 0 bit/s).  A NaN, infinite or negative budget raises
+    ``ValueError``.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 3:
         raise ValueError("gains must have shape (n_rows, n_subcarriers, n_streams)")
+    if total_power != 0:
+        _check_budget(total_power)
     n_rows, n_sc, n_streams = gains.shape
     effective = effective_gains(gains, interference, noise_mw)
     budget = total_power / n_streams
-    empty = BatchAllocation(
-        powers=np.zeros((n_rows, n_sc)),
-        used=np.zeros((n_rows, n_sc), dtype=bool),
-        equalized_snr=np.zeros(n_rows),
-        mcs_index=np.full(n_rows, -1),
-        goodput_bps=np.zeros(n_rows),
-    )
-    allocations = [
-        allocator(effective[:, :, s], float(budget)) if budget > 0 else empty
-        for s in range(n_streams)
-    ]
+    if budget > 0:
+        stacked = allocator(
+            effective.transpose(2, 0, 1).reshape(n_streams * n_rows, n_sc), float(budget)
+        )
+        allocations = [
+            BatchAllocation(
+                powers=stacked.powers[rows],
+                used=stacked.used[rows],
+                equalized_snr=stacked.equalized_snr[rows],
+                mcs_index=stacked.mcs_index[rows],
+                goodput_bps=stacked.goodput_bps[rows],
+            )
+            for rows in (slice(s * n_rows, (s + 1) * n_rows) for s in range(n_streams))
+        ]
+    else:
+        empty = BatchAllocation(
+            powers=np.zeros((n_rows, n_sc)),
+            used=np.zeros((n_rows, n_sc), dtype=bool),
+            equalized_snr=np.zeros(n_rows),
+            mcs_index=np.full(n_rows, -1),
+            goodput_bps=np.zeros(n_rows),
+        )
+        allocations = [empty] * n_streams
     powers = np.stack([a.powers for a in allocations], axis=2)
     used = np.stack([a.used for a in allocations], axis=2)
     return BatchStreamAllocation(powers=powers, used=used, per_stream=allocations)

@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..phy.coding import coded_ber, frame_error_rate
 from ..phy.ber import uncoded_ber
 from ..phy.constants import MCS_TABLE, MPDU_PAYLOAD_BYTES, N_DATA_SUBCARRIERS, Mcs
+from ..phy.rates import _mcs_runs, _run_goodputs
 from ..util import masked_row_apply
 
 __all__ = [
@@ -96,13 +96,12 @@ def uniform_goodput(
     """Vectorized goodput when every used subcarrier has the same SNR.
 
     ``snr_linear`` and ``n_used`` are parallel arrays (one entry per
-    candidate drop count); returns predicted goodput for each.
+    candidate drop count); returns predicted goodput for each.  One MCS of
+    the per-run scan :func:`allocate_batch` makes.
     """
     ber = uncoded_ber(np.asarray(snr_linear, dtype=float), mcs.modulation)
-    post = coded_ber(ber, mcs.code_rate)
-    fer = frame_error_rate(post, payload_bytes * 8)
-    rate = mcs.rate_bps * np.asarray(n_used, dtype=float) / N_DATA_SUBCARRIERS
-    return rate * (1.0 - fer)
+    ((goodput, _),) = _run_goodputs(ber, np.asarray(n_used, dtype=float), (mcs,), payload_bytes)
+    return goodput
 
 
 def allocate(
@@ -213,6 +212,15 @@ def allocate_batch(
     per-row operation (argsort, suffix cumsum, elementwise goodput model,
     argmax, equalization) reduces the row's own elements in the same order
     whatever the batch, so :func:`allocate` is its one-row call.
+
+    Each (row, drop count) cell is scored with every MCS, one modulation
+    run at a time and top-down, and a cell keeps its best MCS.  Before a
+    run, cells whose rate ceiling is strictly below their row's best so
+    far are skipped; each live cell is gathered once per run for one
+    uncoded BER and one :func:`repro.phy.coding.coded_bers` call.  The
+    result equals an ascending scan of every cell with a strict ``>``:
+    a skipped cell can be neither the row's argmax nor tie with it, and
+    the argmax cell is the only one whose MCS is read.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2:
@@ -234,13 +242,28 @@ def allocate_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         equalized = np.where(inverse_suffix > 0, budgets[:, None] / inverse_suffix, 0.0)
 
+    # Top-down scan, one modulation run at a time.  A cell's goodput is at
+    # most its rate ceiling ``top_rate * n_used / 52`` (1 − FER ≤ 1), so a
+    # cell whose ceiling is strictly below its row's best so far can be
+    # neither the row's argmax nor a tie, and is skipped.  Visiting the
+    # table backwards, an equal goodput replaces the cell's best, so the
+    # earliest table entry wins a tie as in an ascending strict scan.
     best_goodput = np.zeros((n_rows, n))
     best_mcs_index = np.full((n_rows, n), -1)
-    for mcs in mcs_table:
-        goodput = uniform_goodput(equalized, n_used, mcs, payload_bytes)
-        improved = goodput > best_goodput
-        best_goodput = np.where(improved, goodput, best_goodput)
-        best_mcs_index = np.where(improved, mcs.index, best_mcs_index)
+    for run in reversed(_mcs_runs(mcs_table)):
+        top_rate = max(mcs.rate_bps for mcs in run)
+        row_best = best_goodput.max(axis=1)
+        live = ~(top_rate * n_used / N_DATA_SUBCARRIERS < row_best[:, None])
+        if not live.any():
+            continue
+        cell_goodput, cell_mcs_index = best_goodput[live], best_mcs_index[live]
+        ber = uncoded_ber(equalized[live], run[0].modulation)
+        goodputs = _run_goodputs(ber, n_used[live], run, payload_bytes)
+        for mcs, (goodput, _) in reversed(list(zip(run, goodputs))):
+            improved = (goodput > cell_goodput) | ((goodput == cell_goodput) & (goodput > 0))
+            cell_goodput = np.where(improved, goodput, cell_goodput)
+            cell_mcs_index = np.where(improved, mcs.index, cell_mcs_index)
+        best_goodput[live], best_mcs_index[live] = cell_goodput, cell_mcs_index
 
     best_i = np.argmax(best_goodput, axis=1)
     rows = np.arange(n_rows)

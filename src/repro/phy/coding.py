@@ -26,6 +26,7 @@ __all__ = [
     "DISTANCE_SPECTRA",
     "pairwise_error_probability",
     "coded_ber",
+    "coded_bers",
     "frame_error_rate",
     "mpdu_error_rate",
 ]
@@ -119,34 +120,47 @@ def coded_ber(channel_ber, code_rate: Tuple[int, int]) -> np.ndarray:
     ``channel_ber`` is the (possibly subcarrier-averaged — the interleaver
     justifies the averaging) uncoded BER seen by the decoder.  Beyond the
     union bound's validity region the result saturates at 0.5, modelling a
-    decoder in free fall.
+    decoder in free fall.  One rate of :func:`coded_bers`.
+    """
+    (out,) = coded_bers(channel_ber, (code_rate,))
+    return out
+
+
+def coded_bers(channel_ber, code_rates: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
+    """:func:`coded_ber` of one channel BER under each of ``code_rates``.
 
     Two regions are exact constants and skip the bound entirely: p ≥
     ``_UNION_BOUND_LIMIT`` (+inf included) gives 0.5, and p ≤ 0 (−0.0 and
     −inf included) gives 0.0, because every term of every distance is
-    then zero.  The remaining elements, NaN included, are gathered into
-    one contiguous array and go through the bound with a single power
-    table shared by all distances of the spectrum.  The result is
-    bit-identical to summing ``weight * pairwise_error_probability(p, d)``
-    over the spectrum in order, then saturating and clipping to [0, 0.5].
+    then zero.  The remaining elements, NaN included, are gathered once
+    into one contiguous array.  One power table serves the union of the
+    rates' distances, and each distance's pairwise probability is
+    computed once.  Each rate then sums its own weighted terms in
+    spectrum order, so every result is bit-identical to summing
+    ``weight * pairwise_error_probability(p, d)`` over that rate's
+    spectrum, then saturating and clipping to [0, 0.5].
     """
-    if code_rate not in DISTANCE_SPECTRA:
-        raise ValueError(f"unknown code rate {code_rate!r}")
-    dfree, weights = DISTANCE_SPECTRA[code_rate]
+    spectra = []
+    for code_rate in code_rates:
+        if code_rate not in DISTANCE_SPECTRA:
+            raise ValueError(f"unknown code rate {code_rate!r}")
+        dfree, weights = DISTANCE_SPECTRA[code_rate]
+        spectra.append([(dfree + offset, weight) for offset, weight in enumerate(weights) if weight])
     p, scalar = _as_batch(channel_ber)
     saturated = p >= _UNION_BOUND_LIMIT
-    out = np.where(saturated, 0.5, 0.0)
+    outs = [np.where(saturated, 0.5, 0.0) for _ in spectra]
     pending = ~(saturated | (p <= 0.0))
-    if pending.any():
+    if spectra and pending.any():
         # Pending values lie in (0, limit) or are NaN, inside the clip range.
         live = p[pending]
-        terms = [(dfree + offset, weight) for offset, weight in enumerate(weights) if weight]
-        probabilities = _pairwise_error_probabilities(live, [distance for distance, _ in terms])
-        bound = np.zeros_like(live)
-        for (_, weight), probability in zip(terms, probabilities):
-            bound = bound + weight * probability
-        out[pending] = np.clip(bound, 0.0, 0.5)
-    return out[0] if scalar else out
+        distances = sorted({distance for terms in spectra for distance, _ in terms})
+        probabilities = dict(zip(distances, _pairwise_error_probabilities(live, distances)))
+        for out, terms in zip(outs, spectra):
+            bound = np.zeros_like(live)
+            for distance, weight in terms:
+                bound = bound + weight * probabilities[distance]
+            out[pending] = np.clip(bound, 0.0, 0.5)
+    return [out[0] if scalar else out for out in outs]
 
 
 def frame_error_rate(post_viterbi_ber, n_payload_bits: int) -> np.ndarray:

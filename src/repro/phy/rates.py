@@ -12,13 +12,14 @@ subcarrier dropping attacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..util import masked_row_means
 from .ber import uncoded_ber
-from .coding import coded_ber, frame_error_rate
+from .coding import coded_bers, frame_error_rate
 from .constants import MCS_TABLE, MPDU_PAYLOAD_BYTES, N_DATA_SUBCARRIERS, Mcs
 
 __all__ = [
@@ -168,6 +169,43 @@ def _as_batch_2d(sinr, used):
     return flat_sinr, mask
 
 
+def _mcs_runs(mcs_table: Sequence[Mcs]) -> List[Tuple[Mcs, ...]]:
+    """Split ``mcs_table`` into runs of consecutive entries sharing a modulation.
+
+    The runs keep table order, so a run's entries share one uncoded BER.
+    ``MCS_TABLE`` has four: BPSK, QPSK ×2, 16-QAM ×2 and 64-QAM ×3.
+    """
+    return [tuple(run) for _, run in groupby(mcs_table, key=lambda mcs: mcs.modulation)]
+
+
+def _run_goodputs(channel_ber, n_used, run: Sequence[Mcs], payload_bytes: int):
+    """``(goodput, fer)`` of each MCS of one modulation run, in run order.
+
+    ``channel_ber`` is the uncoded BER the decoder sees under the run's
+    modulation and ``n_used`` the parallel used-cell counts.  One
+    :func:`repro.phy.coding.coded_bers` call serves the whole run.  The
+    goodput is the PHY rate of the used cells times ``1 − FER``; as
+    ``1 − FER ≤ 1``, it never exceeds ``mcs.rate_bps * n_used / 52``.
+    """
+    posts = coded_bers(channel_ber, [mcs.code_rate for mcs in run])
+    results = []
+    for mcs, post in zip(run, posts):
+        fer = frame_error_rate(post, payload_bytes * 8)
+        phy_rate = mcs.rate_bps * n_used / N_DATA_SUBCARRIERS
+        results.append((phy_rate * (1.0 - fer), fer))
+    return results
+
+
+def _channel_bers(flat_sinr, mask, modulation):
+    """Per-row mean uncoded BER over the used cells; 0.5 for empty rows.
+
+    The one masked, order-sensitive mean is computed per row with
+    :func:`repro.util.masked_row_means`, so a row's result does not
+    depend on the rows batched with it.
+    """
+    return masked_row_means(uncoded_ber(flat_sinr, modulation), mask, fill=0.5)
+
+
 def evaluate_mcs_batch(
     sinr_linear,
     mcs: Mcs,
@@ -179,20 +217,14 @@ def evaluate_mcs_batch(
     ``sinr_linear``/``used`` carry a leading row axis; trailing axes are
     flattened row-major, as boolean masking of one row would.  Returns
     ``(goodput, fer, channel_ber, n_used)`` arrays; rows with no used
-    cells get the :data:`_ZERO` values.  The decoder's channel BER — the
-    one masked, order-sensitive mean — is computed per row with
-    :func:`repro.util.masked_row_means`, so a row's result does not
-    depend on the rows batched with it.
+    cells get the :data:`_ZERO` values.  One MCS of the per-run scan that
+    :func:`best_rate_batch` makes.
     """
     flat_sinr, mask = _as_batch_2d(sinr_linear, used)
     n_used = mask.sum(axis=1)
     empty = n_used == 0
-    bers = uncoded_ber(flat_sinr, mcs.modulation)
-    channel_ber = masked_row_means(bers, mask, fill=0.5)
-    post = coded_ber(channel_ber, mcs.code_rate)
-    fer = frame_error_rate(post, payload_bytes * 8)
-    phy_rate = mcs.rate_bps * n_used / N_DATA_SUBCARRIERS
-    goodput = phy_rate * (1.0 - fer)
+    channel_ber = _channel_bers(flat_sinr, mask, mcs.modulation)
+    ((goodput, fer),) = _run_goodputs(channel_ber, n_used, (mcs,), payload_bytes)
     return (
         np.where(empty, 0.0, goodput),
         np.where(empty, 1.0, fer),
@@ -207,9 +239,17 @@ def best_rate_batch(
     payload_bytes: int = MPDU_PAYLOAD_BYTES,
     mcs_table: Sequence[Mcs] = MCS_TABLE,
 ) -> BatchRateSelection:
-    """:func:`best_rate` for a batch: the strictly best MCS per row, in table order."""
+    """:func:`best_rate` for a batch: the strictly best MCS per row, in table order.
+
+    The table is scanned one modulation run at a time (:func:`_mcs_runs`):
+    each run computes the uncoded BER, its per-row mean and the coded BERs
+    of all its code rates once, then its MCSs are compared in table order,
+    so the first strict goodput maximum wins as in a one-MCS-at-a-time
+    scan.  Every MCS is evaluated: no cell is skipped.
+    """
     flat_sinr, mask = _as_batch_2d(sinr_linear, used)
     n_rows = flat_sinr.shape[0]
+    n_used = mask.sum(axis=1)
     best = BatchRateSelection(
         mcs_index=np.full(n_rows, -1),
         goodput_bps=np.zeros(n_rows),
@@ -217,16 +257,16 @@ def best_rate_batch(
         channel_ber=np.full(n_rows, 0.5),
         n_used=np.zeros(n_rows, dtype=int),
     )
-    for mcs in mcs_table:
-        goodput, fer, channel_ber, n_used = evaluate_mcs_batch(
-            flat_sinr, mcs, mask, payload_bytes
-        )
-        improved = goodput > best.goodput_bps
-        best = BatchRateSelection(
-            mcs_index=np.where(improved, mcs.index, best.mcs_index),
-            goodput_bps=np.where(improved, goodput, best.goodput_bps),
-            fer=np.where(improved, fer, best.fer),
-            channel_ber=np.where(improved, channel_ber, best.channel_ber),
-            n_used=np.where(improved, n_used, best.n_used),
-        )
+    for run in _mcs_runs(mcs_table):
+        channel_ber = _channel_bers(flat_sinr, mask, run[0].modulation)
+        for mcs, (goodput, fer) in zip(run, _run_goodputs(channel_ber, n_used, run, payload_bytes)):
+            # An empty row's goodput is exactly 0.0, so it never improves.
+            improved = goodput > best.goodput_bps
+            best = BatchRateSelection(
+                mcs_index=np.where(improved, mcs.index, best.mcs_index),
+                goodput_bps=np.where(improved, goodput, best.goodput_bps),
+                fer=np.where(improved, fer, best.fer),
+                channel_ber=np.where(improved, channel_ber, best.channel_ber),
+                n_used=np.where(improved, n_used, best.n_used),
+            )
     return best

@@ -14,10 +14,20 @@ subcarrier, a flat channel, one to three streams, zero budgets, and
 Figure-6 runs that converge, stall at the iteration cap or never
 converge.
 
-The one exemption is a budget that is not finite and positive: the
-references accept NaN and infinite budgets (returning "no MCS" or
-infinite powers), and the allocators now reject them, as
-``test_allocators_reject_bad_budgets`` checks.
+``allocate`` also runs a top-down MCS scan that skips cells which cannot
+win their row; the hand-built ties and unusual tables below are the cases
+where a wrong skip or a wrong tie rule would change the chosen cell or MCS.
+
+Two exemptions, both for a budget that is not finite and positive:
+
+* the reference ``allocate`` accepts NaN and infinite budgets (returning
+  "no MCS" or infinite powers), and the allocators reject them, as
+  ``test_allocators_reject_bad_budgets`` checks;
+* the references of ``allocate_single`` and ``allocate_concurrent``
+  return empty allocations for NaN and negative budgets, and the
+  production forms reject NaN, infinite and negative budgets, as
+  ``test_stream_allocators_reject_bad_budgets`` checks.  A zero budget
+  still gives every stream an empty allocation, in both.
 """
 
 from dataclasses import fields, replace
@@ -28,11 +38,15 @@ import pytest
 
 from repro.core import equi_snr
 from repro.core.equi_sinr import (
+    BatchConcurrentContext,
     ConcurrentAllocation,
     ConcurrentContext,
     StreamAllocation,
+    _batched,
     allocate_concurrent,
+    allocate_concurrent_batch,
     allocate_single,
+    allocate_single_batch,
     effective_gains,
     radiated_powers,
 )
@@ -49,6 +63,7 @@ from repro.core.equi_snr import (
 from repro.core.mercury import mercury_allocate, mercury_allocate_batch
 from repro.obs import Collector
 from repro.phy.constants import MCS_TABLE, MPDU_PAYLOAD_BYTES, Mcs
+from tests.phy.test_rates_reference import SAME_RATE_TIES, TABLES, mcs_copies
 
 # ---------------------------------------------------------------------------
 # References
@@ -419,6 +434,71 @@ def test_allocate_keeps_its_shape_error():
 
 
 # ---------------------------------------------------------------------------
+# The top-down MCS scan
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("case", sorted(GAIN_CASES))
+def test_allocate_with_unusual_tables_matches_the_reference(case, table):
+    gains, total_power = GAIN_CASES[case]
+    actual = allocate(gains, total_power, TABLES[table])
+    assert_same_allocation(actual, _reference_allocate(gains, total_power, TABLES[table]))
+
+
+@pytest.mark.parametrize("table", ["duplicated", "adjacent-duplicate"])
+def test_unusual_tables_see_duplicate_ties(table):
+    """Some case must win on a duplicated MCS, so its tie decides the index."""
+    entries = [(m.modulation, m.code_rate) for m in TABLES[table]]
+    chosen = [_reference_allocate(*GAIN_CASES[case], TABLES[table]).mcs for case in GAIN_CASES]
+    assert any(
+        m is not None and entries.count((m.modulation, m.code_rate)) > 1 for m in chosen
+    )
+
+
+def _ceiling_tie_gains(width):
+    """One row whose maximum is reached by two drop counts at their rate ceiling.
+
+    With ``TIE_TABLE`` (QPSK 1/2 at 13 Mbit/s, 16-QAM 1/2 at 26 Mbit/s)
+    keeping both usable subcarriers at an equalized SNR of 17.375 gives
+    13 Mbit/s × 2/52 with ``1 − FER`` rounding to exactly 1, while
+    16-QAM there does worse.  Dropping the weaker one leaves an SNR of
+    4000, where 16-QAM's FER is exactly 0: 26 Mbit/s × 1/52, the same
+    float.  Other subcarriers, if any, are dead (zero gain).
+    """
+    gains = np.zeros(width)
+    gains[-2:] = 1.0 / (1.0 / 17.375 - 1.0 / 4000.0), 4000.0
+    return gains
+
+
+TIE_TABLE = mcs_copies([1, 3])
+
+
+@pytest.mark.parametrize("width", [2, 52])
+def test_row_tie_at_the_rate_ceiling(width):
+    gains = _ceiling_tie_gains(width)
+    expected = _reference_allocate(gains, 1.0, TIE_TABLE)
+    # The tie is real: the earlier drop count wins it with the earlier MCS.
+    ceiling = TIE_TABLE[0].rate_bps * 2 / 52
+    assert expected.mcs is TIE_TABLE[0] and expected.n_used == 2
+    assert expected.goodput_bps == ceiling
+    assert uniform_goodput(np.array([4000.0]), np.array([1]), TIE_TABLE[1])[0] == ceiling
+    assert uniform_goodput(np.array([17.375]), np.array([2]), TIE_TABLE[1])[0] < ceiling
+    assert_same_allocation(allocate(gains, 1.0, TIE_TABLE), expected)
+
+
+@pytest.mark.parametrize("case", sorted(SAME_RATE_TIES))
+@pytest.mark.parametrize("width", [1, 52])
+def test_same_cell_tie_between_equal_rates(case, width):
+    table, index = SAME_RATE_TIES[case]
+    gains = np.full(width, 1e4)
+    expected = _reference_allocate(gains, 1.0, table)
+    assert expected.mcs.index == index and expected.n_used == width
+    assert expected.goodput_bps == MCS_TABLE[1].rate_bps * width / 52
+    assert_same_allocation(allocate(gains, 1.0, table), expected)
+
+
+# ---------------------------------------------------------------------------
 # Figure 6
 # ---------------------------------------------------------------------------
 
@@ -499,6 +579,21 @@ def test_allocate_single_matches_the_reference(allocator, case):
     actual = allocate_single(gains, total_power, interference, noise_mw, allocator=production)
     expected = _reference_allocate_single(gains, total_power, interference, noise_mw, reference)
     assert_same_streams(actual, expected)
+
+
+@pytest.mark.parametrize("allocator", sorted(ALLOCATORS))
+@pytest.mark.parametrize("streams", [1, 2, 3])
+def test_allocate_single_batch_rows_match_the_reference(allocator, streams):
+    """All streams of all rows go through one allocator call; each row must
+    still equal its own per-row reference."""
+    production, reference = ALLOCATORS[allocator]
+    rng = np.random.default_rng(500 + streams)
+    gains = np.stack([_stream_gains(rng, streams, 5, 35) for _ in range(4)])
+    interference = rng.uniform(0, 3e-8, (4, 52))
+    actual = allocate_single_batch(gains, 31.6, interference, 1e-10, _batched(production))
+    for b in range(4):
+        expected = _reference_allocate_single(gains[b], 31.6, interference[b], 1e-10, reference)
+        assert_same_streams(actual.row(b), expected)
 
 
 def test_allocate_single_keeps_its_shape_error():
@@ -597,3 +692,46 @@ def test_allocate_batch_rejects_one_bad_row_budget():
     with pytest.raises(ValueError, match="total_power"):
         allocate_batch(np.full((3, 52), 100.0), np.array([1.0, np.nan, 2.0]))
 
+
+
+@pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf, -1.0])
+def test_stream_allocators_reject_bad_budgets(budget):
+    gains = np.full((52, 2), 1e-7)
+    coupling = np.full((52, 2), 1e-9)
+    with pytest.raises(ValueError, match="total_power"):
+        allocate_single(gains, budget, noise_mw=1e-10)
+    with pytest.raises(ValueError, match="total_power"):
+        allocate_single_batch(gains[None], budget, noise_mw=1e-10)
+    for budgets in ([budget, 31.6], [31.6, budget]):
+        context = ConcurrentContext(
+            gains=[gains, gains], coupling=[coupling, coupling], budgets=budgets, noise_mw=[1e-10, 1e-10]
+        )
+        with pytest.raises(ValueError, match="total_power"):
+            allocate_concurrent(context)
+        batch = BatchConcurrentContext(
+            gains=[gains[None], gains[None]],
+            coupling=[coupling[None], coupling[None]],
+            budgets=budgets,
+            noise_mw=[1e-10, 1e-10],
+        )
+        with pytest.raises(ValueError, match="total_power"):
+            allocate_concurrent_batch(batch)
+
+
+@pytest.mark.parametrize("allocator", sorted(ALLOCATORS))
+def test_zero_budget_gives_empty_streams(allocator):
+    production, reference = ALLOCATORS[allocator]
+    gains = np.full((52, 2), 1e-7)
+    actual = allocate_single(gains, 0.0, noise_mw=1e-10, allocator=production)
+    assert_same_streams(actual, _reference_allocate_single(gains, 0.0, None, 1e-10, reference))
+    assert not actual.used.any() and all(a.mcs is None for a in actual.per_stream)
+    context = ConcurrentContext(
+        gains=[gains, gains],
+        coupling=[np.full((52, 2), 1e-9)] * 2,
+        budgets=[0.0, 31.6],
+        noise_mw=[1e-10, 1e-10],
+    )
+    assert_same_concurrent(
+        allocate_concurrent(context, allocator=production),
+        _reference_allocate_concurrent(context, allocator=reference),
+    )

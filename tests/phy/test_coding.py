@@ -1,5 +1,7 @@
 """Convolutional-code union bound and frame error rates."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.phy.coding import (
     _as_batch,
     _comb,
     coded_ber,
+    coded_bers,
     frame_error_rate,
     mpdu_error_rate,
     pairwise_error_probability,
@@ -310,3 +313,54 @@ class TestUnionBoundMatchesReference:
                 pairwise_error_probability(value, distance),
                 _reference_pairwise_error_probability(value, distance),
             )
+
+
+#: Every non-empty subset of the four code rates, in ascending and
+#: descending order: 15 subsets, 30 orderings (one-rate subsets twice).
+RATE_SUBSETS = [
+    ordered
+    for size in range(1, len(DISTANCE_SPECTRA) + 1)
+    for subset in combinations(sorted(DISTANCE_SPECTRA), size)
+    for ordered in (subset, subset[::-1])
+]
+
+
+class TestCodedBersMatchesReference:
+    """``coded_bers`` shares one power table across its rates; each rate
+    must still equal the per-distance reference bit for bit."""
+
+    def test_every_subset_is_listed(self):
+        assert len({frozenset(subset) for subset in RATE_SUBSETS}) == 15
+
+    @staticmethod
+    def _check(ps, code_rates):
+        results = coded_bers(ps, code_rates)
+        assert isinstance(results, list) and len(results) == len(code_rates)
+        for code_rate, result in zip(code_rates, results):
+            _assert_same_bits(result, _reference_coded_ber(ps, code_rate))
+
+    @pytest.mark.parametrize("code_rates", RATE_SUBSETS, ids=str)
+    def test_one_dimensional_with_specials(self, code_rates):
+        self._check(_channel_bers(2015), code_rates)
+        self._check(_SPECIALS, code_rates)
+
+    @pytest.mark.parametrize("code_rates", RATE_SUBSETS, ids=str)
+    def test_equi_snr_row_shape(self, code_rates):
+        self._check(_channel_bers(7)[: 24 * 52].reshape(24, 52), code_rates)
+
+    @pytest.mark.parametrize("code_rates", RATE_SUBSETS, ids=str)
+    def test_python_floats_and_zero_d_arrays(self, code_rates):
+        for value in _SPECIALS:
+            for scalar in (float(value), np.array(value)):
+                self._check(scalar, code_rates)
+
+    def test_repeated_rates_and_all_saturated(self):
+        rates = [(3, 4), (1, 2), (3, 4)]
+        self._check(_channel_bers(3), rates)
+        self._check(np.array([0.3, 0.0, -1.0, np.inf]), rates)
+        self._check(np.array([]), rates)
+
+    def test_no_rates_and_unknown_rate(self):
+        assert coded_bers(_SPECIALS, []) == []
+        with pytest.raises(ValueError, match="unknown code rate"):
+            coded_bers(0.01, [(1, 2), (7, 8)])

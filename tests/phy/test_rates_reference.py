@@ -7,7 +7,10 @@ per transmission.  Each one-row call must reproduce them byte for byte
 (every field, its type and the ``Mcs`` object itself) on seeded inputs
 and on the edge cases a transmission can hit: 1-D and 2-D SINR, one to
 three streams, no mask, an empty mask, a full mask, a single used cell,
-SINRs of exactly zero, and a subset MCS table.
+SINRs of exactly zero, and a subset MCS table.  ``best_rate`` scans the
+table one modulation run at a time, so reversed, partial, duplicated,
+non-contiguous and one-entry tables, and ties between equal rates, are
+checked too.
 """
 
 from dataclasses import fields, replace
@@ -145,6 +148,53 @@ def test_best_rate_with_a_subset_table_matches_the_reference(payload_bytes):
         sinr, used = CASES[case]
         expected = _reference_best_rate(sinr, used, payload_bytes, table)
         assert_same_selection(best_rate(sinr, used, payload_bytes, table), expected)
+
+
+def mcs_copies(indices):
+    return [replace(MCS_TABLE[i]) for i in indices]
+
+
+#: name -> MCS table.  The entries are copies, so the chosen ``Mcs`` must
+#: be the table's own object; "+10" entries duplicate an MCS under
+#: another index, so every duplicated winner is a tie between indices.
+#: Equi-SNR's reference tests use the same tables.
+TABLES = {
+    "reversed": mcs_copies(range(7, -1, -1)),
+    "partial": mcs_copies([1, 4, 5]),
+    "duplicated": mcs_copies(range(8)) + [replace(m, index=m.index + 10) for m in MCS_TABLE],
+    "adjacent-duplicate": mcs_copies(range(8)) + [replace(MCS_TABLE[7], index=9)],
+    "non-contiguous": mcs_copies([6, 1, 7, 3, 0, 4, 2]),
+    "one-entry": mcs_copies([4]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_best_rate_with_unusual_tables_matches_the_reference(table):
+    for case in sorted(CASES):
+        sinr, used = CASES[case]
+        expected = _reference_best_rate(sinr, used, mcs_table=TABLES[table])
+        assert_same_selection(best_rate(sinr, used, mcs_table=TABLES[table]), expected)
+
+
+#: name -> (table, the index a strict ascending scan picks) for an SNR at
+#: which QPSK is error-free, so both copies of MCS 1 give its full rate.
+SAME_RATE_TIES = {
+    # One run holds both copies.
+    "adjacent": (mcs_copies([0, 1]) + [replace(MCS_TABLE[1], index=9)], 1),
+    # Three runs; scanned top-down, the later copy is visited first and
+    # sets the row best to exactly MCS 1's ceiling.
+    "split": (mcs_copies([1, 0]) + [replace(MCS_TABLE[1], index=9)], 1),
+    "split-reversed": ([replace(MCS_TABLE[1], index=9)] + mcs_copies([0, 1]), 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_RATE_TIES))
+def test_equal_rates_tie_to_the_earlier_entry(case):
+    table, index = SAME_RATE_TIES[case]
+    sinr = np.full((52, 2), 1e4)
+    expected = _reference_best_rate(sinr, mcs_table=table)
+    assert expected.mcs.index == index and expected.fer == 0.0
+    assert_same_selection(best_rate(sinr, mcs_table=table), expected)
 
 
 def test_cases_cover_every_outcome():
