@@ -4,9 +4,9 @@ The batched engine (:mod:`repro.core.batch`) evaluates a whole stack of
 topologies as ``(n_topologies, n_sc, n_rx, n_tx)`` arrays in single
 NumPy calls instead of running the engine once per topology as a
 one-row batch.  This harness measures the end-to-end sweep speedup of
-``run_experiment`` with the default batched dispatch
-(``batch_size=None``) over the legacy per-topology path
-(``batch_size=1``) — same tasks, same seeds, same bits.
+``run_experiment`` with the default dispatch (whole batched groups,
+``chunk_size=None``) over per-topology units (``chunk_size=1``) — same
+tasks, same seeds, same bits.
 
 Before timing anything the harness asserts that the batched and legacy
 runs produce **bit-identical** per-series arrays — a batched engine that
@@ -83,7 +83,7 @@ def run_benchmark(quick: bool = False) -> Dict[str, object]:
     repeats = 1 if quick else 2
 
     # --- correctness gate: batched vs legacy, bit-identical ---
-    legacy_result = run_experiment(spec, config, workers=1, batch_size=1)
+    legacy_result = run_experiment(spec, config, workers=1, chunk_size=1)
     reference = _series_of(legacy_result)
     batched_result = run_experiment(spec, config, workers=1)
     _assert_identical(reference, batched_result, "batched")
@@ -94,7 +94,7 @@ def run_benchmark(quick: bool = False) -> Dict[str, object]:
     legacy_samples, batched_samples = [], []
     for _ in range(repeats):
         start = time.perf_counter()
-        run_experiment(spec, config, workers=1, batch_size=1)
+        run_experiment(spec, config, workers=1, chunk_size=1)
         legacy_samples.append(time.perf_counter() - start)
         start = time.perf_counter()
         run_experiment(spec, config, workers=1)

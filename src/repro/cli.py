@@ -90,6 +90,8 @@ def _print_runner_stats(result) -> None:
     )
     if stats.parallel:
         line += f", chunk {stats.chunk_size}, {stats.worker_utilization:.0%} utilization"
+    if stats.batch_size > 1:
+        line += f", batch {stats.batch_size}"
     line += ")"
     if stats.fallback_reason:
         line += f"\nserial fallback: {stats.fallback_reason}"
@@ -246,7 +248,6 @@ def _run_for_args(args, spec, config, collector, cache):
             config,
             workers=args.workers,
             chunk_size=args.chunk_size,
-            batch_size=args.batch_size,
             options=_engine_options(args),
             collector=collector,
             policy=_retry_policy(args),
@@ -259,7 +260,6 @@ def _run_for_args(args, spec, config, collector, cache):
         config,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        batch_size=args.batch_size,
         options=_engine_options(args),
         collector=collector,
         policy=_retry_policy(args),
@@ -589,14 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--chunk-size",
             type=_positive_int,
             default=None,
-            help="topologies per worker dispatch (default: auto)",
-        )
-        command.add_argument(
-            "--batch-size",
-            type=_positive_int,
-            default=None,
-            help="topologies per batched-engine dispatch; 1 = legacy "
-            "per-topology evaluation (default: auto, bit-identical)",
+            help="most topologies per dispatch unit; 1 = evaluate each on its "
+            "own (default: whole batched groups serially, auto on a pool)",
         )
         command.add_argument(
             "--trace",

@@ -112,16 +112,21 @@ __all__ = [
 def batchable(task) -> bool:
     """Can this task join a batched engine dispatch?
 
-    Requires: no fault injection, no per-task observation (its trace
-    stays per topology), no explicit cluster policy (N-cell dispatch is
-    per-topology), and the 2-AP/2-client topology with uniform antenna
-    counts (the stacked tensors need one shape).  N>2 tasks therefore
-    always classify to the per-topology path, where
-    ``evaluate_topology`` routes them through the interference-graph
-    engine.  Any allocator and rate selector batches.
+    Requires: no fault armed for the task's ``(index, attempt)`` (an
+    unarmed plan fires nothing, so its task batches beside clean ones),
+    no per-task observation (its trace stays per topology), no explicit
+    cluster policy (N-cell dispatch is per-topology), and the
+    2-AP/2-client topology with uniform antenna counts (the stacked
+    tensors need one shape).  N>2 tasks therefore always classify to the
+    per-topology path, where ``evaluate_topology`` routes them through
+    the interference-graph engine.  Any allocator and rate selector
+    batches.
     """
     options = task.options
-    if getattr(task, "fault_plan", None) is not None or getattr(task, "observe", False):
+    plan = getattr(task, "fault_plan", None)
+    if plan is not None and plan.active(task.index, task.attempt) is not None:
+        return False
+    if getattr(task, "observe", False):
         return False
     if getattr(options, "cluster_policy", None) is not None:
         return False

@@ -52,7 +52,6 @@ def run_emulated_experiment(
     config: SimConfig = DEFAULT_CONFIG,
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     options: Optional[EngineOptions] = None,
     collector: Optional[Collector] = None,
     policy: Optional[RetryPolicy] = None,
@@ -67,7 +66,7 @@ def run_emulated_experiment(
     emulated traces are plain :class:`ChannelSet` data, so the parallel
     path is bit-identical to the serial one (see :mod:`repro.sim.runner`).
     The execution/observability/fault-tolerance keywords (``workers``,
-    ``chunk_size``, ``batch_size``, ``options``, ``collector``, ``policy``,
+    ``chunk_size``, ``options``, ``collector``, ``policy``,
     ``checkpoint``, ``resume``, ``fault_plan``, ``cache``) match
     :func:`repro.sim.experiment.run_experiment`; with a cache, the base
     (unscaled) traces are memoized once and every offset's scaled replay
@@ -95,7 +94,6 @@ def run_emulated_experiment(
             channel_sets=emulated,
             workers=workers,
             chunk_size=chunk_size,
-            batch_size=batch_size,
             options=options,
             collector=collector,
             policy=policy,

@@ -163,7 +163,6 @@ def run_experiment(
     channel_sets: Optional[Sequence[ChannelSet]] = None,
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     options: Optional[EngineOptions] = None,
     collector: Optional[Collector] = None,
     policy: Optional[RetryPolicy] = None,
@@ -187,11 +186,10 @@ def run_experiment(
         ``<= 0`` → one per CPU); every topology carries its private seed,
         so parallel results are bit-identical to serial ones.
     ``chunk_size``
-        overrides the dispatch chunking policy.
-    ``batch_size``
-        the batched-engine dispatch unit (see
-        :func:`repro.sim.runner.run_tasks`): ``None`` batches
-        automatically, ``1`` forces the legacy per-topology path.
+        caps the dispatch unit (see :func:`repro.sim.runner.run_tasks`):
+        ``None`` runs whole batched-engine groups serially and
+        :func:`~repro.sim.runner.auto_chunk_size` groups on a pool;
+        ``1`` evaluates every topology on its own.  Must be >= 1.
     ``options``
         a validated :class:`~repro.core.options.EngineOptions` (e.g.
         ``rate_selector`` for §4.6's multi-decoder evaluation), or
@@ -228,8 +226,8 @@ def run_experiment(
         ``None``; shards carry the spec/config, not arrays) and is
         mutually exclusive with ``checkpoint``/``resume``/``fault_plan``
         (the service journals per shard and chaos-injects through its own
-        hook); ``chunk_size``/``batch_size`` don't apply to the per-task
-        fault-tolerant path workers run.
+        hook); ``chunk_size`` doesn't apply: a worker drains each shard
+        in the runner's default units.
     """
     # Resolve here so a bad options value fails in the caller's frame.
     options = EngineOptions.resolve(options)
@@ -276,7 +274,6 @@ def run_experiment(
             tasks,
             workers=workers,
             chunk_size=chunk_size,
-            batch_size=batch_size,
             collector=collector,
             policy=policy,
             checkpoint=checkpoint,

@@ -16,12 +16,17 @@ construction makes **retries pure replays**: a re-dispatched task carries
 the same seed, so its result is bit-identical to a first-try success
 (pinned by the chaos suite in ``tests/sim/test_chaos.py``).
 
-Fault tolerance: pass ``policy=`` (a :class:`RetryPolicy`) and each task
-gets bounded retries with exponential backoff, a per-attempt result-wait
-timeout on the pool path, and an integrity check that rejects corrupt
-results.  A broken pool (real or injected via :mod:`repro.sim.faults`)
-degrades gracefully — completed results are kept and the remaining
-topologies are re-dispatched serially.  Tasks that fail permanently raise
+One dispatch path: every run — plain, retried, journaled, resumed,
+cached, fault-injected or sharded — cuts its tasks into dispatch units
+(the batched engine's homogeneous groups, capped at the chunk size, plus
+every task that must run on its own) and evaluates them under one retry
+loop, in a process pool or in the calling process.  A failed group is
+split into halves; a failed single task gets bounded retries with
+exponential backoff, a per-attempt result-wait timeout on the pool path,
+and an integrity check that rejects corrupt results.  A broken pool
+(real or injected via :mod:`repro.sim.faults`) degrades gracefully —
+completed results are kept and the remaining topologies are
+re-dispatched serially.  Tasks that fail permanently raise
 :class:`RunnerError` *after* every other topology finished, so one
 poisoned topology never discards a sweep's surviving results.
 
@@ -62,6 +67,7 @@ import os
 import pickle
 import time
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -259,15 +265,19 @@ def build_tasks(
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the runner reacts to failing, hanging or corrupt tasks.
+    """How the runner reacts to failing, hanging or corrupt dispatch units.
 
     ``max_retries`` bounds *re-attempts per task* (0 = fail on the first
-    error).  ``task_timeout_s`` is the per-attempt result-wait timeout on
-    the pool path; the serial path cannot pre-empt a running evaluation,
-    so overruns there are detected post-hoc and counted without discarding
-    the (valid) result.  Backoff grows exponentially from
-    ``backoff_base_s`` by ``backoff_factor`` per retry, capped at
-    ``backoff_max_s``; ``sleep`` is injectable so tests stay instant.
+    error; what a run without a policy gets).  ``task_timeout_s`` is the
+    per-task result-wait timeout: a unit of n tasks waits ``n ×
+    task_timeout_s`` on the pool path.  The serial path cannot pre-empt
+    a running evaluation, so overruns there are detected post-hoc and
+    counted without discarding the (valid) result.  A failed unit of
+    several tasks is split into halves at the same attempt, with no
+    backoff; retries apply to one-task units.  Backoff grows
+    exponentially from ``backoff_base_s`` by ``backoff_factor`` per
+    retry, capped at ``backoff_max_s``; ``sleep`` is injectable so tests
+    stay instant.
 
     Retries never affect results: a re-dispatched task carries the same
     seed, so the accepted result is bit-identical to a fault-free run.
@@ -295,7 +305,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class RunnerEvent:
-    """One fault-tolerance event (retry, timeout, fallback or failure)."""
+    """One fault-tolerance event (retry, timeout, split, fallback or failure)."""
 
     kind: str
     index: int
@@ -333,7 +343,8 @@ class RunnerStats:
 
     #: Worker count the runner resolved to (1 for the serial path).
     workers: int
-    #: Tasks handed to each worker per dispatch round.
+    #: Largest dispatch unit allowed: whole groups serially by default,
+    #: :func:`auto_chunk_size` on a pool, or the caller's ``chunk_size``.
     chunk_size: int
     #: Whether the process pool actually ran (False → serial path).
     parallel: bool
@@ -360,7 +371,8 @@ class RunnerStats:
     #: Topologies that missed the cache and were (re)computed (0 when no
     #: cache was attached).
     cache_misses: int = 0
-    #: Largest batched-engine dispatch unit used (1 = per-topology path).
+    #: Largest group the batched engine actually ran (1 = every topology
+    #: was evaluated on its own).
     batch_size: int = 1
 
     @property
@@ -414,56 +426,38 @@ def _picklable(task: TopologyTask) -> bool:
         return False
 
 
-def _run_serial(tasks: Sequence[TopologyTask]) -> List[TaskResult]:
-    return [evaluate_topology(task) for task in tasks]
-
-
 def evaluate_batch(tasks: Sequence[TopologyTask]) -> List[TaskResult]:
-    """Evaluate a chunk of tasks through the batched engine; task order kept.
+    """Evaluate one dispatch unit; results in task order.
 
-    Module-level so pool workers import it by reference, like
-    :func:`evaluate_topology`.  Tasks are grouped by
-    :func:`repro.core.batch.group_key`; each group runs as one
-    :class:`~repro.core.batch.BatchedStrategyEngine` dispatch, bit-identical
-    to the per-topology path.  Tasks that must stay per topology
-    (observed, fault-injected, cluster-policy, non-2x2 topologies) go
-    through :func:`evaluate_topology` individually, as
-    does a whole group if its batched dispatch raises (with a
-    :class:`RuntimeWarning` naming the exception).  Per-task
-    ``elapsed_s`` is the batch wall-clock divided evenly over its rows —
-    the logical serial timeline the observability merge expects.
+    A unit is one task or one homogeneous group from
+    :func:`repro.core.batch.partition_tasks`.  Module-level so pool
+    workers import it by reference, like :func:`evaluate_topology`.  One
+    task runs through :func:`evaluate_topology`; a group runs as one
+    :class:`~repro.core.batch.BatchedStrategyEngine` dispatch,
+    bit-identical to the per-topology path.  Whatever the engine raises
+    propagates: the retry loop in :func:`run_tasks` splits a failed group.
+    Per-task ``elapsed_s`` is the group wall-clock divided evenly over
+    its rows — the logical serial timeline the observability merge
+    expects.
     """
     tasks = list(tasks)
-    results: Dict[int, TaskResult] = {}
-    batches, singles = batch_engine.partition_tasks(tasks)
-    for single in singles:
-        results[single.index] = evaluate_topology(single)
-    for group in batches:
-        start = time.perf_counter()
-        try:
-            outcomes = batch_engine.run_batch(group)
-        except Exception as exc:
-            # Never lose a sweep to a batching defect: replay the group
-            # through the reference per-topology path, and say so.
-            warnings.warn(
-                f"batched engine raised {type(exc).__name__} on a group of "
-                f"{len(group)} topologies; replaying it per topology",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            for task in group:
-                results[task.index] = evaluate_topology(task)
-            continue
-        elapsed_s = (time.perf_counter() - start) / len(group)
-        for task, (outcome, plus_outcome) in zip(group, outcomes):
-            record = TopologyRecord(
+    if len(tasks) == 1:
+        return [evaluate_topology(tasks[0])]
+    start = time.perf_counter()
+    outcomes = batch_engine.run_batch(tasks)
+    elapsed_s = (time.perf_counter() - start) / len(tasks)
+    return [
+        TaskResult(
+            record=TopologyRecord(
                 index=task.index,
                 channels=task.channels,
                 outcome=outcome,
                 plus_outcome=plus_outcome,
-            )
-            results[task.index] = TaskResult(record=record, elapsed_s=elapsed_s)
-    return [results[task.index] for task in tasks]
+            ),
+            elapsed_s=elapsed_s,
+        )
+        for task, (outcome, plus_outcome) in zip(tasks, outcomes)
+    ]
 
 
 def _intact(task: TopologyTask, result: TaskResult) -> bool:
@@ -477,194 +471,138 @@ def _intact(task: TopologyTask, result: TaskResult) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fault-tolerant dispatch (active when policy/checkpoint/faults are in play).
+# The dispatch loop.
 # ---------------------------------------------------------------------------
+
+Unit = List[TopologyTask]
+
+
+def _units(tasks: Sequence[TopologyTask], chunk: Optional[int]) -> List[Unit]:
+    """Dispatch units in task order: groups of at most ``chunk`` tasks,
+    and every task that cannot batch on its own."""
+    batches, singles = batch_engine.partition_tasks(tasks, max_batch=chunk)
+    position = {task.index: offset for offset, task in enumerate(tasks)}
+    return sorted(batches + [[task] for task in singles], key=lambda unit: position[unit[0].index])
+
+
+class _Deferred:
+    """A serial "future": the call runs in-process when its result is asked for."""
+
+    def __init__(self, fn: Callable, unit: Unit):
+        self.fn, self.unit = fn, unit
+
+    def result(self, timeout: Optional[float] = None) -> List[TaskResult]:
+        return self.fn(self.unit)
+
+
+class _Inline:
+    """The serial executor: the pool's ``submit``, evaluated in-process."""
+
+    def submit(self, fn: Callable, unit: Unit) -> _Deferred:
+        return _Deferred(fn, unit)
 
 
 class _PoolBroken(Exception):
-    """Internal: the pool died while waiting on ``culprit_index``."""
+    """Internal: the pool died while running ``culprit``."""
 
-    def __init__(self, culprit_index: int, error: BaseException):
-        self.culprit_index = culprit_index
+    def __init__(self, culprit: Unit, error: BaseException):
+        self.culprit = culprit
         self.error = error
         super().__init__(str(error))
 
 
-def _evaluate_with_retries(
-    task: TopologyTask, policy: RetryPolicy, events: List[RunnerEvent]
-) -> Tuple[Optional[TaskResult], Optional[str]]:
-    """Serial evaluation of one task under the retry policy.
+def _submit(executor, unit: Unit):
+    try:
+        return executor.submit(evaluate_batch, unit)
+    except BrokenProcessPool as error:
+        raise _PoolBroken(unit, error)
 
-    The serial path cannot pre-empt a hung evaluation; overruns of
-    ``task_timeout_s`` are detected post-hoc (wall-clock around the call)
-    and recorded as timeout events while the completed result is kept.
+
+def _dispatch(
+    units: Sequence[Unit],
+    executor,
+    policy: RetryPolicy,
+    events: List[RunnerEvent],
+    failures: Dict[int, str],
+    on_complete: Callable[[Unit, List[TaskResult]], None],
+) -> bool:
+    """The one retry loop: evaluate every unit on ``executor``.
+
+    Units are harvested in order, so event accounting is deterministic
+    for a given fault plan.  A unit of n tasks waits ``n ×
+    task_timeout_s`` for its result.  A failed multi-task unit — it
+    raised, timed out or failed :func:`_intact` — is split into halves
+    that are re-dispatched at once at the same attempt; a failed
+    one-task unit is retried with backoff until ``max_retries`` runs
+    out, then lands in ``failures``.  The serial executor cannot
+    pre-empt, so its overruns are recorded post-hoc and the result kept.
+    On a pool, :class:`BrokenProcessPool` escalates as
+    :class:`_PoolBroken`; serially it is an ordinary failure.  Returns
+    whether any attempt was abandoned on a timeout.
     """
-    attempt = task.attempt
-    while True:
-        reason: Optional[str] = None
-        result: Optional[TaskResult] = None
+    serial = isinstance(executor, _Inline)
+    first_attempt = {task.index: task.attempt for unit in units for task in unit}
+    queue = deque((unit, _submit(executor, unit)) for unit in units)
+    abandoned = False
+    while queue:
+        unit, future = queue.popleft()
+        head = unit[0]
+        limit = None if policy.task_timeout_s is None else policy.task_timeout_s * len(unit)
+        reason = cause = ""
+        results: Optional[List[TaskResult]] = None
         start = time.perf_counter()
         try:
-            result = evaluate_topology(replace(task, attempt=attempt))
+            results = future.result(timeout=None if serial else limit)
         except Exception as error:  # noqa: BLE001 — every failure is retryable here
-            reason = f"{type(error).__name__}: {error}"
-        if result is not None:
+            if isinstance(error, BrokenProcessPool) and not serial:
+                raise _PoolBroken(unit, error)
+            if isinstance(error, FuturesTimeoutError) and not serial and limit is not None:
+                # The attempt may still be running; abandon its future (its
+                # eventual result is never merged) and re-dispatch.
+                abandoned = True
+                future.cancel()
+                reason, cause = f"no result within {limit:.3f}s", "a timeout"
+                events.append(RunnerEvent("timeout", head.index, head.attempt, reason))
+            else:
+                reason, cause = f"{type(error).__name__}: {error}", type(error).__name__
+        if results is not None:
             wall_s = time.perf_counter() - start
-            if policy.task_timeout_s is not None and wall_s > policy.task_timeout_s:
+            if serial and limit is not None and wall_s > limit:
                 events.append(
                     RunnerEvent(
                         "timeout",
-                        task.index,
-                        attempt,
-                        f"ran {wall_s:.3f}s > {policy.task_timeout_s:.3f}s "
+                        head.index,
+                        head.attempt,
+                        f"ran {wall_s:.3f}s > {limit:.3f}s "
                         "(post-hoc; serial evaluation cannot be pre-empted)",
                     )
                 )
-            if _intact(task, result):
-                return result, None
-            reason = "integrity check failed (corrupt result)"
-        if attempt - task.attempt >= policy.max_retries:
-            events.append(RunnerEvent("failure", task.index, attempt, reason or ""))
-            return None, reason
-        events.append(RunnerEvent("retry", task.index, attempt + 1, reason or ""))
-        policy.sleep(policy.backoff_s(attempt - task.attempt))
-        attempt += 1
-
-
-def _submit(pool: ProcessPoolExecutor, task: TopologyTask):
-    try:
-        return pool.submit(evaluate_topology, task)
-    except BrokenProcessPool as error:
-        raise _PoolBroken(task.index, error)
-
-
-def _run_parallel_ft(
-    pending: Sequence[TopologyTask],
-    n_workers: int,
-    policy: RetryPolicy,
-    events: List[RunnerEvent],
-    on_complete: Callable[[TopologyTask, TaskResult], None],
-) -> Dict[int, str]:
-    """Pool dispatch with per-attempt timeouts, retries and integrity checks.
-
-    Every task is its own future; results are harvested in task order so
-    retry/timeout accounting is deterministic for a given fault plan.  A
-    :class:`BrokenProcessPool` (real or simulated) escalates as
-    :class:`_PoolBroken` so the caller can degrade to serial re-dispatch.
-    Returns index → reason for tasks that exhausted their retries.
-    """
-    failures: Dict[int, str] = {}
-    abandoned = False
-    pool = ProcessPoolExecutor(max_workers=n_workers)
-    try:
-        futures = {task.index: _submit(pool, task) for task in pending}
-        for task in pending:
-            attempt = task.attempt
-            while True:
-                future = futures[task.index]
-                reason: Optional[str] = None
-                result: Optional[TaskResult] = None
-                try:
-                    result = future.result(timeout=policy.task_timeout_s)
-                except FuturesTimeoutError:
-                    # The attempt may still be running; abandon its future
-                    # (its eventual result is never merged) and re-dispatch.
-                    abandoned = True
-                    future.cancel()
-                    reason = f"no result within {policy.task_timeout_s:.3f}s"
-                    events.append(RunnerEvent("timeout", task.index, attempt, reason))
-                except BrokenProcessPool as error:
-                    abandoned = True
-                    raise _PoolBroken(task.index, error)
-                except Exception as error:  # noqa: BLE001 — worker exception
-                    reason = f"{type(error).__name__}: {error}"
-                if result is not None:
-                    if _intact(task, result):
-                        on_complete(task, result)
-                        break
-                    reason = "integrity check failed (corrupt result)"
-                if attempt - task.attempt >= policy.max_retries:
-                    events.append(RunnerEvent("failure", task.index, attempt, reason or ""))
-                    failures[task.index] = reason or "unknown failure"
-                    break
-                events.append(RunnerEvent("retry", task.index, attempt + 1, reason or ""))
-                policy.sleep(policy.backoff_s(attempt - task.attempt))
-                attempt += 1
-                futures[task.index] = _submit(pool, replace(task, attempt=attempt))
-        return failures
-    finally:
-        # Don't block on abandoned (possibly hung) attempts; their workers
-        # drain in the background and their results are discarded.
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
-
-
-def _run_ft(
-    tasks: Sequence[TopologyTask],
-    n_workers: int,
-    policy: RetryPolicy,
-    journal: Optional[Journal],
-    events: List[RunnerEvent],
-) -> Tuple[Dict[int, TaskResult], Dict[int, str], bool, Optional[str], int]:
-    """The fault-tolerant driver: resume, pool dispatch, serial degradation.
-
-    Returns ``(completed, failures, parallel, fallback_reason, resumed)``.
-    """
-    completed: Dict[int, TaskResult] = {}
-    resumed = 0
-    if journal is not None:
-        completed.update(journal.completed)
-        resumed = len(completed)
-
-    def on_complete(task: TopologyTask, result: TaskResult) -> None:
-        completed[task.index] = result
-        if journal is not None:
-            journal.record(result)
-
-    pending = [task for task in tasks if task.index not in completed]
-    failures: Dict[int, str] = {}
-    parallel = False
-    fallback_reason: Optional[str] = None
-    serial_pending: List[TopologyTask] = list(pending)
-
-    if n_workers > 1 and len(pending) > 1 and _picklable(pending[0]):
-        try:
-            failures = _run_parallel_ft(pending, n_workers, policy, events, on_complete)
-            parallel = True
-            serial_pending = []
-        except _PoolBroken as broken:
-            parallel = True
-            detail = f"{type(broken.error).__name__}: {broken.error}"
-            events.append(RunnerEvent("fallback", broken.culprit_index, 0, detail))
-            fallback_reason = (
-                f"process pool broke while waiting on topology {broken.culprit_index} "
-                f"({type(broken.error).__name__}); re-dispatching the remainder serially"
+            if len(results) == len(unit) and all(map(_intact, unit, results)):
+                on_complete(unit, results)
+                continue
+            reason, cause = "integrity check failed (corrupt result)", "a corrupt result"
+        if len(unit) > 1:
+            half = len(unit) // 2
+            warnings.warn(
+                f"batched engine raised {cause} on a group of {len(unit)} "
+                f"topologies; splitting it into {half} + {len(unit) - half}",
+                RuntimeWarning,
+                stacklevel=3,
             )
-            serial_pending = []
-            for task in pending:
-                if task.index in completed or task.index in failures:
-                    continue
-                if task.index == broken.culprit_index:
-                    # The culprit's replay is a retry: its attempt counter
-                    # advances so injected faults don't re-fire forever.
-                    events.append(
-                        RunnerEvent("retry", task.index, task.attempt + 1, "replay after pool breakage")
-                    )
-                    task = replace(task, attempt=task.attempt + 1)
-                serial_pending.append(task)
-        except (OSError, RuntimeError, pickle.PicklingError) as error:
-            fallback_reason = f"process pool failed ({type(error).__name__}: {error})"
-    elif n_workers > 1 and 0 < len(pending) <= 1:
-        fallback_reason = "one task or fewer; pool overhead not worth it"
-    elif n_workers > 1 and pending:
-        fallback_reason = "task is not picklable (e.g. a lambda in the engine options)"
-
-    for task in serial_pending:
-        result, reason = _evaluate_with_retries(task, policy, events)
-        if result is not None:
-            on_complete(task, result)
-        else:
-            failures[task.index] = reason or "unknown failure"
-    return completed, failures, parallel, fallback_reason, resumed
+            events.append(RunnerEvent("split", head.index, head.attempt, reason))
+            halves = [(part, _submit(executor, part)) for part in (unit[:half], unit[half:])]
+            queue.extendleft(reversed(halves))
+            continue
+        retries = head.attempt - first_attempt[head.index]
+        if retries >= policy.max_retries:
+            events.append(RunnerEvent("failure", head.index, head.attempt, reason))
+            failures[head.index] = reason
+            continue
+        events.append(RunnerEvent("retry", head.index, head.attempt + 1, reason))
+        policy.sleep(policy.backoff_s(retries))
+        retry = [replace(head, attempt=head.attempt + 1)]
+        queue.appendleft((retry, _submit(executor, retry)))
+    return abandoned
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +679,6 @@ def run_tasks(
     tasks: Sequence[TopologyTask],
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     collector: Optional[Collector] = None,
     policy: Optional[RetryPolicy] = None,
     checkpoint: Optional[Union[str, Journal]] = None,
@@ -750,31 +687,32 @@ def run_tasks(
 ) -> Tuple[List[TopologyRecord], RunnerStats]:
     """Evaluate every task, in parallel when possible; results in task order.
 
-    Records come back ordered like ``tasks`` regardless of which worker
-    finished first, and are bit-identical to what :func:`_run_serial` would
-    produce (each task carries its own seed).  Pool-start failures, broken
-    pools and unpicklable tasks degrade to the serial path with the reason
-    recorded in the returned :class:`RunnerStats`.
+    Every run takes one path.  The tasks are cut into dispatch units —
+    the homogeneous groups of :func:`repro.core.batch.partition_tasks`,
+    at most ``chunk_size`` tasks each, plus every task that cannot batch
+    on its own — and each unit is evaluated by :func:`evaluate_batch`
+    under one retry loop, in a process pool or in the calling process.
+    ``chunk_size`` defaults to whole groups serially and to
+    :func:`auto_chunk_size` on a pool; ``chunk_size=1`` evaluates every
+    topology on its own.  Records come back ordered like ``tasks`` and
+    are bit-identical whatever the workers or units (each task carries
+    its own seed).  Pool-start failures, broken pools and unpicklable
+    tasks degrade to the serial path with the reason recorded in the
+    returned :class:`RunnerStats`.
 
-    ``batch_size`` controls the batched-engine dispatch unit
-    (:func:`evaluate_batch`): ``None`` (the default) batches automatically
-    — each worker chunk (or the whole list, serially) is evaluated as
-    stacked arrays, bit-identical to per-topology evaluation; ``1``
-    forces the legacy per-topology path; ``k > 1`` caps batches at ``k``
-    tasks.  Fault-tolerant runs (``policy``/``checkpoint``/fault plans)
-    always evaluate per topology, whatever ``batch_size`` says.
-
-    Fault tolerance activates when ``policy``/``checkpoint`` is given (or
-    any task carries a fault plan): per-attempt timeouts, bounded retries
-    with backoff, integrity checks, serial re-dispatch on pool breakage
-    and an optional ``repro.ckpt/v1`` journal (``checkpoint=`` path;
-    ``resume=True`` reloads completed topologies bit-identically).  Tasks
-    that fail permanently raise :class:`RunnerError` only after all other
-    topologies finished.
+    ``policy`` (default ``RetryPolicy(max_retries=0)``) governs failures.
+    A failed multi-task unit is split into halves with a
+    :class:`RuntimeWarning` and a ``split`` event; a failed one-task unit
+    is retried with backoff, and once its retries run out it raises
+    :class:`RunnerError` — only after every other topology finished, with
+    the survivors attached.  ``checkpoint`` journals every completed task
+    to ``repro.ckpt/v1`` (a path, or an open :class:`Journal`);
+    ``resume=True`` reloads completed topologies bit-identically.
 
     When ``collector`` is given, every task is observed (worker-local
     spans + metrics, merged back here) regardless of which path ran it —
-    so serial and parallel runs yield the same trace shape.
+    so serial and parallel runs yield the same trace shape.  Observed
+    tasks cannot batch, so each is its own unit.
 
     When ``cache`` is given (a :class:`repro.cache.ResultCache`), each
     task is looked up by content address first; hits are excluded from
@@ -782,15 +720,11 @@ def run_tasks(
     journal, if any, is still fingerprinted over the *full* task list,
     so cached and uncached runs of one experiment share journals.
     """
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    policy = policy if policy is not None else RetryPolicy(max_retries=0)
     col = active(collector)
     tasks = list(tasks)
-    fault_tolerant = (
-        policy is not None
-        or checkpoint is not None
-        or any(task.fault_plan is not None for task in tasks)
-    )
     if col.enabled:
         tasks = [replace(task, observe=True) for task in tasks]
     all_tasks = tasks
@@ -802,89 +736,100 @@ def run_tasks(
                 cached[task.index] = hit
         tasks = [task for task in all_tasks if task.index not in cached]
     n_workers = resolve_workers(workers)
-    chunk = int(chunk_size) if chunk_size else auto_chunk_size(len(tasks), n_workers)
     dispatch_start_s = col.tracer.now()
     start = time.perf_counter()
 
-    fallback_reason: Optional[str] = None
-    results: Optional[List[TaskResult]] = None
-    parallel = False
+    journal: Optional[Journal] = None
+    owns_journal = False
+    if isinstance(checkpoint, Journal):
+        journal = checkpoint
+    elif checkpoint is not None:
+        # Fingerprint over the full task list (not just cache misses) so
+        # the journal stays resumable whether or not a cache was
+        # attached, and however the hit pattern falls.
+        journal = Journal.open(str(checkpoint), all_tasks, resume=resume)
+        owns_journal = True
+    completed: Dict[int, TaskResult] = dict(journal.completed) if journal is not None else {}
+    resumed = len(completed)
     events: List[RunnerEvent] = []
-    resumed = 0
+    failures: Dict[int, str] = {}
+    largest_unit = 1
 
-    # Observed runs need per-topology traces, so they keep the per-task
-    # path; everything else goes through the batched engine by default.
-    use_batch = batch_size != 1 and not col.enabled
-    effective_batch = 1
+    def on_complete(unit: Unit, results: List[TaskResult]) -> None:
+        nonlocal largest_unit
+        largest_unit = max(largest_unit, len(unit))
+        for task, result in zip(unit, results):
+            completed[task.index] = result
+            if journal is not None:
+                journal.record(result)
 
-    if not fault_tolerant:
-        if not tasks:
-            results = []  # everything was served from the cache
-        elif n_workers <= 1:
-            fallback_reason = None if workers in (None, 1) else "resolved to a single worker"
-        elif len(tasks) <= 1:
-            fallback_reason = "one task or fewer; pool overhead not worth it"
-        elif tasks and not _picklable(tasks[0]):
-            fallback_reason = "task is not picklable (e.g. a lambda in the engine options)"
-        else:
-            try:
-                with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                    if use_batch:
-                        # One batched dispatch per worker chunk instead of
-                        # one task: same load-balancing unit, B× fewer
-                        # engine invocations.
-                        unit = chunk if batch_size is None else batch_size
-                        groups = [tasks[i : i + unit] for i in range(0, len(tasks), unit)]
-                        nested = list(pool.map(evaluate_batch, groups))
-                        results = [result for group in nested for result in group]
-                        effective_batch = unit
-                    else:
-                        results = list(pool.map(evaluate_topology, tasks, chunksize=chunk))
-                parallel = True
-            except (OSError, BrokenProcessPool, RuntimeError, pickle.PicklingError) as error:
-                fallback_reason = f"process pool failed ({type(error).__name__}: {error})"
-                results = None
-        if results is None:
-            if use_batch and tasks:
-                unit = len(tasks) if batch_size is None else batch_size
-                results = []
-                for offset in range(0, len(tasks), unit):
-                    results.extend(evaluate_batch(tasks[offset : offset + unit]))
-                effective_batch = unit
-            else:
-                results = _run_serial(tasks)
+    def unfinished() -> List[TopologyTask]:
+        return [t for t in tasks if t.index not in completed and t.index not in failures]
+
+    pending = unfinished()
+    fallback_reason: Optional[str] = None
+    use_pool = False
+    if n_workers <= 1:
+        if workers not in (None, 1):
+            fallback_reason = "resolved to a single worker"
+    elif len(pending) == 1:
+        fallback_reason = "one task or fewer; pool overhead not worth it"
+    elif pending and not _picklable(pending[0]):
+        fallback_reason = "task is not picklable (e.g. a lambda in the engine options)"
     else:
-        retry_policy = policy if policy is not None else RetryPolicy()
-        journal: Optional[Journal] = None
-        owns_journal = False
-        if isinstance(checkpoint, Journal):
-            journal = checkpoint
-        elif checkpoint is not None:
-            # Fingerprint over the full task list (not just cache misses)
-            # so the journal stays resumable whether or not a cache was
-            # attached, and however the hit pattern falls.
-            journal = Journal.open(str(checkpoint), all_tasks, resume=resume)
-            owns_journal = True
-        try:
-            if n_workers <= 1 and workers not in (None, 1):
-                fallback_reason = "resolved to a single worker"
-            completed, failures, parallel, ft_fallback, resumed = _run_ft(
-                tasks, n_workers, retry_policy, journal, events
-            )
-            if ft_fallback is not None:
-                fallback_reason = ft_fallback
-        finally:
-            if owns_journal and journal is not None:
-                journal.close()
-        if failures:
-            survivors = [
-                (cached.get(t.index) or completed[t.index]).record
-                for t in all_tasks
-                if t.index in cached or t.index in completed
-            ]
-            raise RunnerError(failures, records=survivors, total=len(all_tasks))
-        results = [completed[task.index] for task in tasks]
-        chunk = 1 if parallel else chunk
+        use_pool = bool(pending)
+    if chunk_size is not None:
+        chunk = int(chunk_size)
+    elif use_pool:
+        chunk = auto_chunk_size(len(pending), n_workers)
+    else:
+        chunk = max(1, len(pending))
+    units = _units(pending, chunk)
+    parallel = False
+    try:
+        if use_pool:
+            try:
+                pool = ProcessPoolExecutor(max_workers=n_workers)
+                abandoned = True
+                try:
+                    abandoned = _dispatch(units, pool, policy, events, failures, on_complete)
+                finally:
+                    # Don't block on abandoned (possibly hung) attempts; their
+                    # workers drain in the background, results discarded.
+                    pool.shutdown(wait=not abandoned, cancel_futures=True)
+                parallel, units = True, []
+            except _PoolBroken as broken:
+                parallel = True
+                culprit = broken.culprit[0].index
+                error = broken.error
+                events.append(RunnerEvent("fallback", culprit, 0, f"{type(error).__name__}: {error}"))
+                fallback_reason = (
+                    f"process pool broke while waiting on topology {culprit} "
+                    f"({type(error).__name__}); re-dispatching the remainder serially"
+                )
+                # The culprit's replay is a retry: its attempt counter
+                # advances so injected faults don't re-fire forever.
+                replays = {task.index: replace(task, attempt=task.attempt + 1) for task in broken.culprit}
+                for task in replays.values():
+                    events.append(
+                        RunnerEvent("retry", task.index, task.attempt, "replay after pool breakage")
+                    )
+                units = _units([replays.get(t.index, t) for t in unfinished()], chunk)
+            except (OSError, RuntimeError, pickle.PicklingError) as error:
+                fallback_reason = f"process pool failed ({type(error).__name__}: {error})"
+                units = _units(unfinished(), chunk)
+        _dispatch(units, _Inline(), policy, events, failures, on_complete)
+    finally:
+        if owns_journal and journal is not None:
+            journal.close()
+    if failures:
+        survivors = [
+            (cached.get(t.index) or completed[t.index]).record
+            for t in all_tasks
+            if t.index in cached or t.index in completed
+        ]
+        raise RunnerError(failures, records=survivors, total=len(all_tasks))
+    results = [completed[task.index] for task in tasks]
 
     if cache is not None:
         for task, result in zip(tasks, results):
@@ -906,7 +851,7 @@ def run_tasks(
 
     stats = RunnerStats(
         workers=n_workers if parallel else 1,
-        chunk_size=chunk if parallel else len(tasks) or 1,
+        chunk_size=chunk,
         parallel=parallel,
         total_wall_s=time.perf_counter() - start,
         topology_wall_s=tuple(result.elapsed_s for result in results),
@@ -919,6 +864,6 @@ def run_tasks(
         resumed=resumed,
         cache_hits=len(cached),
         cache_misses=len(tasks) if cache is not None else 0,
-        batch_size=max(1, effective_batch),
+        batch_size=largest_unit,
     )
     return [result.record for result in results], stats

@@ -51,10 +51,12 @@ Protocol invariants:
   flock, so two workers never both conclude they won a lease that was
   live at decision time;
 * a lease is *live* while its heartbeat stamp is younger than the TTL;
-  workers heartbeat on every journaled task, so only a dead (or
-  entirely stalled) worker's lease expires.  Reclaiming an expired lease
-  resumes the dead worker's journal — completed topologies are loaded,
-  not recomputed — and is counted as ``service.reclaim``;
+  workers heartbeat on every journaled task, and a dispatch unit's
+  tasks are journaled as soon as it completes, so with a TTL that
+  covers one unit only a dead (or entirely stalled) worker's lease
+  expires.  Reclaiming an expired lease resumes the dead worker's
+  journal — completed topologies are loaded, not recomputed — and is
+  counted as ``service.reclaim``;
 * results are pure functions of the task specs, so even the pathological
   race (a live worker's lease expires mid-task and a peer re-runs the
   shard) only wastes work: both write bit-identical journal entries and
@@ -134,8 +136,9 @@ SCHEMA_ID = "repro.shard/v1"
 #: query context changes.
 SERVICE_SALT = "repro.service/v1"
 #: A worker that journals nothing for this long is presumed dead and its
-#: shard becomes reclaimable.  Heartbeats fire per journaled task, so the
-#: TTL needs to cover one task evaluation, not one shard.
+#: shard becomes reclaimable.  Heartbeats fire per journaled task, and a
+#: dispatch unit's tasks are journaled together, so the TTL needs to cover
+#: one unit's evaluation, not one shard.
 DEFAULT_LEASE_TTL_S = 30.0
 #: Default quantization grid for allocation-service lookups (dB).
 DEFAULT_GRID_DB = 0.25
@@ -540,9 +543,11 @@ def _try_claim(
 class _ShardJournal(Journal):
     """A shard's journal that heartbeats its lease on every record.
 
-    Heartbeat-per-record means the lease TTL has to cover one *task*, not
-    one shard — a worker grinding through a long shard stays visibly
-    alive.  ``die_after_records`` is the chaos suite's deterministic
+    Heartbeat-per-record means the lease TTL has to cover one dispatch
+    *unit*, not one shard: the runner drains a shard as batched units and
+    journals a unit's tasks together once it completes, so the longest
+    silence is one unit's evaluation.  A worker grinding through a long
+    shard stays visibly alive.  ``die_after_records`` is the chaos suite's deterministic
     stand-in for ``kill -9``: after N journaled results the process exits
     immediately (no lease release, no done marker, no cleanup), leaving
     exactly the on-disk state a crashed worker leaves.

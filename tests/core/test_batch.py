@@ -127,12 +127,22 @@ class TestBatchable:
         tasks = make_tasks(ScenarioSpec("1x1", 1, 1, include_copa_plus=False))
         assert all(batchable(task) for task in tasks)
 
-    def test_fault_injected_tasks_are_not(self):
+    def test_only_tasks_with_an_armed_fault_are_not(self):
         tasks = make_tasks(
             ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
+            n_topologies=5,
             fault_plan=FaultPlan.at([0], FaultKind.CRASH),
         )
-        assert not any(batchable(task) for task in tasks)
+        assert [batchable(task) for task in tasks] == [False, True, True, True, True]
+
+    def test_spent_fault_is_batchable_on_the_retry(self):
+        (task,) = make_tasks(
+            ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
+            n_topologies=1,
+            fault_plan=FaultPlan.at([0], FaultKind.CRASH, trips=1),
+        )
+        assert not batchable(task)
+        assert batchable(dataclasses.replace(task, attempt=1))
 
     def test_observed_tasks_are_not(self):
         tasks = make_tasks(

@@ -1,8 +1,10 @@
-"""Runner-level batching: dispatch semantics, bit-identity, options typing.
+"""Runner-level batching: dispatch units, splits, bit-identity, options typing.
 
-``run_tasks(batch_size=None)`` (the default) hands whole chunks to the
-batched engine; ``batch_size=1`` forces the legacy per-topology path.
-The two must agree bit for bit — serial or pooled — and the typed
+``run_tasks`` cuts its tasks into batched-engine groups capped at
+``chunk_size`` (default: whole groups serially); ``chunk_size=1``
+evaluates every topology on its own.  The two must agree bit for bit —
+serial or pooled.  A failed group is split into halves with a warning,
+a failed single task is retried and then reported, and the typed
 ``options`` surface must reject the retired ``engine_kwargs`` dict with
 a crisp :class:`TypeError` at every public entry point.
 """
@@ -15,10 +17,12 @@ import pytest
 from repro.core import batch as batch_engine
 from repro.core.options import EngineOptions
 from repro.obs import Collector
+from repro.sim import runner
+from repro.sim.checkpoint import validate_journal
 from repro.sim.config import SimConfig
 from repro.sim.emulation import run_emulated_experiment
 from repro.sim.experiment import ScenarioSpec, generate_channel_sets, run_experiment
-from repro.sim.runner import build_tasks, evaluate_batch, evaluate_topology, run_tasks
+from repro.sim.runner import RunnerError, build_tasks, run_tasks
 from repro.sim.sweep import (
     sweep_antenna_configurations,
     sweep_coherence_time,
@@ -42,6 +46,12 @@ def tasks():
     )
 
 
+@pytest.fixture(scope="module")
+def per_topology(tasks):
+    records, _ = run_tasks(tasks, workers=1, chunk_size=1)
+    return records
+
+
 def assert_same_records(records_a, records_b):
     assert [r.index for r in records_a] == [r.index for r in records_b]
     for a, b in zip(records_a, records_b):
@@ -52,96 +62,125 @@ def assert_same_records(records_a, records_b):
 
 
 class TestDispatch:
-    def test_serial_batched_matches_legacy_bit_for_bit(self, tasks):
+    def test_serial_batched_matches_per_topology_bit_for_bit(self, tasks, per_topology):
         batched, stats = run_tasks(tasks, workers=1)
-        legacy, legacy_stats = run_tasks(tasks, workers=1, batch_size=1)
-        assert_same_records(batched, legacy)
+        _, single_stats = run_tasks(tasks, workers=1, chunk_size=1)
+        assert_same_records(batched, per_topology)
         assert stats.batch_size == len(tasks)
-        assert legacy_stats.batch_size == 1
+        assert single_stats.batch_size == 1
 
-    def test_pool_batched_matches_legacy_bit_for_bit(self, tasks):
-        pooled, stats = run_tasks(tasks, workers=2, batch_size=2)
-        legacy, _ = run_tasks(tasks, workers=1, batch_size=1)
-        assert_same_records(pooled, legacy)
+    def test_pool_batched_matches_per_topology_bit_for_bit(self, tasks, per_topology):
+        pooled, stats = run_tasks(tasks, workers=2, chunk_size=2)
+        assert_same_records(pooled, per_topology)
         assert stats.parallel
         assert stats.batch_size == 2
 
-    def test_explicit_batch_size_caps_serial_groups(self, tasks):
-        capped, stats = run_tasks(tasks, workers=1, batch_size=3)
-        legacy, _ = run_tasks(tasks, workers=1, batch_size=1)
-        assert_same_records(capped, legacy)
+    def test_explicit_chunk_size_caps_serial_groups(self, tasks, per_topology):
+        capped, stats = run_tasks(tasks, workers=1, chunk_size=3)
+        assert_same_records(capped, per_topology)
         assert stats.batch_size == 3
+        assert stats.chunk_size == 3
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
     @pytest.mark.parametrize("bad", [0, -2])
-    def test_invalid_batch_size_rejected(self, tasks, bad):
-        with pytest.raises(ValueError, match="batch_size"):
-            run_tasks(tasks, batch_size=bad)
+    def test_invalid_chunk_size_rejected(self, tasks, bad, workers):
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_tasks(tasks, workers=workers, chunk_size=bad)
+        spec = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_experiment(spec, CONFIG, workers=workers, chunk_size=bad)
 
     def test_observed_runs_stay_per_topology(self, tasks):
         """Batching would change the trace shape, so an enabled collector
-        must force the legacy path."""
+        must force the per-topology path."""
         collector = Collector()
         _, stats = run_tasks(tasks[:2], workers=1, collector=collector)
         assert stats.batch_size == 1
 
-    def test_engine_failure_falls_back_to_serial(self, tasks, monkeypatch):
-        """A batching defect must never lose a sweep: the group is replayed
-        through the reference per-topology path, with a warning naming the
-        exception type and the group size."""
 
-        def boom(group, collector=None):
-            raise RuntimeError("injected batching defect")
+POOL = {"workers": 2, "chunk_size": 2}
 
-        monkeypatch.setattr(batch_engine, "run_batch", boom)
-        with pytest.warns(
-            RuntimeWarning, match=rf"RuntimeError on a group of {len(tasks)} topologies"
-        ):
-            results = evaluate_batch(tasks)
-        reference = [evaluate_topology(task) for task in tasks]
-        assert_same_records(
-            [r.record for r in results], [r.record for r in reference]
-        )
 
+def split_messages(caught):
+    return [str(w.message) for w in caught if "batched engine raised" in str(w.message)]
+
+
+class TestSplit:
+    """A failed group is halved at the same attempt; a failed single is
+    retried and then reported.  The pool forks, so the patches reach its
+    workers."""
+
+    @staticmethod
+    def fail_on(monkeypatch, index):
+        """Every group containing ``index``, and the task on its own, raise."""
+        run_batch, evaluate_topology = batch_engine.run_batch, runner.evaluate_topology
+
+        def batched(group, collector=None):
+            if any(task.index == index for task in group):
+                raise RuntimeError(f"injected defect at topology {index}")
+            return run_batch(group, collector)
+
+        def single(task):
+            if task.index == index:
+                raise RuntimeError(f"injected defect at topology {index}")
+            return evaluate_topology(task)
+
+        monkeypatch.setattr(batch_engine, "run_batch", batched)
+        monkeypatch.setattr(runner, "evaluate_topology", single)
 
     @pytest.mark.parametrize(
-        "exc_type, n_tasks",
-        [(ValueError, 1), (FloatingPointError, 2), (np.linalg.LinAlgError, 3)],
-        ids=["ValueError", "FloatingPointError", "LinAlgError"],
+        "dispatch, splits",
+        [({"workers": 1}, 2), (POOL, 1)],
+        ids=["serial", "pool"],
     )
-    def test_fallback_warning_names_the_failure(
-        self, tasks, monkeypatch, exc_type, n_tasks
+    def test_persistent_failure_is_isolated_to_its_task(
+        self, tasks, per_topology, monkeypatch, tmp_path, dispatch, splits
     ):
-        def boom(group, collector=None):
-            raise exc_type("injected batching defect")
-
-        monkeypatch.setattr(batch_engine, "run_batch", boom)
-        group = tasks[:n_tasks]
-        with pytest.warns(
-            RuntimeWarning,
-            match=rf"{exc_type.__name__} on a group of {n_tasks} topologies",
-        ):
-            results = evaluate_batch(group)
-        assert_same_records(
-            [r.record for r in results],
-            [evaluate_topology(task).record for task in group],
-        )
-
-    def test_fallback_is_visible_through_run_tasks(self, tasks, monkeypatch):
-        def boom(group, collector=None):
-            raise RuntimeError("injected batching defect")
-
-        monkeypatch.setattr(batch_engine, "run_batch", boom)
-        with pytest.warns(RuntimeWarning, match="replaying it per topology"):
-            replayed, _ = run_tasks(tasks, workers=1)
-        monkeypatch.undo()
-        legacy, _ = run_tasks(tasks, workers=1, batch_size=1)
-        assert_same_records(replayed, legacy)
-
-    def test_clean_batch_does_not_warn_about_replay(self, tasks):
+        self.fail_on(monkeypatch, 2)
+        path = str(tmp_path / "split.ckpt")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            evaluate_batch(tasks)
-        assert not [w for w in caught if "replaying it per topology" in str(w.message)]
+            with pytest.raises(RunnerError) as excinfo:
+                run_tasks(tasks, checkpoint=path, **dispatch)
+        error = excinfo.value
+        assert set(error.failures) == {2}
+        assert "injected defect" in error.failures[2]
+        assert_same_records(error.records, [per_topology[i] for i in (0, 1, 3)])
+        assert validate_journal(path)["indices"] == [0, 1, 3]
+        messages = split_messages(caught)
+        assert len(messages) == splits
+        assert all("batched engine raised RuntimeError on a group of" in m for m in messages)
+
+    @pytest.mark.parametrize(
+        "dispatch", [{"workers": 1}, {"workers": 2, "chunk_size": 4}], ids=["serial", "pool"]
+    )
+    def test_halves_that_succeed_are_bit_identical(
+        self, tasks, per_topology, monkeypatch, dispatch
+    ):
+        run_batch = batch_engine.run_batch
+
+        def large_groups_fail(group, collector=None):
+            if len(group) > 2:
+                raise FloatingPointError("injected defect in large groups")
+            return run_batch(group, collector)
+
+        monkeypatch.setattr(batch_engine, "run_batch", large_groups_fail)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records, stats = run_tasks(tasks, **dispatch)
+        assert_same_records(records, per_topology)
+        assert stats.batch_size == 2
+        assert stats.retries == 0
+        assert split_messages(caught) == [
+            f"batched engine raised FloatingPointError on a group of {len(tasks)} "
+            "topologies; splitting it into 2 + 2"
+        ]
+
+    def test_clean_run_does_not_split(self, tasks):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_tasks(tasks, workers=1)
+        assert split_messages(caught) == []
 
 
 EQUIVALENCE_SCENARIOS = {
@@ -156,7 +195,7 @@ def batched_and_legacy(request):
     spec = EQUIVALENCE_SCENARIOS[request.param]
     config = SimConfig(n_topologies=5)
     batched = run_experiment(spec, config, workers=1)
-    legacy = run_experiment(spec, config, workers=1, batch_size=1)
+    legacy = run_experiment(spec, config, workers=1, chunk_size=1)
     return request.param, batched, legacy
 
 
@@ -193,7 +232,7 @@ class TestExperimentSurface:
         spec = ScenarioSpec("3x2", 3, 2, include_copa_plus=True)
         config = SimConfig(n_topologies=3)
         batched = run_experiment(spec, config, workers=1)
-        legacy = run_experiment(spec, config, workers=1, batch_size=1)
+        legacy = run_experiment(spec, config, workers=1, chunk_size=1)
         assert batched.available_series() == legacy.available_series()
         for key in batched.available_series():
             np.testing.assert_array_equal(

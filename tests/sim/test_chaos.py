@@ -114,17 +114,30 @@ class TestFaultPlans:
             FaultPlan.random(seed=0, n_tasks=3, kind=FaultKind.CRASH, n_faults=4)
 
 
-class TestChaosEquivalence:
-    """Every fault class × both paths → bit-identical results."""
+#: Serial (whole batched groups), a pool of single tasks, and a pool of
+#: batched pairs.  Faulted tasks are single units on every path; the
+#: clean ones batch beside them wherever the chunk size allows.
+DISPATCH = {
+    "serial": {"workers": 1},
+    "parallel": {"workers": 3},
+    "pool-batched": {"workers": 2, "chunk_size": 2},
+}
 
-    @pytest.mark.parametrize("workers", [1, 3], ids=["serial", "parallel"])
+
+class TestChaosEquivalence:
+    """Every fault class × every path → bit-identical results."""
+
+    @pytest.mark.parametrize("dispatch", sorted(DISPATCH))
     @pytest.mark.parametrize("seed", [11, 23])
-    def test_crash(self, baseline, workers, seed):
+    def test_crash(self, baseline, dispatch, seed):
         plan = FaultPlan.random(seed=seed, n_tasks=N_TOPOLOGIES, kind=FaultKind.CRASH, n_faults=2)
-        result = run_experiment(SPEC, CONFIG, workers=workers, policy=NO_SLEEP, fault_plan=plan)
+        kwargs = DISPATCH[dispatch]
+        result = run_experiment(SPEC, CONFIG, policy=NO_SLEEP, fault_plan=plan, **kwargs)
         assert_identical(result, baseline)
         assert result.stats.retries == 2
-        assert result.stats.parallel == (workers > 1)
+        assert result.stats.parallel == (kwargs["workers"] > 1)
+        if dispatch != "parallel":
+            assert result.stats.batch_size > 1
 
     @pytest.mark.parametrize("workers", [1, 3], ids=["serial", "parallel"])
     def test_crash_after_worker_emitted_spans(self, baseline, workers):
@@ -136,13 +149,17 @@ class TestChaosEquivalence:
         assert_identical(result, baseline)
         assert result.stats.retries == 1
 
-    @pytest.mark.parametrize("workers", [1, 3], ids=["serial", "parallel"])
+    @pytest.mark.parametrize("dispatch", sorted(DISPATCH))
     @pytest.mark.parametrize("seed", [7, 19])
-    def test_corrupt_result(self, baseline, workers, seed):
+    def test_corrupt_result(self, baseline, dispatch, seed):
         plan = FaultPlan.random(seed=seed, n_tasks=N_TOPOLOGIES, kind=FaultKind.CORRUPT)
-        result = run_experiment(SPEC, CONFIG, workers=workers, policy=NO_SLEEP, fault_plan=plan)
+        result = run_experiment(
+            SPEC, CONFIG, policy=NO_SLEEP, fault_plan=plan, **DISPATCH[dispatch]
+        )
         assert_identical(result, baseline)
         assert result.stats.retries == 1
+        if dispatch != "parallel":
+            assert result.stats.batch_size > 1
 
     def test_hang_parallel_times_out_and_replays(self, baseline):
         plan = FaultPlan.random(seed=3, n_tasks=N_TOPOLOGIES, kind=FaultKind.HANG, hang_s=4.0)

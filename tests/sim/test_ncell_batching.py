@@ -78,7 +78,7 @@ class TestClassification:
 class TestMixedDispatchBitIdentity:
     def test_batched_run_matches_forced_per_topology(self, mixed_tasks):
         batched, stats = run_tasks(mixed_tasks, workers=1)
-        serial, _ = run_tasks(mixed_tasks, workers=1, batch_size=1)
+        serial, _ = run_tasks(mixed_tasks, workers=1, chunk_size=1)
         assert_same_records(batched, serial)
 
     def test_batched_run_matches_direct_evaluation(self, mixed_tasks):

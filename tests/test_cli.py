@@ -28,6 +28,19 @@ class TestParser:
         out = capsys.readouterr().out
         assert "csma" in out and "copa" in out
 
+    def test_serial_run_reports_its_batch(self, capsys):
+        # The CLI always passes a retry policy; the run still batches.
+        assert main(["run", "1x1", "--topologies", "4", "--workers", "1"]) == 0
+        assert "serial, batch 4)" in capsys.readouterr().out
+
+    def test_chunk_size_caps_the_batch(self, capsys):
+        assert main(["run", "1x1", "-n", "4", "--workers", "1", "--chunk-size", "2"]) == 0
+        assert "batch 2)" in capsys.readouterr().out
+
+    def test_batch_size_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "1x1", "--batch-size", "2"])
+
     def test_run_with_interference(self, capsys):
         assert main(["run", "4x2", "-n", "2", "--interference", "-10"]) == 0
         out = capsys.readouterr().out
