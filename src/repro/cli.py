@@ -661,8 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--n-aps",
             type=_positive_int,
             default=2,
-            help="interfering AP/client pairs per topology; > 2 runs the "
-            "N-cell interference-graph engine (default: 2, the paper's setting)",
+            help="interfering AP/client pairs per topology (default: 2, the paper's setting)",
         )
         command.add_argument(
             "--cluster-policy",

@@ -40,9 +40,16 @@ object.
 The engine starts from measured CSI (:func:`measure_csi`), so its caller
 owns the randomness: :func:`run_batch` measures each task with a fresh
 ``default_rng(task.seed)``, ``StrategyEngine`` with the caller's
-generator.  Observability is batch-granular: one ``engine.run`` span
-covers all B rows, and counters are incremented in bulk with the same
-totals as B one-row runs.
+generator.
+
+Every runner task goes through :func:`run_batch`, alone or in a group,
+except under the ``"threshold"`` and ``"greedy"`` cluster policies,
+which :class:`repro.core.ncell.GraphStrategyEngine` evaluates; the
+default ``"fixed"`` policy is one cluster of all N APs: k = N here.
+
+Observability is batch-granular: one ``engine.run`` span covers all B
+rows, every span the engine opens carries ``rows=B``, and counters are
+incremented in bulk with the same totals as B one-row runs.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from ..phy.noise import ImperfectionModel
 from ..phy.rates import best_rate, best_rate_batch
 from ..util import dbm_to_mw
 from . import equi_snr, mercury
+from .clustering import SPLITTING_CLUSTER_POLICIES
 from .equi_sinr import (
     BATCHED_ALLOCATORS,
     BatchConcurrentContext,
@@ -112,44 +120,31 @@ __all__ = [
 def batchable(task) -> bool:
     """Can this task join a batched engine dispatch?
 
-    Requires: no fault armed for the task's ``(index, attempt)`` (an
-    unarmed plan fires nothing, so its task batches beside clean ones),
-    no per-task observation (its trace stays per topology), no explicit
-    cluster policy (N-cell dispatch is per-topology), and the
-    2-AP/2-client topology with uniform antenna counts (the stacked
-    tensors need one shape).  N>2 tasks therefore always classify to the
-    per-topology path, where ``evaluate_topology`` routes them through
-    the interference-graph engine.  Any allocator and rate selector
-    batches.
+    Three kinds of task run on their own: one with a fault armed for its
+    ``(index, attempt)`` (an unarmed plan fires nothing, so its task
+    batches beside clean ones); one under the ``"threshold"`` or
+    ``"greedy"`` cluster policy (its clusters depend on its own link
+    gains); and one whose links differ in shape, as when its APs or
+    clients differ in antenna count (the stacked tensors need one shape).
+    Every other task batches, whatever its AP count, allocator, rate
+    selector or observation.
     """
-    options = task.options
     plan = getattr(task, "fault_plan", None)
     if plan is not None and plan.active(task.index, task.attempt) is not None:
         return False
-    if getattr(task, "observe", False):
+    if getattr(task.options, "cluster_policy", None) in SPLITTING_CLUSTER_POLICIES:
         return False
-    if getattr(options, "cluster_policy", None) is not None:
-        return False
-    topology = task.channels.topology
-    aps, clients = topology.aps, topology.clients
-    if len(aps) != 2 or len(clients) != 2:
-        return False
-    n_tx = aps[0].n_antennas
-    n_rx = clients[0].n_antennas
-    if any(ap.n_antennas != n_tx for ap in aps) or any(c.n_antennas != n_rx for c in clients):
-        return False
-    shape = (task.channels.n_subcarriers, n_rx, n_tx)
-    return all(
-        task.channels.channel(ap.name, client.name).shape == shape
-        for ap in aps
-        for client in clients
-    )
+    channels = task.channels
+    aps, clients = channels.topology.aps, channels.topology.clients
+    shape = (channels.n_subcarriers, clients[0].n_antennas, aps[0].n_antennas)
+    return all(channels.channel(ap.name, c.name).shape == shape for ap in aps for c in clients)
 
 
 def group_key(task) -> tuple:
     """Everything that must match for two tasks to share one engine batch."""
     topology = task.channels.topology
     return (
+        len(topology.aps),
         topology.aps[0].n_antennas,
         topology.clients[0].n_antennas,
         task.channels.n_subcarriers,
@@ -167,7 +162,7 @@ def partition_tasks(tasks: Sequence, max_batch: Optional[int] = None):
     Returns ``(batches, singles)``: ``batches`` is a list of task lists,
     each homogeneous under :func:`group_key` (and split into runs of at
     most ``max_batch`` when given); ``singles`` holds every task that
-    must go through the per-topology path.  Together they cover the
+    :func:`batchable` sends to a unit of its own.  Together they cover the
     input exactly once; callers reassemble results by task index.
     """
     singles: List = []
@@ -630,9 +625,9 @@ class BatchedStrategyEngine:
     def _both(self, name, designs, allocations, concurrent, overhead):
         """(measured, predicted) result rows of one scheme."""
         col = self.collector
-        with col.span("measure", scheme=str(name), batch=self.B):
+        with col.span("measure", scheme=str(name), rows=self.B):
             actual = self._scheme_rows(name, designs, allocations, concurrent, overhead, True)
-        with col.span("predict", scheme=str(name), batch=self.B):
+        with col.span("predict", scheme=str(name), rows=self.B):
             predicted = self._scheme_rows(name, designs, allocations, concurrent, overhead, False)
         if col.enabled:
             col.inc(f"engine.scheme.{name}", self.B)
@@ -698,18 +693,18 @@ class BatchedStrategyEngine:
             "engine.run",
             allocator=getattr(allocator, "__name__", str(allocator)),
             antennas=f"{self.n_tx}x{self.n_rx}",
-            topologies=self.B,
+            rows=self.B,
         ):
-            with col.span("design", kind="beamforming"):
+            with col.span("design", kind="beamforming", rows=self.B):
                 bf = self.beamforming_designs()
 
-            with col.span(f"scheme:{SCHEME_CSMA}"):
-                with col.span("allocate"):
+            with col.span(f"scheme:{SCHEME_CSMA}", rows=self.B):
+                with col.span("allocate", rows=self.B):
                     equal_bf = [self.equal_allocation(d) for d in bf]
                 store(SCHEME_CSMA, self._both(SCHEME_CSMA, bf, equal_bf, False, ovh.csma))
 
-            with col.span(f"scheme:{SCHEME_COPA_SEQ}"):
-                with col.span("allocate"):
+            with col.span(f"scheme:{SCHEME_COPA_SEQ}", rows=self.B):
+                with col.span("allocate", rows=self.B):
                     seq_alloc = [self._sequential_allocation(d, allocator) for d in bf]
                 self._note_allocations(seq_alloc)
                 store(
@@ -718,8 +713,8 @@ class BatchedStrategyEngine:
                 )
 
             if self.k >= 2:
-                with col.span(f"scheme:{SCHEME_CONC_BF}"):
-                    with col.span("allocate"):
+                with col.span(f"scheme:{SCHEME_CONC_BF}", rows=self.B):
+                    with col.span("allocate", rows=self.B):
                         conc_bf_alloc = self.concurrent_allocation(bf, allocator)
                     self._note_allocations(conc_bf_alloc)
                     store(
@@ -728,12 +723,12 @@ class BatchedStrategyEngine:
                     )
 
             if self._reduced_nulling_feasible():
-                with col.span("design", kind="nulling"):
+                with col.span("design", kind="nulling", rows=self.B):
                     null_designs = self.nulling_designs()
                 if self._full_nulling_feasible():
                     # Vanilla nulling baseline: equal power, no selection.
-                    with col.span(f"scheme:{SCHEME_NULL}"):
-                        with col.span("allocate"):
+                    with col.span(f"scheme:{SCHEME_NULL}", rows=self.B):
+                        with col.span("allocate", rows=self.B):
                             equal_null = [self.equal_allocation(d) for d in null_designs]
                         store(
                             SCHEME_NULL,
@@ -741,8 +736,8 @@ class BatchedStrategyEngine:
                                 SCHEME_NULL, null_designs, equal_null, True, ovh.copa_concurrent
                             ),
                         )
-                with col.span(f"scheme:{SCHEME_CONC_NULL}"):
-                    with col.span("allocate"):
+                with col.span(f"scheme:{SCHEME_CONC_NULL}", rows=self.B):
+                    with col.span("allocate", rows=self.B):
                         conc_null_alloc = self.concurrent_allocation(null_designs, allocator)
                     self._note_allocations(conc_null_alloc)
                     store(
@@ -755,19 +750,19 @@ class BatchedStrategyEngine:
             if self._sda_applicable():
                 sda_actual, sda_predicted = [], []
                 for leader in range(2):
-                    with col.span("sda.role", leader=leader):
-                        with col.span("design", kind="sda"):
+                    with col.span("sda.role", leader=leader, rows=self.B):
+                        with col.span("design", kind="sda", rows=self.B):
                             designs = self.sda_designs(leader)
                         # Vanilla Null+SDA baseline (equal power)...
-                        with col.span(f"scheme:{SCHEME_NULL}"):
-                            with col.span("allocate"):
+                        with col.span(f"scheme:{SCHEME_NULL}", rows=self.B):
+                            with col.span("allocate", rows=self.B):
                                 equal = [self.equal_allocation(d) for d in designs]
                             a_eq, p_eq = self._both(
                                 SCHEME_NULL, designs, equal, True, ovh.copa_concurrent
                             )
                         # ...and COPA's allocated SDA strategy.
-                        with col.span(f"scheme:{SCHEME_CONC_SDA}"):
-                            with col.span("allocate"):
+                        with col.span(f"scheme:{SCHEME_CONC_SDA}", rows=self.B):
+                            with col.span("allocate", rows=self.B):
                                 alloc = self.concurrent_allocation(designs, allocator)
                             self._note_allocations(alloc)
                             a, p = self._both(
@@ -790,7 +785,7 @@ class BatchedStrategyEngine:
                         SCHEME_CONC_SDA, [role[1][b] for role in sda_predicted]
                     )
 
-            with col.span("choose", batch=self.B):
+            with col.span("choose", rows=self.B):
                 copa = [choose_scheme(predictions_rows[b], fair=False) for b in range(self.B)]
                 fair = [choose_scheme(predictions_rows[b], fair=True) for b in range(self.B)]
             if col.enabled:
@@ -817,8 +812,9 @@ def run_batch(
     """Evaluate a homogeneous task group; returns (outcome, plus_outcome) pairs.
 
     Each task's CSI is measured with a fresh ``default_rng(task.seed)``,
-    exactly as the per-topology path measures it.  The COPA+ pass reuses
-    that CSI: a re-measurement would draw the identical estimate.
+    so a row's result does not depend on the group it runs in; a group
+    of one is the runner's per-topology evaluation.  The COPA+ pass
+    reuses that CSI: a re-measurement would draw the identical estimate.
     """
     tasks = list(tasks)
     if not tasks:

@@ -12,7 +12,7 @@ Policies
 --------
 ``fixed``
     One cluster containing every AP (full coordination).  This is the
-    default and makes the N=2 case collapse to the 2-AP engine.
+    default; the batched strategy engine evaluates it directly, at k = N.
 ``threshold``
     Single-linkage connected components over the cross-gain graph: APs
     *i* and *j* share an edge when the stronger of the two cross links
@@ -35,6 +35,7 @@ __all__ = [
     "CLUSTER_POLICIES",
     "DEFAULT_CLUSTER_POLICY",
     "DEFAULT_CLUSTER_THRESHOLD_DB",
+    "SPLITTING_CLUSTER_POLICIES",
     "cross_gain_db",
     "form_clusters",
 ]
@@ -43,6 +44,10 @@ __all__ = [
 CLUSTER_POLICIES: Tuple[str, ...] = ("fixed", "threshold", "greedy")
 
 DEFAULT_CLUSTER_POLICY = "fixed"
+
+#: Policies that may split a topology into several clusters; only these
+#: need :class:`repro.core.ncell.GraphStrategyEngine`.
+SPLITTING_CLUSTER_POLICIES: Tuple[str, ...] = ("threshold", "greedy")
 
 #: Cross links weaker than this are treated as negligible for
 #: coordination purposes.  At the default 15 dBm transmit power a

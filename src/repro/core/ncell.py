@@ -14,6 +14,10 @@ it to N networks partitioned into coordination clusters
   turns on the medium and do not interfere (idealized carrier sense, the
   same idealization the paper applies to its sequential schemes).
 
+The runner uses this engine (and records ``engine.ncell`` spans) only
+under the ``"threshold"`` and ``"greedy"`` policies; the default
+``"fixed"`` one is :func:`repro.core.batch.run_batch` at k = N.
+
 Reduction guarantees, enforced by ``tests/core/test_ncell_reduction.py``:
 
 * N = 2 in a single cluster delegates verbatim to the 2-AP engine with

@@ -32,11 +32,11 @@ from typing import Any, Callable, Dict, Optional
 
 __all__ = ["EngineOptions"]
 
-#: Fields never forwarded to :class:`StrategyEngine` as keyword
-#: arguments: they configure the N-cell dispatch layer
+#: Fields never forwarded to the strategy engine as keyword arguments:
+#: they configure cluster formation
 #: (:class:`repro.core.ncell.GraphStrategyEngine`) instead, and *are*
 #: result-determining — ``repro.sim.fingerprint`` hashes them whenever
-#: they are set.  See :meth:`EngineOptions.cluster_kwargs`.
+#: they are set.
 _CLUSTER_FIELDS = ("cluster_policy", "cluster_threshold_db")
 
 
@@ -66,10 +66,11 @@ class EngineOptions:
     cluster_policy:
         Cluster-formation policy for N-AP topologies (``"fixed"``,
         ``"threshold"`` or ``"greedy"``, see
-        :mod:`repro.core.clustering`).  ``None`` means ``"fixed"`` (one
-        cluster of all APs) *and* keeps 2-AP tasks on the 2-AP engine
-        and the batched fast path; any explicit value routes the task
-        through :class:`repro.core.ncell.GraphStrategyEngine`.
+        :mod:`repro.core.clustering`).  ``None`` means ``"fixed"``: one
+        cluster of all APs, batched at k = N like any other task.
+        ``"threshold"`` and ``"greedy"`` may split the topology, so each
+        such task runs on its own through
+        :class:`repro.core.ncell.GraphStrategyEngine`.
         Result-determining: fingerprinted whenever set.
     cluster_threshold_db:
         Cross-gain threshold for the ``threshold``/``greedy`` policies,
@@ -125,27 +126,13 @@ class EngineOptions:
     def engine_kwargs(self) -> Dict[str, Any]:
         """The non-default engine fields, as keyword arguments.
 
-        The cluster fields are excluded — the serial
-        :class:`~repro.core.strategy.StrategyEngine` does not take them;
-        see :meth:`cluster_kwargs`.
+        The cluster fields are excluded — the strategy engine does not
+        take them.
         """
         return {
             field.name: getattr(self, field.name)
             for field in fields(self)
             if field.name not in _CLUSTER_FIELDS and getattr(self, field.name) is not None
-        }
-
-    def cluster_kwargs(self) -> Dict[str, Any]:
-        """The non-default N-cell dispatch fields, as keyword arguments.
-
-        Consumed by :class:`repro.core.ncell.GraphStrategyEngine`; an
-        empty dict on a 2-AP topology means the legacy
-        :class:`~repro.core.strategy.StrategyEngine` path runs unchanged.
-        """
-        return {
-            name: getattr(self, name)
-            for name in _CLUSTER_FIELDS
-            if getattr(self, name) is not None
         }
 
     def replace(self, **overrides: Any) -> "EngineOptions":

@@ -197,7 +197,7 @@ def run_experiment(
         long-retired ``engine_kwargs`` dict — raises :class:`TypeError`.
     ``collector``
         a :class:`repro.obs.Collector` that receives stage spans (scenario
-        setup, runner dispatch, one subtree per topology and scheme) and
+        setup, runner dispatch, one subtree per dispatch unit) and
         allocator/engine metrics.  ``None`` (default) disables
         observability on a no-op fast path.
     ``policy``

@@ -84,9 +84,9 @@ RESULT_IRRELEVANT_OPTION_FIELDS = frozenset({"oracle_check"})
 
 #: Option fields added after the ``repro.task/v1`` salt whose *unset*
 #: (``None``) value is skipped so every pre-existing cache key stays
-#: valid.  This is safe because an unset cluster field runs the identical
-#: legacy code path (the N=2 delegate is bit-identical by construction);
-#: any explicit value is hashed and therefore invalidates the key.
+#: valid.  This is safe because an unset field means what its absence
+#: meant (one cluster of all APs; the default threshold); any explicit
+#: value is hashed and therefore invalidates the key.
 _DEFAULT_SKIPPED_OPTION_FIELDS = frozenset({"cluster_policy", "cluster_threshold_db"})
 
 #: ``ScenarioSpec`` fields added after the ``repro.channels/v1`` salt,

@@ -50,11 +50,11 @@ calling process and records why in :attr:`RunnerStats.fallback_reason`; it
 never crashes because the platform lacks working multiprocessing.
 
 Observability: pass ``collector=`` (a :class:`repro.obs.Collector`) to
-:func:`run_tasks` and every task is evaluated under a worker-local
-collector whose spans and metrics travel back with the record — plain
-picklable data — and are grafted into the parent trace under one
-``topology[i]`` span per task.  Only the one accepted result per topology
-is merged: crashed, corrupted, timed-out or pool-orphaned attempts never
+:func:`run_tasks` and every dispatch unit runs under a worker-local
+collector whose spans and metrics travel back with the unit's first
+record.  Observation never changes the units, so traces are
+batch-granular (see :func:`_merge_observations`).  Only accepted units
+are merged: crashed, corrupted, timed-out or pool-orphaned attempts never
 graft partial spans or metrics into the parent trace.  Retry, timeout and
 fallback events appear as ``runner.retry``/``runner.timeout``/
 ``runner.fallback`` spans and counters.
@@ -77,10 +77,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from ..core import batch as batch_engine
+from ..core.clustering import SPLITTING_CLUSTER_POLICIES
 from ..core.mercury import mercury_allocate
 from ..core.ncell import GraphStrategyEngine
 from ..core.options import EngineOptions
-from ..core.strategy import StrategyEngine, StrategyOutcome
+from ..core.strategy import StrategyOutcome
 from ..obs.collector import Collector, active
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import SpanRecord, graft
@@ -142,8 +143,8 @@ class TopologyTask:
     #: construction unless a non-module-level callable is supplied, which
     #: triggers the serial fallback instead).
     options: EngineOptions = EngineOptions()
-    #: Build a worker-local collector and ship spans/metrics back with the
-    #: record (set by :func:`run_tasks` when it was given a collector).
+    #: Observe the task's dispatch unit (set by :func:`run_tasks` when it
+    #: was given a collector).
     observe: bool = False
     #: Which retry this dispatch is (0 = first attempt).  Part of the spec
     #: so attempt-counted fault injection needs no cross-process state;
@@ -161,71 +162,70 @@ class TaskResult:
     record: TopologyRecord
     #: Wall-clock seconds of this task's evaluation.
     elapsed_s: float
-    #: Worker-local spans (``None`` unless the task was observed).
+    #: Worker-local spans and metrics of the task's whole dispatch unit
+    #: (``None`` unless observed, and on every record but the unit's first).
     spans: Optional[List[SpanRecord]] = None
-    #: Worker-local metrics (``None`` unless the task was observed).
     metrics: Optional[MetricsRegistry] = None
 
 
 def evaluate_topology(task: TopologyTask) -> TaskResult:
     """Evaluate one task; module-level so workers import it by reference.
 
-    The CSI RNG is rebuilt from the task seed for each engine, so COPA and
-    COPA+ see identical noisy CSI and the result is independent of which
-    process (or order) ran the task.  Observation never touches the RNG,
-    so observed results are bit-identical to unobserved ones — and neither
-    do the fault hooks, so a retried attempt is a pure replay.
+    A one-row :func:`repro.core.batch.run_batch`, except under a cluster
+    policy that may split the topology (:func:`_run_clustered`).  The CSI
+    RNG comes from the task seed alone; observation and the fault hooks
+    never touch it, so results are bit-identical observed or not and a
+    retried attempt is a pure replay.
     """
     if task.fault_plan is not None:
         task.fault_plan.fire_before(task.index, task.attempt)
-    collector = Collector() if task.observe else None
     start = time.perf_counter()
-    kwargs = task.options.engine_kwargs()
-    cluster_kwargs = task.options.cluster_kwargs()
-    # N-AP topologies (or an explicit cluster policy) route through the
-    # interference-graph engine; plain 2-AP tasks run StrategyEngine
-    # directly.  The graph engine's single-cluster N=2 path delegates
-    # to StrategyEngine with the same RNG, so both spellings agree exactly.
-    if len(task.channels.topology.aps) != 2 or cluster_kwargs:
-        engine_cls: Callable = GraphStrategyEngine
-        kwargs = {**kwargs, **cluster_kwargs}
+    collector = Collector() if task.observe else None
+    if task.options.cluster_policy in SPLITTING_CLUSTER_POLICIES:
+        outcomes = [_run_clustered(task, collector)]
     else:
-        engine_cls = StrategyEngine
-    outcome = engine_cls(
-        task.channels,
-        imperfections=task.imperfections,
-        rng=np.random.default_rng(task.seed),
-        coherence_s=task.coherence_s,
-        collector=collector,
-        **kwargs,
-    ).run()
-    plus_outcome = None
-    if task.include_copa_plus:
-        plus_kwargs = dict(kwargs)
-        plus_kwargs["allocator"] = mercury_allocate
-        plus_outcome = engine_cls(
+        outcomes = batch_engine.run_batch([task], collector)
+    (result,) = _unit_results([task], outcomes, start, collector)
+    if task.fault_plan is not None:
+        result = task.fault_plan.fire_after(task.index, task.attempt, result)
+    return result
+
+
+def _run_clustered(task: TopologyTask, collector: Optional[Collector]) -> Tuple:
+    """(outcome, plus_outcome) on the interference-graph engine, one
+    engine per pass, each with the RNG rebuilt from the task seed."""
+
+    def run(**overrides) -> StrategyOutcome:
+        return GraphStrategyEngine(
             task.channels,
             imperfections=task.imperfections,
             rng=np.random.default_rng(task.seed),
             coherence_s=task.coherence_s,
             collector=collector,
-            **plus_kwargs,
+            cluster_policy=task.options.cluster_policy,
+            cluster_threshold_db=task.options.cluster_threshold_db,
+            **{**task.options.engine_kwargs(), **overrides},
         ).run()
-    record = TopologyRecord(
-        index=task.index,
-        channels=task.channels,
-        outcome=outcome,
-        plus_outcome=plus_outcome,
-    )
-    result = TaskResult(
-        record=record,
-        elapsed_s=time.perf_counter() - start,
-        spans=list(collector.spans) if collector is not None else None,
-        metrics=collector.metrics if collector is not None else None,
-    )
-    if task.fault_plan is not None:
-        result = task.fault_plan.fire_after(task.index, task.attempt, result)
-    return result
+
+    outcome = run()
+    plus_outcome = run(allocator=mercury_allocate) if task.include_copa_plus else None
+    return outcome, plus_outcome
+
+
+def _unit_results(
+    tasks: Sequence[TopologyTask], outcomes: Sequence[Tuple], start: float, collector
+) -> List[TaskResult]:
+    """A unit's results: each task is charged an even share of the wall
+    clock since ``start``; the first carries the unit's spans and metrics."""
+    elapsed_s = (time.perf_counter() - start) / len(tasks)
+    results = [
+        TaskResult(TopologyRecord(task.index, task.channels, outcome, plus), elapsed_s)
+        for task, (outcome, plus) in zip(tasks, outcomes)
+    ]
+    if collector is not None:
+        results[0].spans = list(collector.spans)
+        results[0].metrics = collector.metrics
+    return results
 
 
 def build_tasks(
@@ -427,37 +427,21 @@ def _picklable(task: TopologyTask) -> bool:
 
 
 def evaluate_batch(tasks: Sequence[TopologyTask]) -> List[TaskResult]:
-    """Evaluate one dispatch unit; results in task order.
+    """Evaluate one dispatch unit with one engine call; results in task order.
 
-    A unit is one task or one homogeneous group from
-    :func:`repro.core.batch.partition_tasks`.  Module-level so pool
-    workers import it by reference, like :func:`evaluate_topology`.  One
-    task runs through :func:`evaluate_topology`; a group runs as one
-    :class:`~repro.core.batch.BatchedStrategyEngine` dispatch,
-    bit-identical to the per-topology path.  Whatever the engine raises
-    propagates: the retry loop in :func:`run_tasks` splits a failed group.
-    Per-task ``elapsed_s`` is the group wall-clock divided evenly over
-    its rows — the logical serial timeline the observability merge
-    expects.
+    Module-level so pool workers import it by reference.  A unit is one
+    task, run by :func:`evaluate_topology`, or one homogeneous group from
+    :func:`repro.core.batch.partition_tasks`, run by one
+    :func:`~repro.core.batch.run_batch`, bit-identical to its tasks run
+    one by one.  Whatever the engine raises propagates: the retry loop in
+    :func:`run_tasks` splits a failed group.
     """
     tasks = list(tasks)
     if len(tasks) == 1:
         return [evaluate_topology(tasks[0])]
     start = time.perf_counter()
-    outcomes = batch_engine.run_batch(tasks)
-    elapsed_s = (time.perf_counter() - start) / len(tasks)
-    return [
-        TaskResult(
-            record=TopologyRecord(
-                index=task.index,
-                channels=task.channels,
-                outcome=outcome,
-                plus_outcome=plus_outcome,
-            ),
-            elapsed_s=elapsed_s,
-        )
-        for task, (outcome, plus_outcome) in zip(tasks, outcomes)
-    ]
+    collector = Collector() if any(task.observe for task in tasks) else None
+    return _unit_results(tasks, batch_engine.run_batch(tasks, collector), start, collector)
 
 
 def _intact(task: TopologyTask, result: TaskResult) -> bool:
@@ -613,6 +597,7 @@ def _dispatch(
 def _merge_observations(
     collector: Collector,
     results: Sequence[TaskResult],
+    units: Sequence[Sequence[int]],
     dispatch_start_s: float,
     n_workers: int,
     chunk: int,
@@ -621,40 +606,57 @@ def _merge_observations(
 ) -> int:
     """Graft worker spans/metrics into the parent collector.
 
-    Each task gets a ``topology[i]`` span under one ``runner.run_tasks``
-    span; tasks are laid out back-to-back from the dispatch start (a
-    logical serial timeline — see the module docstring).  Fault-tolerance
-    events become zero-duration ``runner.<kind>`` spans under the dispatch
-    span plus ``runner.<kind>`` counters.  Returns the number of spans
-    added to the parent trace.
+    ``units`` lists the task indices of every accepted dispatch unit; a
+    cache hit or resumed task is a unit of its own.  Each unit gets a
+    ``runner.unit`` span under one ``runner.run_tasks`` span, holding its
+    grafted spans once and one ``topology[i]`` span per task, laid out
+    back-to-back from the dispatch start (a logical serial timeline).
+    Fault-tolerance events become zero-duration ``runner.<kind>`` spans
+    under the dispatch span plus ``runner.<kind>`` counters.  Returns the
+    number of spans added to the parent trace.
     """
     tracer = collector.tracer
-    elapsed = [result.elapsed_s for result in results]
     dispatch_id = tracer.record(
         "runner.run_tasks",
         start_s=dispatch_start_s,
-        duration_s=float(sum(elapsed)),
+        duration_s=float(sum(result.elapsed_s for result in results)),
         workers=n_workers,
         chunk_size=chunk,
         parallel=parallel,
         tasks=len(results),
     )
     n_spans = 1
-    cursor = dispatch_start_s
+    head = {index: unit[0] for unit in units for index in unit}
+    grouped: Dict[int, List[TaskResult]] = {}
     for result in results:
-        topology_id = tracer.record(
-            f"topology[{result.record.index}]",
+        index = result.record.index
+        grouped.setdefault(head.get(index, index), []).append(result)
+    cursor = dispatch_start_s
+    for members in grouped.values():
+        unit_id = tracer.record(
+            "runner.unit",
             start_s=cursor,
-            duration_s=result.elapsed_s,
+            duration_s=float(sum(result.elapsed_s for result in members)),
             parent_id=dispatch_id,
-            index=result.record.index,
+            tasks=len(members),
         )
         n_spans += 1
-        if result.spans:
-            n_spans += graft(tracer, result.spans, parent_id=topology_id, base_offset_s=cursor)
-        if result.metrics is not None:
-            collector.metrics.merge(result.metrics)
-        cursor += result.elapsed_s
+        offset = cursor
+        for result in members:
+            tracer.record(
+                f"topology[{result.record.index}]",
+                start_s=offset,
+                duration_s=result.elapsed_s,
+                parent_id=unit_id,
+                index=result.record.index,
+            )
+            n_spans += 1
+            if result.spans:
+                n_spans += graft(tracer, result.spans, parent_id=unit_id, base_offset_s=cursor)
+            if result.metrics is not None:
+                collector.metrics.merge(result.metrics)
+            offset += result.elapsed_s
+        cursor = offset
     for event in events:
         tracer.record(
             f"runner.{event.kind}",
@@ -709,10 +711,9 @@ def run_tasks(
     to ``repro.ckpt/v1`` (a path, or an open :class:`Journal`);
     ``resume=True`` reloads completed topologies bit-identically.
 
-    When ``collector`` is given, every task is observed (worker-local
-    spans + metrics, merged back here) regardless of which path ran it —
-    so serial and parallel runs yield the same trace shape.  Observed
-    tasks cannot batch, so each is its own unit.
+    When ``collector`` is given, every unit is observed (worker-local
+    spans + metrics, merged back here by :func:`_merge_observations`);
+    observation changes neither the units nor the results.
 
     When ``cache`` is given (a :class:`repro.cache.ResultCache`), each
     task is looked up by content address first; hits are excluded from
@@ -753,11 +754,10 @@ def run_tasks(
     resumed = len(completed)
     events: List[RunnerEvent] = []
     failures: Dict[int, str] = {}
-    largest_unit = 1
+    accepted: List[List[int]] = []
 
     def on_complete(unit: Unit, results: List[TaskResult]) -> None:
-        nonlocal largest_unit
-        largest_unit = max(largest_unit, len(unit))
+        accepted.append([task.index for task in unit])
         for task, result in zip(unit, results):
             completed[task.index] = result
             if journal is not None:
@@ -842,6 +842,7 @@ def run_tasks(
         n_spans = _merge_observations(
             col,
             results,
+            accepted,
             dispatch_start_s,
             n_workers if parallel else 1,
             chunk,
@@ -864,6 +865,6 @@ def run_tasks(
         resumed=resumed,
         cache_hits=len(cached),
         cache_misses=len(tasks) if cache is not None else 0,
-        batch_size=largest_unit,
+        batch_size=max(map(len, accepted), default=1),
     )
     return [result.record for result in results], stats

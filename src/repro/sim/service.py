@@ -66,7 +66,8 @@ Observability: workers record ``service.claim`` / ``service.steal`` /
 ``service.reclaim`` / ``service.shard_done`` counters and
 ``service.worker`` / ``service.shard[...]`` spans; the allocation
 service records ``service.hit`` / ``service.miss`` counters and
-``service.query`` spans.  Observed workers export their payload into
+``service.query`` spans, with a miss's engine spans and metrics grafted
+beneath its query.  Observed workers export their payload into
 ``obs/<worker>.json`` and :func:`harvest` merges every worker's spans
 and metrics into the harvesting collector, so a multi-process run yields
 one combined trace.
@@ -1144,8 +1145,13 @@ class AllocationService:
                     coherence_s=self.config.coherence_s,
                     include_copa_plus=self.include_copa_plus,
                     options=self.options,
+                    observe=col.enabled,
                 )
+                offset_s = col.tracer.now()
                 result = evaluate_topology(task)
+                # Both are no-ops unless the miss was observed.
+                graft(col.tracer, result.spans or (), span.span_id, base_offset_s=offset_s)
+                col.metrics.merge(result.metrics)
                 self.cache.store_service_answer(key, result, collector=self.collector)
         return ServiceAnswer(
             record=result.record,

@@ -28,6 +28,8 @@ from repro.core.equi_snr import allocate_power_only, allocate_selection_only
 from repro.core.multi_decoder import per_subcarrier_rates
 from repro.core.options import EngineOptions
 from repro.obs.collector import Collector
+from repro.phy.channel import ChannelModel
+from repro.phy.topology import TopologyGenerator
 from repro.sim.config import SimConfig
 from repro.sim.experiment import ScenarioSpec, generate_channel_sets
 from repro.sim.faults import FaultKind, FaultPlan
@@ -144,11 +146,25 @@ class TestBatchable:
         assert not batchable(task)
         assert batchable(dataclasses.replace(task, attempt=1))
 
-    def test_observed_tasks_are_not(self):
-        tasks = make_tasks(
-            ScenarioSpec("1x1", 1, 1, include_copa_plus=False), observe=True
+    def test_observed_tasks_are_batchable(self):
+        """Observation never changes the dispatch unit, only its trace."""
+        spec = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
+        plain, observed = make_tasks(spec), make_tasks(spec, observe=True)
+        assert all(batchable(task) for task in observed)
+        assert [group_key(task) for task in observed] == [group_key(task) for task in plain]
+
+    def test_mixed_antenna_counts_are_not(self):
+        uniform = TopologyGenerator().sample(np.random.default_rng(5), 4, 2)
+        mixed = dataclasses.replace(
+            uniform, aps=[uniform.aps[0], dataclasses.replace(uniform.aps[1], n_antennas=2)]
         )
-        assert not any(batchable(task) for task in tasks)
+        tasks = build_tasks(
+            [ChannelModel().realize(t, np.random.default_rng(6)) for t in (uniform, mixed)],
+            base_seed=0,
+            coherence_s=0.030,
+            imperfections=SimConfig().imperfections(),
+        )
+        assert [batchable(task) for task in tasks] == [True, False]
 
     def test_custom_rate_selector_is_batchable(self):
         tasks = make_tasks(
@@ -200,17 +216,17 @@ class TestPartition:
         assert group_key(ones[0]) != group_key(fours[0])
 
     def test_unbatchable_tasks_become_singles(self):
-        good = make_tasks(ScenarioSpec("1x1", 1, 1, include_copa_plus=False), 2)
-        observed = make_tasks(
-            ScenarioSpec("1x1", 1, 1, include_copa_plus=False), 2, observe=True
-        )
-        batches, singles = partition_tasks(good + observed)
-        assert len(singles) == 2
-        assert len(batches) == 1
+        spec = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
+        good = make_tasks(spec, 2)
+        faulted = make_tasks(spec, 2, fault_plan=FaultPlan.at([0, 1], FaultKind.CRASH))
+        clustered = make_tasks(spec, 2, options=EngineOptions(cluster_policy="threshold"))
+        batches, singles = partition_tasks(good + faulted + clustered)
+        assert singles == faulted + clustered
+        assert batches == [good]
 
     def test_coverage_is_exact(self):
         tasks = make_tasks(ScenarioSpec("3x2", 3, 2, include_copa_plus=False), 3)
-        tasks[1] = dataclasses.replace(tasks[1], observe=True)
+        tasks[1] = dataclasses.replace(tasks[1], options=EngineOptions(cluster_policy="greedy"))
         batches, singles = partition_tasks(tasks)
         indices = sorted(
             [task.index for batch in batches for task in batch]
@@ -316,7 +332,14 @@ class TestBitIdentity:
         collector = Collector()
         run_batch(tasks, collector=collector)
         (span,) = [s for s in collector.spans if s.name == "engine.run"]
-        assert span.attrs == {"allocator": "allocate", "antennas": "3x2", "topologies": 2}
+        assert span.attrs == {"allocator": "allocate", "antennas": "3x2", "rows": 2}
+
+    def test_every_engine_span_carries_its_rows(self):
+        tasks = make_tasks(ScenarioSpec("3x2", 3, 2, include_copa_plus=True), 3)
+        collector = Collector()
+        run_batch(tasks, collector=collector)
+        assert {span.name for span in collector.spans} >= {"sda.role", "choose", "measure"}
+        assert all(span.attrs["rows"] == 3 for span in collector.spans)
 
     def test_collector_counts_batched_runs(self):
         tasks = make_tasks(ScenarioSpec("1x1", 1, 1, include_copa_plus=False), 3)

@@ -1,10 +1,15 @@
 """End-to-end observability wiring: engine → runner → experiment surfaces.
 
 The acceptance contract: an enabled ``run_experiment(..., collector=...)``
-yields one span subtree per topology covering every scheme the engine
-evaluated, plus the runner dispatch span — and turning observability on
-never changes the numbers (it must not touch any RNG).
+yields a trace covering every scheme the engine evaluated for every
+topology, plus the runner dispatch span — and turning observability on
+never changes the numbers (it must not touch any RNG).  Traces are
+batch-granular: one engine span covers the B rows of its dispatch unit
+and says so in its ``rows`` attribute, so the shape invariants here
+count spans weighted by their rows.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +28,14 @@ from repro.sim.experiment import ScenarioSpec, run_experiment
 from repro.sim.sweep import sweep_coherence_time
 
 
+def row_weighted(spans):
+    """Span-name counts with each span weighted by the rows it covers."""
+    counts = Counter()
+    for span in spans:
+        counts[span.name] += span.attrs.get("rows", 1)
+    return counts
+
+
 @pytest.fixture(scope="module")
 def observed_4x2():
     spec = ScenarioSpec("4x2", 4, 2, include_copa_plus=False)
@@ -37,9 +50,13 @@ class TestExperimentTrace:
         _, config, collector, result = observed_4x2
         evaluated = set(result.records[0].outcome.schemes)
         assert evaluated  # sanity: the engine measured something
-        names = [span.name for span in collector.spans]
+        counts = row_weighted(collector.spans)
         for scheme in evaluated:
-            assert names.count(f"scheme:{scheme}") == config.n_topologies
+            assert counts[f"scheme:{scheme}"] == config.n_topologies
+        # One batched unit ran both topologies.
+        assert [s.attrs["rows"] for s in collector.spans if s.name == "engine.run"] == [
+            config.n_topologies
+        ]
 
     def test_runner_dispatch_and_stage_spans_present(self, observed_4x2):
         _, config, collector, _ = observed_4x2
@@ -148,8 +165,10 @@ class TestPartialFailureMerge:
 
     Only the single accepted result per topology may graft its spans and
     metrics; the crashed attempt's partial observations are discarded with
-    the attempt.  The merged trace therefore equals a fault-free run's
-    trace except for the explicit ``runner.*`` fault-telemetry spans.
+    the attempt.  The armed fault takes its topology out of the batch, so
+    the units differ from a fault-free run's, but the row-weighted span
+    names, the counters and the histogram counts are equal, apart from
+    the explicit ``runner.*`` fault telemetry.
     """
 
     SPEC = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
@@ -189,12 +208,16 @@ class TestPartialFailureMerge:
             np.testing.assert_array_equal(
                 result.series_mbps(key), reference.series_mbps(key)
             )
-        # ...and in the trace: span names match except runner.* telemetry,
-        faulted_names = [
-            s.name for s in faulted.spans if not s.name.startswith("runner.")
-        ]
-        clean_names = [s.name for s in clean.spans if not s.name.startswith("runner.")]
-        assert sorted(faulted_names) == sorted(clean_names)
+        # ...and in the trace: row-weighted span names match except
+        # runner.* telemetry,
+        def engine_counts(collector):
+            return {
+                name: count
+                for name, count in row_weighted(collector.spans).items()
+                if not name.startswith("runner.")
+            }
+
+        assert engine_counts(faulted) == engine_counts(clean)
         # no topology grafted twice,
         all_names = [s.name for s in faulted.spans]
         for index in range(self.CONFIG.n_topologies):
@@ -238,12 +261,15 @@ class TestOtherSurfaces:
         assert "experiment" in names
 
     def test_parallel_experiment_trace_matches_serial_shape(self):
+        """Serially one unit of 3 rows, on the pool three units of one."""
         spec = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
         config = SimConfig(n_topologies=3)
         serial, parallel = Collector(), Collector()
         run_experiment(spec, config, workers=1, collector=serial)
         run_experiment(spec, config, workers=3, collector=parallel)
-        assert sorted(s.name for s in serial.spans) == sorted(
-            s.name for s in parallel.spans
-        )
+        units = lambda c: [s.attrs["tasks"] for s in c.spans if s.name == "runner.unit"]
+        assert units(serial) == [3] and units(parallel) == [1, 1, 1]
+        serial_counts, parallel_counts = row_weighted(serial.spans), row_weighted(parallel.spans)
+        del serial_counts["runner.unit"], parallel_counts["runner.unit"]
+        assert serial_counts == parallel_counts
         assert serial.metrics.as_payload() == parallel.metrics.as_payload()

@@ -90,12 +90,16 @@ class TestDispatch:
         with pytest.raises(ValueError, match="chunk_size"):
             run_experiment(spec, CONFIG, workers=workers, chunk_size=bad)
 
-    def test_observed_runs_stay_per_topology(self, tasks):
-        """Batching would change the trace shape, so an enabled collector
-        must force the per-topology path."""
-        collector = Collector()
-        _, stats = run_tasks(tasks[:2], workers=1, collector=collector)
-        assert stats.batch_size == 1
+    @pytest.mark.parametrize(
+        "dispatch", [{"workers": 1}, {"workers": 2, "chunk_size": 2}], ids=["serial", "pool"]
+    )
+    def test_observed_runs_batch(self, tasks, per_topology, dispatch):
+        """An enabled collector changes the trace, never the units or the bits."""
+        plain, plain_stats = run_tasks(tasks, **dispatch)
+        observed, stats = run_tasks(tasks, collector=Collector(), **dispatch)
+        assert stats.observed and stats.batch_size == plain_stats.batch_size > 1
+        assert_same_records(observed, plain)
+        assert_same_records(observed, per_topology)
 
 
 POOL = {"workers": 2, "chunk_size": 2}

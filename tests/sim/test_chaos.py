@@ -139,6 +139,23 @@ class TestChaosEquivalence:
         if dispatch != "parallel":
             assert result.stats.batch_size > 1
 
+    @pytest.mark.parametrize("dispatch", sorted(DISPATCH))
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_observation_changes_neither_units_nor_results(self, baseline, dispatch, when):
+        plan = FaultPlan.random(
+            seed=11, n_tasks=N_TOPOLOGIES, kind=FaultKind.CRASH, n_faults=2, when=when
+        )
+        kwargs = dict(DISPATCH[dispatch], policy=NO_SLEEP, fault_plan=plan)
+        plain = run_experiment(SPEC, CONFIG, **kwargs)
+        collector = Collector()
+        observed = run_experiment(SPEC, CONFIG, collector=collector, **kwargs)
+        assert_identical(observed, baseline)
+        assert observed.stats.batch_size == plain.stats.batch_size
+        assert observed.stats.retries == plain.stats.retries == 2
+        # Only accepted units are grafted: every topology's row once.
+        engine_runs = [span for span in collector.spans if span.name == "engine.run"]
+        assert sum(span.attrs["rows"] for span in engine_runs) == N_TOPOLOGIES
+
     @pytest.mark.parametrize("workers", [1, 3], ids=["serial", "parallel"])
     def test_crash_after_worker_emitted_spans(self, baseline, workers):
         """A worker that dies *after* doing the work is still a clean retry."""

@@ -1,18 +1,21 @@
-"""Batched dispatch of mixed 2-AP / N-AP task lists (PR-10 satellite).
+"""Batched dispatch of mixed 2-, 3- and 4-AP task lists.
 
-``partition_tasks`` must classify every N > 2 task — and every task with
-an explicit cluster policy — to the serial per-topology path, where
-``evaluate_topology`` routes it through the interference-graph engine;
-the surviving 2-AP tasks keep riding the PR-7 batched engine.  The
+The default and ``"fixed"`` cluster policies form one cluster of all N
+APs, which the batched engine evaluates at k = N; so ``partition_tasks``
+groups such tasks by AP count, while the splitting ``"threshold"`` and
+``"greedy"`` policies keep each task on its own, where
+``evaluate_topology`` runs the interference-graph engine.  The
 regression proven here: a mixed task list dispatched through
-``run_tasks`` (batching on) is bit-identical to the forced per-topology
-path and to direct per-task evaluation, in the original task order.
+``run_tasks`` is bit-identical to one-task units (``chunk_size=1``) and
+to direct per-task evaluation, in the original task order, serially and
+on a pool.
 """
 
-import numpy as np
+import dataclasses
+
 import pytest
 
-from repro.core.batch import batchable, partition_tasks
+from repro.core.batch import batchable, group_key, partition_tasks
 from repro.core.ncell import GraphStrategyOutcome
 from repro.core.options import EngineOptions
 from repro.sim.config import SimConfig
@@ -22,22 +25,30 @@ from repro.sim.runner import build_tasks, evaluate_topology, run_tasks
 from tests.core.test_batch import assert_same_outcome
 
 CONFIG = SimConfig(n_topologies=2)
-SPEC_2AP = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
-SPEC_4AP = ScenarioSpec("1x1-n4", 1, 1, include_copa_plus=False, n_aps=4)
+SPECS = [
+    ScenarioSpec(f"1x1-n{n}", 1, 1, include_copa_plus=False, n_aps=n) for n in (2, 3, 4)
+]
+
+
+def n_aps(task) -> int:
+    return len(task.channels.topology.aps)
 
 
 @pytest.fixture(scope="module")
 def mixed_tasks():
-    """2-AP and 4-AP topologies interleaved in one task list."""
-    pairs = generate_channel_sets(SPEC_2AP, CONFIG)
-    quads = generate_channel_sets(SPEC_4AP, CONFIG)
-    interleaved = [pairs[0], quads[0], pairs[1], quads[1]]
+    """2-, 3- and 4-AP topologies interleaved in one task list."""
+    by_count = [generate_channel_sets(spec, CONFIG) for spec in SPECS]
+    interleaved = [sets[t] for t in range(CONFIG.n_topologies) for sets in by_count]
     return build_tasks(
         interleaved,
         base_seed=CONFIG.seed,
         coherence_s=CONFIG.coherence_s,
         imperfections=CONFIG.imperfections(),
     )
+
+
+def with_policy(tasks, policy):
+    return [dataclasses.replace(t, options=EngineOptions(cluster_policy=policy)) for t in tasks]
 
 
 def assert_same_records(records_a, records_b):
@@ -48,38 +59,32 @@ def assert_same_records(records_a, records_b):
 
 
 class TestClassification:
-    def test_n_ap_tasks_classify_to_singles(self, mixed_tasks):
-        batches, singles = partition_tasks(mixed_tasks)
-        n_aps = lambda task: len(task.channels.topology.aps)
-        assert all(n_aps(task) == 2 for group in batches for task in group)
-        assert sorted(task.index for task in singles) == [
-            task.index for task in mixed_tasks if n_aps(task) != 2
-        ]
-        # Together they cover the input exactly once.
-        total = [task.index for group in batches for task in group]
-        total += [task.index for task in singles]
-        assert sorted(total) == [task.index for task in mixed_tasks]
+    def test_n_ap_tasks_group_by_ap_count(self, mixed_tasks):
+        for policy in (None, "fixed"):
+            tasks = with_policy(mixed_tasks, policy)
+            assert len({group_key(task) for task in tasks}) == 3
+            batches, singles = partition_tasks(tasks)
+            assert singles == []
+            assert [[t.index for t in group] for group in batches] == [[0, 3], [1, 4], [2, 5]]
+            assert [{n_aps(t) for t in group} for group in batches] == [{2}, {3}, {4}]
 
     def test_cluster_policy_tasks_classify_to_singles(self, mixed_tasks):
-        import dataclasses
-
-        two_ap = next(
-            task for task in mixed_tasks if len(task.channels.topology.aps) == 2
-        )
-        assert batchable(two_ap)
-        routed = dataclasses.replace(
-            two_ap, options=EngineOptions(cluster_policy="fixed")
-        )
-        assert not batchable(routed)
-        batches, singles = partition_tasks([routed])
-        assert not batches and singles == [routed]
+        """Only the policies that may split a topology leave the batch."""
+        for policy in ("threshold", "greedy"):
+            tasks = with_policy(mixed_tasks, policy)
+            assert not any(batchable(task) for task in tasks)
+            batches, singles = partition_tasks(tasks)
+            assert batches == [] and singles == tasks
 
 
 class TestMixedDispatchBitIdentity:
     def test_batched_run_matches_forced_per_topology(self, mixed_tasks):
-        batched, stats = run_tasks(mixed_tasks, workers=1)
-        serial, _ = run_tasks(mixed_tasks, workers=1, chunk_size=1)
-        assert_same_records(batched, serial)
+        for policy in (None, "fixed"):
+            tasks = with_policy(mixed_tasks, policy)
+            batched, stats = run_tasks(tasks, workers=1)
+            single, single_stats = run_tasks(tasks, workers=1, chunk_size=1)
+            assert stats.batch_size == 2 and single_stats.batch_size == 1
+            assert_same_records(batched, single)
 
     def test_batched_run_matches_direct_evaluation(self, mixed_tasks):
         batched, _ = run_tasks(mixed_tasks, workers=1)
@@ -87,10 +92,15 @@ class TestMixedDispatchBitIdentity:
         assert_same_records(batched, direct)
 
     def test_pooled_run_matches_serial(self, mixed_tasks):
-        pooled, stats = run_tasks(mixed_tasks, workers=2)
-        serial, _ = run_tasks(mixed_tasks, workers=1)
+        pooled, stats = run_tasks(mixed_tasks, workers=2, chunk_size=2)
+        serial, _ = run_tasks(mixed_tasks, workers=1, chunk_size=1)
+        assert stats.parallel and stats.batch_size == 2
         assert_same_records(pooled, serial)
-        assert stats.parallel
+
+    def test_fixed_policy_matches_default(self, mixed_tasks):
+        default, _ = run_tasks(mixed_tasks, workers=1)
+        fixed, _ = run_tasks(with_policy(mixed_tasks, "fixed"), workers=1)
+        assert_same_records(default, fixed)
 
 
 class TestMultiClusterThroughRunner:

@@ -235,29 +235,33 @@ class TestRunnerObservability:
         names = [span.name for span in collector.spans]
         assert names.count("runner.run_tasks") == 1
         for index in range(3):
-            assert f"topology[{index}]" in names
-        # Worker-side engine spans were grafted under each topology span.
-        assert any(name == "engine.run" for name in names)
+            assert names.count(f"topology[{index}]") == 1
+        # The one batched unit's engine spans were grafted once, under it.
+        assert names.count("runner.unit") == 1 and names.count("engine.run") == 1
         assert stats.observed and stats.spans_merged == len(collector.spans)
 
     def test_parallel_merge_matches_serial(self):
         tasks = self._tasks(3)
         serial, parallel = Collector(), Collector()
-        run_tasks(tasks, workers=1, collector=serial)
+        run_tasks(tasks, workers=1, chunk_size=1, collector=serial)
         run_tasks(tasks, workers=3, collector=parallel)
         assert serial.metrics.as_payload() == parallel.metrics.as_payload()
         assert [s.name for s in serial.spans] == [s.name for s in parallel.spans]
 
     def test_grafted_spans_nest_inside_their_topology(self):
+        """Engine spans nest in the ``runner.unit`` span holding their
+        topologies: one unit of two rows serially, two of one on a pool."""
         tasks = self._tasks(2)
-        collector = Collector()
-        run_tasks(tasks, workers=2, collector=collector)
-        by_id = {span.span_id: span for span in collector.spans}
-        topo_ids = {s.span_id for s in collector.spans if s.name.startswith("topology[")}
-        for span in collector.spans:
-            if span.name == "engine.run":
-                assert span.parent_id in topo_ids
+        for dispatch, rows in (({"workers": 1}, [2]), ({"workers": 2, "chunk_size": 1}, [1, 1])):
+            collector = Collector()
+            run_tasks(tasks, collector=collector, **dispatch)
+            by_id = {span.span_id: span for span in collector.spans}
+            engine_runs = [span for span in collector.spans if span.name == "engine.run"]
+            assert sorted(span.attrs["rows"] for span in engine_runs) == rows
+            topologies = [s for s in collector.spans if s.name.startswith("topology[")]
+            for span in engine_runs + topologies:
                 parent = by_id[span.parent_id]
+                assert parent.name == "runner.unit"
                 assert parent.start_s <= span.start_s
                 assert span.end_s <= parent.end_s + 1e-9
 

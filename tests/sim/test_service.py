@@ -434,6 +434,28 @@ class TestAllocationService:
         assert col.metrics.counters["service.hit"] == 1.0
         assert sum(span.name == "service.query" for span in col.spans) == 2
 
+    def test_miss_grafts_its_engine_trace_under_the_query(self, cache, channel_sets):
+        col = Collector()
+        svc = AllocationService(cache, config=CONFIG, collector=col)
+        miss, hit = svc.query(channel_sets[0]), svc.query(channel_sets[0])
+        assert (miss.hit, hit.hit) == (False, True)
+        by_id = {span.span_id: span for span in col.spans}
+
+        def query_of(span):
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+                if span.name == "service.query":
+                    return span
+            return None
+
+        miss_query, _ = [s for s in col.spans if s.name == "service.query"]
+        # The miss ran the engine under its query; the hit ran none.
+        (engine_run,) = [s for s in col.spans if s.name == "engine.run"]
+        assert query_of(engine_run) is miss_query
+        assert miss_query.start_s <= engine_run.start_s
+        assert engine_run.end_s <= miss_query.end_s + 1e-9
+        assert col.metrics.counters["engine.runs"] == 1.0
+
     def test_elapsed_and_span_include_the_key(self, cache, channel_sets, monkeypatch):
         col = Collector()
         svc = AllocationService(cache, config=CONFIG, collector=col)
