@@ -38,14 +38,16 @@ user's) is lifted — called once per row, keeping each row's returned
 object.
 
 The engine starts from measured CSI (:func:`measure_csi`), so its caller
-owns the randomness: :func:`run_batch` measures each task with a fresh
-``default_rng(task.seed)``, ``StrategyEngine`` with the caller's
-generator.
+owns the randomness: :func:`run_batch` measures each row from the task
+seed alone, ``StrategyEngine`` with the caller's generator.
 
 Every runner task goes through :func:`run_batch`, alone or in a group,
-except under the ``"threshold"`` and ``"greedy"`` cluster policies,
-which :class:`repro.core.ncell.GraphStrategyEngine` evaluates; the
-default ``"fixed"`` policy is one cluster of all N APs: k = N here.
+under every cluster policy.  A task becomes one row per coordination
+cluster (:mod:`repro.core.clustering`): the default ``"fixed"`` policy
+is one cluster of all N APs, so k = N here; a topology that the
+``"threshold"`` or ``"greedy"`` policy splits gives one row per cluster,
+whose outcomes :func:`repro.core.ncell.combine_clusters` stitches back
+together.
 
 Observability is batch-granular: one ``engine.run`` span covers all B
 rows, every span the engine opens carries ``rows=B``, and counters are
@@ -75,7 +77,7 @@ from ..phy.noise import ImperfectionModel
 from ..phy.rates import best_rate, best_rate_batch
 from ..util import dbm_to_mw
 from . import equi_snr, mercury
-from .clustering import SPLITTING_CLUSTER_POLICIES
+from .clustering import DEFAULT_CLUSTER_POLICY, form_clusters
 from .equi_sinr import (
     BATCHED_ALLOCATORS,
     BatchConcurrentContext,
@@ -86,6 +88,7 @@ from .equi_sinr import (
     _batched,
     radiated_powers_batch,
 )
+from .ncell import combine_clusters, restrict_channels
 from .oracle import GraphPlayer, InterferenceGraph, allocate_graph
 from .strategy import (
     SCHEME_CONC_BF,
@@ -120,19 +123,15 @@ __all__ = [
 def batchable(task) -> bool:
     """Can this task join a batched engine dispatch?
 
-    Three kinds of task run on their own: one with a fault armed for its
+    Two kinds of task run on their own: one with a fault armed for its
     ``(index, attempt)`` (an unarmed plan fires nothing, so its task
-    batches beside clean ones); one under the ``"threshold"`` or
-    ``"greedy"`` cluster policy (its clusters depend on its own link
-    gains); and one whose links differ in shape, as when its APs or
-    clients differ in antenna count (the stacked tensors need one shape).
-    Every other task batches, whatever its AP count, allocator, rate
-    selector or observation.
+    batches beside clean ones), and one whose links differ in shape, as
+    when its APs or clients differ in antenna count (the stacked tensors
+    need one shape).  Every other task batches, whatever its AP count,
+    cluster policy, allocator, rate selector or observation.
     """
     plan = getattr(task, "fault_plan", None)
     if plan is not None and plan.active(task.index, task.attempt) is not None:
-        return False
-    if getattr(task.options, "cluster_policy", None) in SPLITTING_CLUSTER_POLICIES:
         return False
     channels = task.channels
     aps, clients = channels.topology.aps, channels.topology.clients
@@ -811,10 +810,19 @@ def run_batch(
 ) -> List[Tuple[StrategyOutcome, Optional[StrategyOutcome]]]:
     """Evaluate a homogeneous task group; returns (outcome, plus_outcome) pairs.
 
-    Each task's CSI is measured with a fresh ``default_rng(task.seed)``,
-    so a row's result does not depend on the group it runs in; a group
-    of one is the runner's per-topology evaluation.  The COPA+ pass
-    reuses that CSI: a re-measurement would draw the identical estimate.
+    Each task becomes one engine row per coordination cluster, formed by
+    :func:`~repro.core.clustering.form_clusters` under the tasks' policy.
+    A task of one cluster is one row on its own channels, its CSI
+    measured with a fresh ``default_rng(task.seed)``.  A split task's
+    cluster ``c`` is a row on :func:`~repro.core.ncell.restrict_channels`,
+    measured with child seed ``c`` of ``default_rng(task.seed)``, and
+    :func:`~repro.core.ncell.combine_clusters` stitches its rows back
+    into one :class:`~repro.core.ncell.GraphStrategyOutcome`.  Rows of
+    one cluster size run as one engine call; a row's result does not
+    depend on its neighbours, so a task's result does not depend on the
+    group it runs in, and a group of one is the runner's per-topology
+    evaluation.  The COPA+ pass reuses each row's CSI: a re-measurement
+    would draw the identical estimate.
     """
     tasks = list(tasks)
     if not tasks:
@@ -824,19 +832,59 @@ def run_batch(
         raise ValueError("tasks are not homogeneous; partition with partition_tasks() first")
     first = tasks[0]
     imperfections = first.imperfections if first.imperfections is not None else ImperfectionModel()
-    engine = BatchedStrategyEngine(
-        [task.channels for task in tasks],
-        [
-            measure_csi(task.channels, imperfections, np.random.default_rng(task.seed))
-            for task in tasks
-        ],
-        imperfections=imperfections,
-        coherence_s=first.coherence_s,
-        collector=collector,
-        **first.options.engine_kwargs(),
-    )
-    outcomes = engine.run()
-    plus: List[Optional[StrategyOutcome]] = [None] * len(outcomes)
-    if first.include_copa_plus:
-        plus = list(engine.run(allocator=mercury.mercury_allocate))
-    return list(zip(outcomes, plus))
+    policy = first.options.cluster_policy or DEFAULT_CLUSTER_POLICY
+    clusterings = [
+        form_clusters(task.channels.topology, policy, first.options.cluster_threshold_db)
+        for task in tasks
+    ]
+    col = active(collector)
+    if col.enabled:
+        col.inc("engine.ncell.runs", len(tasks))
+        for clusters in clusterings:
+            col.observe("engine.ncell.clusters", len(clusters))
+
+    # Rows keyed by cluster size: (task position, cluster position, channels, CSI).
+    rows: Dict[int, List[tuple]] = {}
+    seeds: List[Tuple[int, ...]] = []
+    for t, (task, clusters) in enumerate(zip(tasks, clusterings)):
+        if len(clusters) == 1:
+            seeds.append(())
+            members = [(task.channels, np.random.default_rng(task.seed))]
+        else:
+            # Independent child streams per cluster, derived from the task
+            # seed in cluster order.
+            drawn = np.random.default_rng(task.seed).integers(0, 2**63 - 1, size=len(clusters))
+            seeds.append(tuple(int(seed) for seed in drawn))
+            members = [
+                (restrict_channels(task.channels, cluster), np.random.default_rng(seed))
+                for cluster, seed in zip(clusters, seeds[-1])
+            ]
+        for c, (channels, rng) in enumerate(members):
+            rows.setdefault(len(channels.topology.aps), []).append(
+                (t, c, channels, measure_csi(channels, imperfections, rng))
+            )
+
+    outcomes = [[None] * len(clusters) for clusters in clusterings]
+    plus = [[None] * len(clusters) for clusters in clusterings]
+    for group in rows.values():
+        engine = BatchedStrategyEngine(
+            [row[2] for row in group],
+            [row[3] for row in group],
+            imperfections=imperfections,
+            coherence_s=first.coherence_s,
+            collector=collector,
+            **first.options.engine_kwargs(),
+        )
+        passes = [(outcomes, None)]
+        if first.include_copa_plus:
+            passes.append((plus, mercury.mercury_allocate))
+        for table, allocator in passes:
+            for (t, c, _, _), outcome in zip(group, engine.run(allocator=allocator)):
+                table[t][c] = outcome
+
+    def combined(t: int, per_cluster: list):
+        if per_cluster[0] is None or len(per_cluster) == 1:
+            return per_cluster[0]
+        return combine_clusters(clusterings[t], per_cluster, seeds[t])
+
+    return [(combined(t, outcomes[t]), combined(t, plus[t])) for t in range(len(tasks))]

@@ -1,8 +1,10 @@
-"""Cluster-formation policies for the N-AP interference-graph engine.
+"""Cluster-formation policies for N-AP topologies.
 
 COPA coordinates a pair of interfering APs; the N-cell generalization
 (`repro.core.ncell`) coordinates *within* a cluster of APs and falls back
-to plain CSMA *across* clusters.  This module decides the clusters.
+to plain CSMA *across* clusters.  This module decides the clusters;
+:func:`repro.core.batch.run_batch` runs each cluster as one row of the
+batched engine, whatever the policy.
 
 Clustering is a pure function of the sampled topology's link gains — it
 consumes no randomness — so cluster membership is reproducible from the
@@ -12,7 +14,7 @@ Policies
 --------
 ``fixed``
     One cluster containing every AP (full coordination).  This is the
-    default; the batched strategy engine evaluates it directly, at k = N.
+    default: the batched strategy engine evaluates it at k = N.
 ``threshold``
     Single-linkage connected components over the cross-gain graph: APs
     *i* and *j* share an edge when the stronger of the two cross links
@@ -20,8 +22,7 @@ Policies
 ``greedy``
     Average-linkage agglomerative merging: repeatedly merge the pair of
     clusters with the highest mean pairwise cross-gain while that mean
-    stays at or above ``threshold_db`` (optionally capped by
-    ``max_cluster_size``).
+    stays at or above ``threshold_db``.
 
 All tie-breaks are deterministic (smallest AP index first) and clusters
 are returned sorted, so the output is a pure function of its inputs.
@@ -35,7 +36,6 @@ __all__ = [
     "CLUSTER_POLICIES",
     "DEFAULT_CLUSTER_POLICY",
     "DEFAULT_CLUSTER_THRESHOLD_DB",
-    "SPLITTING_CLUSTER_POLICIES",
     "cross_gain_db",
     "form_clusters",
 ]
@@ -44,10 +44,6 @@ __all__ = [
 CLUSTER_POLICIES: Tuple[str, ...] = ("fixed", "threshold", "greedy")
 
 DEFAULT_CLUSTER_POLICY = "fixed"
-
-#: Policies that may split a topology into several clusters; only these
-#: need :class:`repro.core.ncell.GraphStrategyEngine`.
-SPLITTING_CLUSTER_POLICIES: Tuple[str, ...] = ("threshold", "greedy")
 
 #: Cross links weaker than this are treated as negligible for
 #: coordination purposes.  At the default 15 dBm transmit power a
@@ -101,20 +97,13 @@ def _threshold_clusters(topology, threshold_db: float) -> Tuple[Tuple[int, ...],
     return _normalise(components.values())
 
 
-def _greedy_clusters(
-    topology,
-    threshold_db: float,
-    max_cluster_size: Optional[int],
-) -> Tuple[Tuple[int, ...], ...]:
+def _greedy_clusters(topology, threshold_db: float) -> Tuple[Tuple[int, ...], ...]:
     n_aps = len(topology.aps)
     clusters = [[i] for i in range(n_aps)]
     while len(clusters) > 1:
         best = None
         for a in range(len(clusters)):
             for b in range(a + 1, len(clusters)):
-                size = len(clusters[a]) + len(clusters[b])
-                if max_cluster_size is not None and size > max_cluster_size:
-                    continue
                 pairs = [
                     cross_gain_db(topology, i, j)
                     for i in clusters[a]
@@ -138,7 +127,6 @@ def form_clusters(
     topology,
     policy: str = DEFAULT_CLUSTER_POLICY,
     threshold_db: Optional[float] = None,
-    max_cluster_size: Optional[int] = None,
 ) -> Tuple[Tuple[int, ...], ...]:
     """Partition the topology's APs into coordination clusters.
 
@@ -160,4 +148,4 @@ def form_clusters(
         return (tuple(range(n_aps)),)
     if policy == "threshold":
         return _threshold_clusters(topology, float(threshold_db))
-    return _greedy_clusters(topology, float(threshold_db), max_cluster_size)
+    return _greedy_clusters(topology, float(threshold_db))

@@ -1,27 +1,29 @@
-"""N-AP interference-graph strategy engine with dynamic clustering.
+"""N-AP coordination clusters: restricted channels and combined outcomes.
 
-COPA's engine (:class:`repro.core.strategy.StrategyEngine`) coordinates
-one cluster of interfering (AP, client) networks.  This module applies
-it to N networks partitioned into coordination clusters
-(:mod:`repro.core.clustering`):
+COPA's engine coordinates one cluster of interfering (AP, client)
+networks.  The N-cell generalization partitions N networks into
+coordination clusters (:mod:`repro.core.clustering`):
 
 * **within a cluster** the full COPA machinery runs — sequential power
   allocation, concurrent beamforming/nulling (at k ≥ 3 APs with the
-  N-player best-response dynamics from the PR-6 oracle,
+  N-player best-response dynamics of
   :func:`repro.core.oracle.allocate_graph`), and the incentive-compatible
   strategy choice;
 * **across clusters** networks fall back to plain CSMA: clusters take
   turns on the medium and do not interfere (idealized carrier sense, the
   same idealization the paper applies to its sequential schemes).
 
-The runner uses this engine (and records ``engine.ncell`` spans) only
-under the ``"threshold"`` and ``"greedy"`` policies; the default
-``"fixed"`` one is :func:`repro.core.batch.run_batch` at k = N.
+:func:`repro.core.batch.run_batch` evaluates every cluster policy.  A
+topology of one cluster — every topology under the default ``"fixed"``
+policy — is one engine row on its own channels.  A topology that the
+``"threshold"`` or ``"greedy"`` policy splits becomes one row per
+cluster, on :func:`restrict_channels`, and :func:`combine_clusters`
+stitches the rows' outcomes into one :class:`GraphStrategyOutcome`.
 
 Reduction guarantees, enforced by ``tests/core/test_ncell_reduction.py``:
 
-* N = 2 in a single cluster delegates verbatim to the 2-AP engine with
-  the caller's RNG, so it is **bit-identical by construction**;
+* N = 2 in a single cluster is the 2-AP engine's row, so it is
+  **bit-identical by construction**;
 * a cluster of exactly two APs inside a larger topology runs the same
   2-AP menu (SDA roles included) on the restricted channel set;
 * a cluster of one AP degenerates to CSMA/COPA-SEQ — no concurrent
@@ -33,8 +35,8 @@ N transmitters contend individually, so a cluster of ``k`` APs carries
 ``k``).  For concurrent schemes each cluster transmits as one unit and
 the ``n_clusters`` units split the medium evenly, so every cluster's
 share is ``1/n_clusters``.  Both factors are exactly ``1.0`` for a single
-cluster, which is why the single-cluster path can return the inner
-engine's outcome unchanged.
+cluster, which is why a single-cluster topology keeps its row's outcome
+unchanged.
 """
 
 from __future__ import annotations
@@ -42,24 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..mac.timing import MacOverheadModel
-from ..obs.collector import Collector, active
 from ..phy.channel import ChannelSet
-from ..phy.constants import TX_POWER_DBM
-from ..phy.noise import ImperfectionModel
-from ..phy.rates import best_rate
 from ..phy.topology import Topology
-from . import equi_snr
-from .clustering import DEFAULT_CLUSTER_POLICY, form_clusters
-from .equi_sinr import StreamAllocator
 from .schemes import Scheme
-from .strategy import SchemeResult, StrategyEngine, StrategyOutcome
+from .strategy import SchemeResult, StrategyOutcome
 
 __all__ = [
-    "GraphStrategyEngine",
     "GraphStrategyOutcome",
+    "combine_clusters",
     "restrict_channels",
 ]
 
@@ -127,7 +119,7 @@ class GraphStrategyOutcome:
     clusters: Tuple[Tuple[int, ...], ...]
     #: Per-cluster outcomes, aligned with ``clusters``.
     cluster_outcomes: Tuple[StrategyOutcome, ...]
-    #: Child seeds used for the per-cluster engines ((),) for one cluster).
+    #: Child seeds of the per-cluster CSI measurements, aligned with ``clusters``.
     cluster_seeds: Tuple[int, ...]
     #: Combined measured results per scheme, global client order.
     schemes: Dict[str, SchemeResult]
@@ -157,131 +149,41 @@ class GraphStrategyOutcome:
         return "+".join(self.copa_fair_choices)
 
 
-class GraphStrategyEngine:
-    """Evaluates the COPA strategy menu over an N-AP interference graph.
+def combine_clusters(
+    clusters: Tuple[Tuple[int, ...], ...],
+    outcomes: Sequence[StrategyOutcome],
+    seeds: Tuple[int, ...],
+) -> GraphStrategyOutcome:
+    """Stitch per-cluster outcomes into one N-AP outcome.
 
-    Forms coordination clusters from the topology's link gains (no RNG
-    involved), runs one :class:`StrategyEngine` per cluster on its
-    restricted channels, and combines the per-cluster menus under the
-    CSMA-across-clusters airtime model described in the module docstring.
-
-    With a single cluster the inner outcome is returned unchanged; in
-    particular N = 2 with one cluster constructs the 2-AP engine with
-    the caller's RNG, making it bit-identical to the 2-AP path by
-    construction.
+    ``clusters`` partition the N APs (:func:`repro.core.clustering.form_clusters`),
+    ``outcomes`` are the clusters' menus in the same order and ``seeds``
+    the child seeds their CSI was measured with.  Each result is scaled
+    by its cluster's airtime share under the CSMA-across-clusters model
+    of the module docstring and placed at the global client indices.
     """
+    n_aps = sum(len(cluster) for cluster in clusters)
 
-    def __init__(
-        self,
-        channels: ChannelSet,
-        imperfections: Optional[ImperfectionModel] = None,
-        rng: Optional[np.random.Generator] = None,
-        overhead_model: Optional[MacOverheadModel] = None,
-        coherence_s: float = 0.030,
-        tx_power_dbm: float = TX_POWER_DBM,
-        allocator: StreamAllocator = equi_snr.allocate,
-        max_iterations: int = 8,
-        rate_selector=best_rate,
-        collector: Optional[Collector] = None,
-        oracle_check: bool = False,
-        cluster_policy: str = DEFAULT_CLUSTER_POLICY,
-        cluster_threshold_db: Optional[float] = None,
-        max_cluster_size: Optional[int] = None,
-    ):
-        self.channels = channels
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._raw_collector = collector
-        self.collector = active(collector)
-        self.cluster_policy = cluster_policy
-        self.cluster_threshold_db = cluster_threshold_db
-        # Stored verbatim and forwarded to the per-cluster engines so
-        # their defaulting matches a directly-constructed StrategyEngine.
-        self._engine_kwargs = dict(
-            imperfections=imperfections,
-            overhead_model=overhead_model,
-            coherence_s=coherence_s,
-            tx_power_dbm=tx_power_dbm,
-            allocator=allocator,
-            max_iterations=max_iterations,
-            rate_selector=rate_selector,
-            oracle_check=oracle_check,
-        )
-        self.n_aps = len(channels.topology.aps)
-        # Clustering reads only topology link gains: it never consumes the
-        # RNG, so the single-cluster delegate sees the exact caller stream.
-        self.clusters = form_clusters(
-            channels.topology,
-            policy=cluster_policy,
-            threshold_db=cluster_threshold_db,
-            max_cluster_size=max_cluster_size,
-        )
-
-    # -- engine construction --------------------------------------------
-
-    def _engine_for(self, channels: ChannelSet, rng: np.random.Generator) -> StrategyEngine:
-        return StrategyEngine(
-            channels, rng=rng, collector=self._raw_collector, **self._engine_kwargs
-        )
-
-    def run(self):
-        """Evaluate all clusters and combine their menus.
-
-        Returns the inner :class:`StrategyOutcome` unchanged for a single
-        cluster, a :class:`GraphStrategyOutcome` otherwise.
-        """
-        col = self.collector
-        with col.span(
-            "engine.ncell",
-            aps=self.n_aps,
-            clusters=len(self.clusters),
-            policy=self.cluster_policy,
-        ):
-            if col.enabled:
-                col.inc("engine.ncell.runs")
-                col.observe("engine.ncell.clusters", len(self.clusters))
-            if len(self.clusters) == 1:
-                return self._engine_for(self.channels, self.rng).run()
-            # Independent child streams per cluster: derived from the task
-            # RNG in cluster order, so results are reproducible from the
-            # task seed alone and invariant to evaluation order.
-            seeds = self.rng.integers(0, 2**63 - 1, size=len(self.clusters))
-            outcomes = []
-            for cluster, seed in zip(self.clusters, seeds):
-                sub = restrict_channels(self.channels, cluster)
-                outcomes.append(
-                    self._engine_for(sub, np.random.default_rng(int(seed))).run()
-                )
-            return self._combine(outcomes, tuple(int(s) for s in seeds))
-
-    # -- combination across clusters ------------------------------------
-
-    def _share(self, concurrent: bool, cluster: Tuple[int, ...]) -> float:
+    def share(concurrent: bool, cluster: Tuple[int, ...]) -> float:
         if concurrent:
-            return 1.0 / len(self.clusters)
-        return len(cluster) / float(self.n_aps)
+            return 1.0 / len(clusters)
+        return len(cluster) / float(n_aps)
 
-    def _combined_result(
-        self,
+    def stitch(
         name: str,
         concurrent: bool,
         per_cluster: Sequence[SchemeResult],
-        per_cluster_shares: Optional[Sequence[float]] = None,
+        shares: Optional[Sequence[float]] = None,
     ) -> SchemeResult:
-        """Stitch per-cluster results into one global-client-order result."""
-        n_clients = len(self.channels.topology.clients)
-        throughput = [0.0] * n_clients
-        rates: List = [None] * n_clients
-        allocations: List = [None] * n_clients
+        throughput = [0.0] * n_aps
+        rates: List = [None] * n_aps
+        allocations: List = [None] * n_aps
         have_allocations = all(r.allocations is not None for r in per_cluster)
-        for cluster, result, share in zip(
-            self.clusters,
-            per_cluster,
-            per_cluster_shares
-            if per_cluster_shares is not None
-            else [self._share(concurrent, c) for c in self.clusters],
-        ):
+        if shares is None:
+            shares = [share(concurrent, cluster) for cluster in clusters]
+        for cluster, result, cluster_share in zip(clusters, per_cluster, shares):
             for local, global_idx in enumerate(cluster):
-                throughput[global_idx] = result.client_throughput_bps[local] * share
+                throughput[global_idx] = result.client_throughput_bps[local] * cluster_share
                 rates[global_idx] = result.rates[local]
                 if have_allocations:
                     allocations[global_idx] = result.allocations[local]
@@ -293,66 +195,56 @@ class GraphStrategyEngine:
             allocations=tuple(allocations) if have_allocations else None,
         )
 
-    def _cluster_scheme(self, outcome: StrategyOutcome, scheme: str, predicted: bool):
+    def cluster_scheme(outcome: StrategyOutcome, scheme: str, predicted: bool) -> SchemeResult:
         table = outcome.predictions if predicted else outcome.schemes
-        if scheme in table:
-            return table[scheme]
-        return table[_SINGLETON_FALLBACK[scheme]]
+        return table[scheme] if scheme in table else table[_SINGLETON_FALLBACK[scheme]]
 
-    def _combine(
-        self, outcomes: Sequence[StrategyOutcome], seeds: Tuple[int, ...]
-    ) -> GraphStrategyOutcome:
-        schemes: Dict[str, SchemeResult] = {}
-        predictions: Dict[str, SchemeResult] = {}
-
-        for scheme in (Scheme.CSMA, Scheme.COPA_SEQ):
-            for predicted, table in ((False, schemes), (True, predictions)):
-                table[scheme] = self._combined_result(
-                    scheme,
-                    False,
-                    [o.predictions[scheme] if predicted else o.schemes[scheme] for o in outcomes],
-                )
-
-        coordinated = [len(cluster) >= 2 for cluster in self.clusters]
-        for scheme in _CONCURRENT_SCHEMES:
-            available = any(coordinated) and all(
-                scheme in outcome.schemes
-                for outcome, multi in zip(outcomes, coordinated)
-                if multi
+    schemes: Dict[str, SchemeResult] = {}
+    predictions: Dict[str, SchemeResult] = {}
+    for scheme in (Scheme.CSMA, Scheme.COPA_SEQ):
+        for predicted, table in ((False, schemes), (True, predictions)):
+            table[scheme] = stitch(
+                scheme,
+                False,
+                [o.predictions[scheme] if predicted else o.schemes[scheme] for o in outcomes],
             )
-            if not available:
-                continue
-            for predicted, table in ((False, schemes), (True, predictions)):
-                table[scheme] = self._combined_result(
-                    scheme,
-                    True,
-                    [self._cluster_scheme(o, scheme, predicted) for o in outcomes],
-                )
 
-        copa_choices = tuple(o.copa_choice for o in outcomes)
-        copa_fair_choices = tuple(o.copa_fair_choice for o in outcomes)
-        # Each cluster transmits its own chosen strategy; its airtime share
-        # follows the chosen strategy's contention type.
-        copa_result = self._combined_result(
-            "copa",
-            any(o.copa.concurrent for o in outcomes),
-            [o.copa for o in outcomes],
-            [self._share(o.copa.concurrent, c) for o, c in zip(outcomes, self.clusters)],
+    coordinated = [len(cluster) >= 2 for cluster in clusters]
+    for scheme in _CONCURRENT_SCHEMES:
+        available = any(coordinated) and all(
+            scheme in outcome.schemes
+            for outcome, multi in zip(outcomes, coordinated)
+            if multi
         )
-        copa_fair_result = self._combined_result(
-            "copa_fair",
-            any(o.copa_fair.concurrent for o in outcomes),
-            [o.copa_fair for o in outcomes],
-            [self._share(o.copa_fair.concurrent, c) for o, c in zip(outcomes, self.clusters)],
-        )
-        return GraphStrategyOutcome(
-            clusters=self.clusters,
-            cluster_outcomes=tuple(outcomes),
-            cluster_seeds=seeds,
-            schemes=schemes,
-            predictions=predictions,
-            copa_choices=copa_choices,
-            copa_fair_choices=copa_fair_choices,
-            copa_result=copa_result,
-            copa_fair_result=copa_fair_result,
-        )
+        if not available:
+            continue
+        for predicted, table in ((False, schemes), (True, predictions)):
+            table[scheme] = stitch(
+                scheme, True, [cluster_scheme(o, scheme, predicted) for o in outcomes]
+            )
+
+    # Each cluster transmits its own chosen strategy; its airtime share
+    # follows the chosen strategy's contention type.
+    copa_result = stitch(
+        "copa",
+        any(o.copa.concurrent for o in outcomes),
+        [o.copa for o in outcomes],
+        [share(o.copa.concurrent, c) for o, c in zip(outcomes, clusters)],
+    )
+    copa_fair_result = stitch(
+        "copa_fair",
+        any(o.copa_fair.concurrent for o in outcomes),
+        [o.copa_fair for o in outcomes],
+        [share(o.copa_fair.concurrent, c) for o, c in zip(outcomes, clusters)],
+    )
+    return GraphStrategyOutcome(
+        clusters=clusters,
+        cluster_outcomes=tuple(outcomes),
+        cluster_seeds=seeds,
+        schemes=schemes,
+        predictions=predictions,
+        copa_choices=tuple(o.copa_choice for o in outcomes),
+        copa_fair_choices=tuple(o.copa_fair_choice for o in outcomes),
+        copa_result=copa_result,
+        copa_fair_result=copa_fair_result,
+    )

@@ -33,8 +33,8 @@ from typing import Any, Callable, Dict, Optional
 __all__ = ["EngineOptions"]
 
 #: Fields never forwarded to the strategy engine as keyword arguments:
-#: they configure cluster formation
-#: (:class:`repro.core.ncell.GraphStrategyEngine`) instead, and *are*
+#: they configure cluster formation (:func:`repro.core.batch.run_batch`
+#: turns each cluster into an engine row) instead, and *are*
 #: result-determining — ``repro.sim.fingerprint`` hashes them whenever
 #: they are set.
 _CLUSTER_FIELDS = ("cluster_policy", "cluster_threshold_db")
@@ -68,10 +68,10 @@ class EngineOptions:
         ``"threshold"`` or ``"greedy"``, see
         :mod:`repro.core.clustering`).  ``None`` means ``"fixed"``: one
         cluster of all APs, batched at k = N like any other task.
-        ``"threshold"`` and ``"greedy"`` may split the topology, so each
-        such task runs on its own through
-        :class:`repro.core.ncell.GraphStrategyEngine`.
-        Result-determining: fingerprinted whenever set.
+        ``"threshold"`` and ``"greedy"`` may split the topology; each
+        cluster is then one row of the batched engine, and the task still
+        batches with its peers.  Result-determining: fingerprinted
+        whenever set.
     cluster_threshold_db:
         Cross-gain threshold for the ``threshold``/``greedy`` policies,
         in dB (``None`` → the documented default).  Result-determining:

@@ -144,6 +144,10 @@ class Tracer:
         """A context manager measuring one named stage."""
         return _ActiveSpan(self, name, attrs)
 
+    def open_span_id(self) -> Optional[int]:
+        """The innermost open span's id (``None`` outside every span)."""
+        return self._stack[-1] if self._stack else None
+
     def record(
         self,
         name: str,

@@ -48,9 +48,9 @@ class ScenarioSpec:
     interference_offset_db: float = 0.0
     #: Also run the impractical mercury/water-filling COPA+ variant.
     include_copa_plus: bool = True
-    #: Number of interfering AP/client pairs.  2 (the paper's setting)
-    #: runs the 2-AP engine; larger counts route every topology through
-    #: the N-cell interference-graph engine (:mod:`repro.core.ncell`).
+    #: Number of interfering AP/client pairs.  2 is the paper's setting;
+    #: larger counts coordinate the APs in clusters
+    #: (:mod:`repro.core.ncell`), each cluster one row of the batched engine.
     n_aps: int = 2
 
 
@@ -105,17 +105,19 @@ class ExperimentResult:
         return summarize(self.series_mbps(key))
 
     def available_series(self) -> List[str]:
-        """Series that were measured, probed cheaply on the first record.
+        """Series that were measured on every topology.
 
-        Scheme availability is uniform across a scenario's topologies (it
-        depends only on the antenna configuration and ``include_copa_plus``),
-        so probing one record's aggregates suffices — no need to recompute
-        every full series just to see which ones exist.
+        Availability is not uniform under a splitting cluster policy: a
+        topology split into singleton clusters offers no concurrent
+        scheme, while its unsplit neighbours do.
         """
         if not self.records:
             return []
-        probe = self.records[0]
-        return [key for key in SERIES_KEYS if self._aggregate(probe, key) is not None]
+        return [
+            key
+            for key in SERIES_KEYS
+            if all(self._aggregate(record, key) is not None for record in self.records)
+        ]
 
     def mean_table_mbps(self) -> Dict[str, float]:
         """Scheme → mean aggregate Mbit/s (the numbers in the CDF legends)."""

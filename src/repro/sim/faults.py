@@ -31,11 +31,17 @@ Fault classes
     raise :class:`SimulatedPoolBreak`, a :class:`BrokenProcessPool`
     subclass — from a pool worker it reaches the parent exactly like a
     real pool breakage and must trigger graceful serial degradation.
+``EXIT``
+    end the whole process at once with status :data:`EXIT_STATUS`
+    (``os._exit``: no exception, no cleanup) — a stand-in for ``kill -9``
+    that leaves exactly the on-disk state a killed worker leaves (a
+    shard service worker's stale lease and partial journal).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -45,6 +51,7 @@ from typing import Dict, Iterable, Mapping, Optional
 import numpy as np
 
 __all__ = [
+    "EXIT_STATUS",
     "FaultKind",
     "FaultSpec",
     "FaultPlan",
@@ -61,6 +68,11 @@ class FaultKind(str, Enum):
     HANG = "hang"
     CORRUPT = "corrupt"
     POOL_BREAK = "pool_break"
+    EXIT = "exit"
+
+
+#: The status an ``EXIT`` fault ends its process with.
+EXIT_STATUS = 86
 
 
 class InjectedFault(RuntimeError):
@@ -154,7 +166,7 @@ class FaultPlan:
     # -- hook points called by repro.sim.runner.evaluate_topology ---------
 
     def fire_before(self, index: int, attempt: int) -> None:
-        """Apply a ``when='before'`` fault: crash, hang or break the pool."""
+        """Apply a ``when='before'`` fault: crash, hang, break the pool or exit."""
         spec = self.active(index, attempt)
         if spec is None or spec.when != "before":
             return
@@ -184,4 +196,6 @@ class FaultPlan:
             raise SimulatedPoolBreak(
                 f"injected pool breakage at topology {index} (attempt {attempt})"
             )
+        if spec.kind is FaultKind.EXIT:
+            os._exit(EXIT_STATUS)
         raise ValueError(f"unhandled fault kind {spec.kind!r}")  # pragma: no cover

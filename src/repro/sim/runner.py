@@ -74,12 +74,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..core import batch as batch_engine
-from ..core.clustering import SPLITTING_CLUSTER_POLICIES
-from ..core.mercury import mercury_allocate
-from ..core.ncell import GraphStrategyEngine
 from ..core.options import EngineOptions
 from ..core.strategy import StrategyOutcome
 from ..obs.collector import Collector, active
@@ -171,45 +166,20 @@ class TaskResult:
 def evaluate_topology(task: TopologyTask) -> TaskResult:
     """Evaluate one task; module-level so workers import it by reference.
 
-    A one-row :func:`repro.core.batch.run_batch`, except under a cluster
-    policy that may split the topology (:func:`_run_clustered`).  The CSI
-    RNG comes from the task seed alone; observation and the fault hooks
-    never touch it, so results are bit-identical observed or not and a
-    retried attempt is a pure replay.
+    A one-row :func:`repro.core.batch.run_batch` (one row per cluster
+    when the task's cluster policy splits its topology).  The CSI RNG
+    comes from the task seed alone; observation and the fault hooks never
+    touch it, so results are bit-identical observed or not and a retried
+    attempt is a pure replay.
     """
     if task.fault_plan is not None:
         task.fault_plan.fire_before(task.index, task.attempt)
     start = time.perf_counter()
     collector = Collector() if task.observe else None
-    if task.options.cluster_policy in SPLITTING_CLUSTER_POLICIES:
-        outcomes = [_run_clustered(task, collector)]
-    else:
-        outcomes = batch_engine.run_batch([task], collector)
-    (result,) = _unit_results([task], outcomes, start, collector)
+    (result,) = _unit_results([task], batch_engine.run_batch([task], collector), start, collector)
     if task.fault_plan is not None:
         result = task.fault_plan.fire_after(task.index, task.attempt, result)
     return result
-
-
-def _run_clustered(task: TopologyTask, collector: Optional[Collector]) -> Tuple:
-    """(outcome, plus_outcome) on the interference-graph engine, one
-    engine per pass, each with the RNG rebuilt from the task seed."""
-
-    def run(**overrides) -> StrategyOutcome:
-        return GraphStrategyEngine(
-            task.channels,
-            imperfections=task.imperfections,
-            rng=np.random.default_rng(task.seed),
-            coherence_s=task.coherence_s,
-            collector=collector,
-            cluster_policy=task.options.cluster_policy,
-            cluster_threshold_db=task.options.cluster_threshold_db,
-            **{**task.options.engine_kwargs(), **overrides},
-        ).run()
-
-    outcome = run()
-    plus_outcome = run(allocator=mercury_allocate) if task.include_copa_plus else None
-    return outcome, plus_outcome
 
 
 def _unit_results(
@@ -608,7 +578,8 @@ def _merge_observations(
 
     ``units`` lists the task indices of every accepted dispatch unit; a
     cache hit or resumed task is a unit of its own.  Each unit gets a
-    ``runner.unit`` span under one ``runner.run_tasks`` span, holding its
+    ``runner.unit`` span under one ``runner.run_tasks`` span (itself a
+    child of the caller's innermost open span, if any), holding its
     grafted spans once and one ``topology[i]`` span per task, laid out
     back-to-back from the dispatch start (a logical serial timeline).
     Fault-tolerance events become zero-duration ``runner.<kind>`` spans
@@ -620,6 +591,7 @@ def _merge_observations(
         "runner.run_tasks",
         start_s=dispatch_start_s,
         duration_s=float(sum(result.elapsed_s for result in results)),
+        parent_id=tracer.open_span_id(),
         workers=n_workers,
         chunk_size=chunk,
         parallel=parallel,

@@ -94,6 +94,7 @@ from ..obs.tracing import SpanRecord, graft
 from .checkpoint import Journal, load_completed
 from .config import DEFAULT_CONFIG, SimConfig
 from .experiment import ExperimentResult, ScenarioSpec, generate_channel_sets
+from .faults import FaultPlan
 from .fingerprint import (
     RESULT_IRRELEVANT_OPTION_FIELDS,
     describe_value,
@@ -548,21 +549,13 @@ class _ShardJournal(Journal):
     *unit*, not one shard: the runner drains a shard as batched units and
     journals a unit's tasks together once it completes, so the longest
     silence is one unit's evaluation.  A worker grinding through a long
-    shard stays visibly alive.  ``die_after_records`` is the chaos suite's deterministic
-    stand-in for ``kill -9``: after N journaled results the process exits
-    immediately (no lease release, no done marker, no cleanup), leaving
-    exactly the on-disk state a crashed worker leaves.
+    shard stays visibly alive.
     """
 
     lease: Optional[Lease] = None
-    die_after_records: Optional[int] = None
-    _records = 0
 
     def record(self, result) -> None:
         super().record(result)
-        self._records += 1
-        if self.die_after_records is not None and self._records >= self.die_after_records:
-            os._exit(86)
         if self.lease is not None:
             self.lease.heartbeat()
 
@@ -609,14 +602,12 @@ def _run_shard(
     workers: Optional[int],
     policy: Optional[RetryPolicy],
     stats: ServiceStats,
-    die_after_tasks: Optional[int],
 ) -> None:
     """Drain one claimed shard: resume, prefill from cache, run, mark done."""
     col = active(collector)
     shard_tasks = list(tasks[shard.start : shard.stop])
     journal = _ShardJournal.open(_journal_path(shard_dir, shard.shard_id), tasks, resume=True)
     journal.lease = lease
-    journal.die_after_records = die_after_tasks
     start = time.perf_counter()
     try:
         resumed = len(journal.completed)
@@ -676,7 +667,7 @@ def run_worker(
     poll_s: float = 0.05,
     timeout_s: Optional[float] = None,
     wait: bool = True,
-    die_after_tasks: Optional[int] = None,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> ServiceStats:
     """Drain shards from ``shard_dir`` until the whole experiment is done.
 
@@ -690,9 +681,9 @@ def run_worker(
     only when the *experiment* (not just their own claims) is complete.
     ``timeout_s`` bounds the whole call (:class:`ServiceTimeout`).
 
-    ``die_after_tasks`` is the chaos suite's hook: the worker process
-    exits abruptly (``os._exit``) after journaling that many results,
-    simulating ``kill -9`` mid-shard.  Never set it in production.
+    ``fault_plan`` installs deterministic fault injection on this
+    worker's tasks (:mod:`repro.sim.faults`; chaos tests only), for
+    example an ``EXIT`` that kills the worker mid-shard.
 
     Returns this worker's :class:`ServiceStats`; raises
     :class:`~repro.sim.runner.RunnerError` if a shard's tasks fail
@@ -703,6 +694,8 @@ def run_worker(
     col = active(collector)
     manifest = _wait_for_manifest(shard_dir, timeout_s if wait else None, poll_s)
     tasks = manifest.build_tasks(cache=cache, collector=collector)
+    if fault_plan is not None:
+        tasks = [dataclasses.replace(task, fault_plan=fault_plan) for task in tasks]
     stats = ServiceStats(worker_id=worker_id, shards_total=len(manifest.shards))
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     start = time.perf_counter()
@@ -743,7 +736,6 @@ def run_worker(
                             workers,
                             policy,
                             stats,
-                            die_after_tasks,
                         )
                 finally:
                     lease.release()
@@ -775,7 +767,7 @@ def worker_entry(
     worker_id: Optional[str] = None,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     timeout_s: Optional[float] = None,
-    die_after_tasks: Optional[int] = None,
+    fault_plan: Optional[FaultPlan] = None,
     observe: bool = True,
 ) -> Dict[str, object]:
     """Module-level worker entry for subprocess/pool dispatch.
@@ -797,7 +789,7 @@ def worker_entry(
         collector=Collector() if observe else None,
         lease_ttl_s=lease_ttl_s,
         timeout_s=timeout_s,
-        die_after_tasks=die_after_tasks,
+        fault_plan=fault_plan,
     )
     return stats.as_dict()
 

@@ -98,6 +98,13 @@ def assert_same_scheme(a, b):
 
 
 def assert_same_outcome(a, b):
+    """Equal outcomes, including each cluster of a split topology's."""
+    assert type(a) is type(b)
+    if hasattr(a, "cluster_outcomes"):
+        assert a.clusters == b.clusters
+        assert a.cluster_seeds == b.cluster_seeds
+        for ca, cb in zip(a.cluster_outcomes, b.cluster_outcomes):
+            assert_same_outcome(ca, cb)
     assert a.copa_choice == b.copa_choice
     assert a.copa_fair_choice == b.copa_fair_choice
     assert set(a.schemes) == set(b.schemes)
@@ -216,23 +223,28 @@ class TestPartition:
         assert group_key(ones[0]) != group_key(fours[0])
 
     def test_unbatchable_tasks_become_singles(self):
+        """Only armed faults leave the batch; a cluster policy groups apart."""
         spec = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
         good = make_tasks(spec, 2)
         faulted = make_tasks(spec, 2, fault_plan=FaultPlan.at([0, 1], FaultKind.CRASH))
         clustered = make_tasks(spec, 2, options=EngineOptions(cluster_policy="threshold"))
         batches, singles = partition_tasks(good + faulted + clustered)
-        assert singles == faulted + clustered
-        assert batches == [good]
+        assert singles == faulted
+        assert batches == [good, clustered]
 
     def test_coverage_is_exact(self):
-        tasks = make_tasks(ScenarioSpec("3x2", 3, 2, include_copa_plus=False), 3)
+        tasks = make_tasks(ScenarioSpec("3x2", 3, 2, include_copa_plus=False), 4)
         tasks[1] = dataclasses.replace(tasks[1], options=EngineOptions(cluster_policy="greedy"))
+        tasks[3] = dataclasses.replace(tasks[3], options=EngineOptions(cluster_policy="greedy"))
+        tasks[2] = dataclasses.replace(tasks[2], fault_plan=FaultPlan.at([2], FaultKind.CRASH))
         batches, singles = partition_tasks(tasks)
+        assert [[task.index for task in batch] for batch in batches] == [[0], [1, 3]]
+        assert [task.index for task in singles] == [2]
         indices = sorted(
             [task.index for batch in batches for task in batch]
             + [task.index for task in singles]
         )
-        assert indices == [0, 1, 2]
+        assert indices == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

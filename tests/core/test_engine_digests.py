@@ -10,9 +10,12 @@ single flipped bit anywhere in an outcome changes its digest.
 The digests were recorded with the original two-AP serial engine and
 its k-AP cluster subclass, before the menu became one batched
 implementation; they pin that the per-topology front
-(:class:`repro.core.strategy.StrategyEngine`), the N-AP graph engine and
-their callers still reproduce those results bit for bit, and that the
-caller's RNG is left in the same state.
+(:class:`repro.core.strategy.StrategyEngine`) and its callers still
+reproduce those results bit for bit, and that the caller's RNG is left
+in the same state.  The split-topology cases (``graph-*-threshold``) run
+through :func:`repro.sim.runner.evaluate_topology`, which draws from the
+task seed alone, so they pin the combined outcome only; their digests
+were recorded with the per-cluster graph engine that this path replaced.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from repro.core.controller import CopaSession
 from repro.core.equi_snr import allocate_power_only, allocate_selection_only
 from repro.core.mercury import mercury_allocate
 from repro.core.multi_decoder import per_subcarrier_rates
-from repro.core.ncell import GraphStrategyEngine
+from repro.core.options import EngineOptions
 from repro.core.schemes import Scheme
 from repro.core.strategy import StrategyEngine, choose_scheme
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.network import copa_vs_nopa_example
+from repro.sim.runner import TopologyTask, evaluate_topology
 
 
 def _feed(h, value) -> None:
@@ -85,7 +89,7 @@ def _channels(seed, ap_antennas, client_antennas, n_aps=2):
     return DEFAULT_CONFIG.channel_model().realize(topology, rng)
 
 
-def _engine_case(antennas, seeds=(0, 1), **kwargs):
+def _engine_case(antennas, seeds=(0, 1), n_aps=2, **kwargs):
     """Outcomes of StrategyEngine over seeded topologies, plus the RNG state."""
 
     def run():
@@ -93,7 +97,7 @@ def _engine_case(antennas, seeds=(0, 1), **kwargs):
         for seed in seeds:
             rng = np.random.default_rng(seed + 100)
             engine = StrategyEngine(
-                _channels(seed, *antennas),
+                _channels(seed, *antennas, n_aps=n_aps),
                 imperfections=DEFAULT_CONFIG.imperfections(),
                 rng=rng,
                 **kwargs,
@@ -104,19 +108,22 @@ def _engine_case(antennas, seeds=(0, 1), **kwargs):
     return run
 
 
-def _graph_case(antennas, n_aps, seed, policy, threshold_db=None, *, clusters):
+def _split_case(antennas, n_aps, seed, threshold_db, *, clusters):
+    """The combined outcome of a topology the threshold policy splits."""
+
     def run():
-        rng = np.random.default_rng(seed + 100)
-        engine = GraphStrategyEngine(
-            _channels(seed, *antennas, n_aps=n_aps),
+        task = TopologyTask(
+            index=0,
+            channels=_channels(seed, *antennas, n_aps=n_aps),
             imperfections=DEFAULT_CONFIG.imperfections(),
-            rng=rng,
-            cluster_policy=policy,
-            cluster_threshold_db=threshold_db,
+            seed=seed + 100,
+            coherence_s=0.030,
+            options=EngineOptions(cluster_policy="threshold", cluster_threshold_db=threshold_db),
         )
+        outcome = evaluate_topology(task).record.outcome
         # The case exists to exercise these cluster sizes.
-        assert engine.clusters == clusters
-        return [engine.run(), rng.random()]
+        assert outcome.clusters == clusters
+        return [outcome]
 
     return run
 
@@ -173,18 +180,14 @@ CASES = {
     ),
     "3x2-oracle-check": _engine_case((3, 2), seeds=(0,), oracle_check=True),
     "4x2-one-iteration": _engine_case((4, 2), seeds=(0,), max_iterations=1),
-    "graph-3ap-fixed": _graph_case((4, 2), 3, 0, "fixed", clusters=((0, 1, 2),)),
-    "graph-3ap-1x1-fixed": _graph_case((1, 1), 3, 0, "fixed", clusters=((0, 1, 2),)),
-    "graph-4ap-fixed": _graph_case((4, 2), 4, 1, "fixed", clusters=((0, 1, 2, 3),)),
-    "graph-3ap+1ap-threshold": _graph_case(
-        (4, 2), 4, 1, "threshold", -60.0, clusters=((0, 1, 2), (3,))
+    "graph-3ap-fixed": _engine_case((4, 2), seeds=(0,), n_aps=3),
+    "graph-3ap-1x1-fixed": _engine_case((1, 1), seeds=(0,), n_aps=3),
+    "graph-4ap-fixed": _engine_case((4, 2), seeds=(1,), n_aps=4),
+    "graph-3ap+1ap-threshold": _split_case((4, 2), 4, 1, -60.0, clusters=((0, 1, 2), (3,))),
+    "graph-1ap+2ap+1ap-threshold": _split_case(
+        (4, 2), 4, 2, -60.0, clusters=((0,), (1, 2), (3,))
     ),
-    "graph-1ap+2ap+1ap-threshold": _graph_case(
-        (4, 2), 4, 2, "threshold", -60.0, clusters=((0,), (1, 2), (3,))
-    ),
-    "graph-singletons-threshold": _graph_case(
-        (4, 2), 3, 0, "threshold", -50.0, clusters=((0,), (1,), (2,))
-    ),
+    "graph-singletons-threshold": _split_case((4, 2), 3, 0, -50.0, clusters=((0,), (1,), (2,))),
     "copa-session-refreshes": _session_case,
     "copa-vs-nopa-example": _nopa_case,
     "fairness-slack": _fairness_slack_case,
@@ -204,12 +207,12 @@ DIGESTS = {
     "copa-session-refreshes": "bb9eeb4ad52a1700e34c19b5d25c1b089cf4ce55665e12a5d8f63e0bd61be739",
     "fairness-slack": "6218701346fe69377cfab7651cb51c323cfc4eb2edd5e069c2ffc468ab1f8afd",
     "copa-vs-nopa-example": "bb6df17ef4cb14d5655850cfa31ef405fbf6531cd7820807d02a88b41033fc96",
-    "graph-1ap+2ap+1ap-threshold": "e7f6658b00b2fdbe52d948409a2cb60839ad160070b86c7f69f4b6041330b69f",
-    "graph-3ap+1ap-threshold": "938ffc9181dc0f5173e8fc5a3eabb74ec4434f34bc398c934447775b7a698eb5",
+    "graph-1ap+2ap+1ap-threshold": "e3190f12c6c85810157be569c5094736d4f9699c159636b7a9ec77483704d4f0",
+    "graph-3ap+1ap-threshold": "9822afa2496e266d0d0db4c85d5cafb0bf8fc5f5d26e8a4314b43d44aae110ea",
     "graph-3ap-1x1-fixed": "fe51119a87159f7054265ce67e1a1cdc0c6b7875b8642d43b8ce45040af69466",
     "graph-3ap-fixed": "f2c9805a9813b2d628c0f547c939c61bcdafaad9488e72db58dabc287b7b73d2",
     "graph-4ap-fixed": "8d99395443c38ae964e6486006156fc22fcbee12bb5980f0853806f3ef30ff2d",
-    "graph-singletons-threshold": "18e74391a905073649d6ea540812da3ce48595d676246d6ce15b444482d5bcaf",
+    "graph-singletons-threshold": "47aa794ca78b0412fd17652a0701f363832e115ed1ddb46f884174dd26bb379e",
 }
 
 

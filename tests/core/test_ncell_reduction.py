@@ -1,20 +1,22 @@
-"""N = 2 reduction proofs for the interference-graph strategy engine.
+"""N = 2 reduction proofs for N-AP topologies under every cluster policy.
 
-The contract (see :mod:`repro.core.ncell`): the N-AP engine with a single
-cluster is the legacy 2-AP engine — not approximately, *bit-identically*.
-The single-cluster path hands the caller's RNG straight to a legacy
-:class:`StrategyEngine` and returns its outcome object unchanged, so any
-divergence here means the delegation broke.
+The contract (see :mod:`repro.core.ncell`): a topology that forms a
+single cluster is the 2-AP engine's row — not approximately,
+*bit-identically*.  :func:`repro.core.batch.run_batch` measures a
+single-cluster task's CSI with ``default_rng(task.seed)`` on its own
+channels, exactly what :class:`StrategyEngine` does with that generator,
+so any divergence here means the cluster expansion broke.
 
 Three layers of proof:
 
-* engine level — same channels, same RNG seed, every scheme's measured
-  and predicted results exactly equal across all three antenna
+* engine level — ``evaluate_topology`` under the ``threshold`` and
+  ``greedy`` policies, on a topology they keep whole, equals
+  :class:`StrategyEngine` with the task seed's generator: every scheme's
+  measured and predicted results across all three antenna
   configurations;
 * experiment level — ``run_experiment`` with ``cluster_policy="fixed"``
-  (which routes through :class:`GraphStrategyEngine`) reproduces the
-  default path exactly for every measured series of all three paper
-  scenarios;
+  reproduces the default path exactly for every measured series of all
+  three paper scenarios;
 * degeneracy — a cluster of size 1 collapses to the contention-only menu
   (CSMA / COPA-SEQ, nothing concurrent), and the combined outcome is
   exactly the per-cluster outcomes stitched at sequential airtime shares.
@@ -23,7 +25,8 @@ Three layers of proof:
 import numpy as np
 import pytest
 
-from repro.core.ncell import GraphStrategyEngine, restrict_channels
+from repro.core.clustering import form_clusters
+from repro.core.ncell import GraphStrategyOutcome, restrict_channels
 from repro.core.options import EngineOptions
 from repro.core.schemes import Scheme
 from repro.core.strategy import StrategyEngine, StrategyOutcome
@@ -34,6 +37,7 @@ from repro.sim.experiment import (
     SINGLE_ANTENNA,
     run_experiment,
 )
+from repro.sim.runner import TopologyTask, evaluate_topology
 
 #: The paper's three antenna configurations (§4.1).
 ANTENNAS = {"1x1": (1, 1), "4x2": (4, 2), "3x2": (3, 2)}
@@ -47,6 +51,19 @@ def _channels(seed, ap_antennas, client_antennas, n_aps=2):
         rng, ap_antennas, client_antennas, n_aps=n_aps
     )
     return config.channel_model().realize(topology, rng)
+
+
+def _outcome(channels, seed, policy, threshold_db):
+    """``evaluate_topology``'s outcome for one task under a cluster policy."""
+    task = TopologyTask(
+        index=0,
+        channels=channels,
+        imperfections=DEFAULT_CONFIG.imperfections(),
+        seed=seed,
+        coherence_s=0.030,
+        options=EngineOptions(cluster_policy=policy, cluster_threshold_db=threshold_db),
+    )
+    return evaluate_topology(task).record.outcome
 
 
 def _assert_results_identical(lhs, rhs):
@@ -74,37 +91,37 @@ def _assert_outcomes_identical(lhs, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Engine level: GraphStrategyEngine at N = 2 IS the legacy engine.
+# Engine level: a single-cluster topology IS the 2-AP engine's row.
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("policy", ["threshold", "greedy"])
 @pytest.mark.parametrize("name", sorted(ANTENNAS))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_graph_engine_is_bit_identical_at_n2(name, seed):
+def test_single_cluster_is_bit_identical_at_n2(name, seed, policy):
     ap_antennas, client_antennas = ANTENNAS[name]
     channels = _channels(seed, ap_antennas, client_antennas)
-    imperfections = DEFAULT_CONFIG.imperfections()
 
     legacy = StrategyEngine(
-        channels, imperfections=imperfections, rng=np.random.default_rng(seed + 1)
+        channels,
+        imperfections=DEFAULT_CONFIG.imperfections(),
+        rng=np.random.default_rng(seed + 1),
     ).run()
-    graph = GraphStrategyEngine(
-        channels, imperfections=imperfections, rng=np.random.default_rng(seed + 1)
-    ).run()
+    # Every cross link is far above -200 dB: both policies keep the pair whole.
+    outcome = _outcome(channels, seed + 1, policy, -200.0)
 
-    # Single cluster returns the inner legacy outcome object unchanged.
-    assert isinstance(graph, StrategyOutcome)
-    _assert_outcomes_identical(graph, legacy)
+    # A single cluster is the row's own outcome, not a combination.
+    assert type(outcome) is StrategyOutcome
+    _assert_outcomes_identical(outcome, legacy)
 
 
-def test_graph_engine_defaults_to_one_fixed_cluster():
+def test_default_policy_is_one_fixed_cluster():
     channels = _channels(0, 4, 2)
-    engine = GraphStrategyEngine(channels)
-    assert engine.clusters == ((0, 1),)
+    assert form_clusters(channels.topology) == ((0, 1),)
 
 
 # ---------------------------------------------------------------------------
-# Experiment level: routing through the graph engine changes nothing at N=2.
+# Experiment level: naming the fixed policy changes nothing at N=2.
 # ---------------------------------------------------------------------------
 
 
@@ -133,17 +150,9 @@ def test_experiment_series_identical_under_fixed_cluster_policy(spec):
 
 def test_singleton_clusters_degenerate_to_contention_menu():
     """threshold 0 dB splits a 2-AP topology into two singleton clusters."""
-    channels = _channels(0, 4, 2)
-    imperfections = DEFAULT_CONFIG.imperfections()
-    engine = GraphStrategyEngine(
-        channels,
-        imperfections=imperfections,
-        rng=np.random.default_rng(5),
-        cluster_policy="threshold",
-        cluster_threshold_db=0.0,
-    )
-    assert engine.clusters == ((0,), (1,))
-    outcome = engine.run()
+    outcome = _outcome(_channels(0, 4, 2), 5, "threshold", 0.0)
+    assert isinstance(outcome, GraphStrategyOutcome)
+    assert outcome.clusters == ((0,), (1,))
 
     # A cluster of size 1 has nobody to coordinate with: the combined menu
     # holds only the sequential schemes — nothing concurrent survives.
@@ -159,15 +168,10 @@ def test_singleton_combination_is_exact_airtime_stitching():
     """Combined singleton results are the isolated runs at k/N airtime."""
     channels = _channels(0, 4, 2)
     imperfections = DEFAULT_CONFIG.imperfections()
-    engine = GraphStrategyEngine(
-        channels,
-        imperfections=imperfections,
-        rng=np.random.default_rng(5),
-        cluster_policy="threshold",
-        cluster_threshold_db=0.0,
-    )
-    outcome = engine.run()
-    assert len(outcome.cluster_seeds) == 2
+    outcome = _outcome(channels, 5, "threshold", 0.0)
+    # The child seeds are the task generator's first draws, in cluster order.
+    expected_seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=2)
+    assert outcome.cluster_seeds == tuple(int(seed) for seed in expected_seeds)
 
     for index, (cluster, seed) in enumerate(
         zip(outcome.clusters, outcome.cluster_seeds)

@@ -364,25 +364,27 @@ class TestRunnerStatsRegression:
 class TestServiceChaos:
     """The shard service's fault story: kill -9 a worker, steal its shard.
 
-    A real worker *process* is killed mid-shard via the service's
-    deterministic chaos hook (``die_after_tasks`` → ``os._exit``, so no
-    lease release, no done marker, no cleanup — exactly the on-disk state
-    a crashed worker leaves).  Its lease expires, a rescuer reclaims the
+    A real worker *process* is killed mid-shard by an ``EXIT`` fault on
+    its tasks (``os._exit`` before the task runs, so no lease release, no
+    done marker, no cleanup — exactly the on-disk state a crashed worker
+    leaves).  Its lease expires, a rescuer reclaims the
     shard, resumes the journaled prefix instead of recomputing it, and
     the harvested experiment is **bit-identical** to the fault-free
     serial baseline — with the theft visible only in the telemetry
     (``service.reclaim``).
     """
 
-    #: Far above the rescuer's wall-clock; the victim's lease only looks
-    #: expired because the *rescuer* judges it with a tiny TTL.
-    KILL_AFTER_TASKS = 1
+    #: The victim dies before this task runs.  Shard 0 holds tasks 0-2;
+    #: tasks 0 and 1 run first as one unit (the armed task runs on its
+    #: own), so the journal keeps a two-task prefix.
+    KILLED_AT = 2
 
     @pytest.fixture()
     def crashed_shard_dir(self, tmp_path):
         """A shard dir holding one dead worker's half-finished shard."""
         import multiprocessing
 
+        from repro.sim.faults import EXIT_STATUS
         from repro.sim.service import publish_shards, worker_entry
 
         shard_dir = str(tmp_path / "shards")
@@ -392,13 +394,13 @@ class TestServiceChaos:
             args=(shard_dir,),
             kwargs={
                 "worker_id": "victim",
-                "die_after_tasks": self.KILL_AFTER_TASKS,
+                "fault_plan": FaultPlan.at([self.KILLED_AT], FaultKind.EXIT),
                 "observe": False,
             },
         )
         victim.start()
         victim.join(timeout=120.0)
-        assert victim.exitcode == 86  # died inside the chaos hook, not cleanly
+        assert victim.exitcode == EXIT_STATUS  # killed by the fault, not a clean exit
         return shard_dir
 
     def test_killed_worker_leaves_a_stale_lease_and_no_done_marker(
@@ -441,7 +443,7 @@ class TestServiceChaos:
         assert stats.shards_claimed == 2
         assert stats.shards_reclaimed == 1
         assert stats.tasks_completed == N_TOPOLOGIES
-        assert stats.tasks_resumed == self.KILL_AFTER_TASKS
+        assert stats.tasks_resumed == self.KILLED_AT
         counters = collector.metrics.counters
         assert counters["service.reclaim"] == 1.0
         assert counters["service.claim"] == 2.0
@@ -451,7 +453,7 @@ class TestServiceChaos:
         )
         assert marker["worker"] == "rescuer"
         assert marker["reclaimed"] is True
-        assert marker["resumed"] == self.KILL_AFTER_TASKS
+        assert marker["resumed"] == self.KILLED_AT
 
         assert_identical(harvest(crashed_shard_dir), baseline)
 

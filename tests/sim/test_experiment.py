@@ -95,7 +95,7 @@ class TestExperimentResult:
 
 
 class TestAvailableSeriesProbe:
-    """available_series() probes the first record's aggregates — it must not
+    """available_series() probes every record's aggregates — it must not
     recompute (or even touch) the full series arrays."""
 
     def test_copa_plus_excluded_when_disabled(self, small_result):
@@ -118,6 +118,22 @@ class TestAvailableSeriesProbe:
 
         empty = ExperimentResult(spec=small_result.spec, records=[])
         assert empty.available_series() == []
+
+    def test_series_missing_on_one_topology_is_unavailable(self):
+        """A greedy clustering splits one 3-AP topology into singletons,
+        which offer no concurrent scheme, while its neighbours keep one."""
+        from repro.core.options import EngineOptions
+
+        result = run_experiment(
+            ScenarioSpec("4x2-n3", 4, 2, include_copa_plus=False, n_aps=3),
+            SimConfig(n_topologies=3),
+            options=EngineOptions(cluster_policy="greedy", cluster_threshold_db=-70.0),
+        )
+        assert "null" in result.records[0].outcome.schemes
+        available = result.available_series()
+        assert available == ["csma", "copa_seq", "copa", "copa_fair"]
+        for key in available:
+            assert result.series_mbps(key).shape == (3,)
 
     def test_runner_stats_attached(self, small_result):
         assert small_result.stats is not None

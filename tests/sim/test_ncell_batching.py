@@ -1,14 +1,14 @@
 """Batched dispatch of mixed 2-, 3- and 4-AP task lists.
 
-The default and ``"fixed"`` cluster policies form one cluster of all N
-APs, which the batched engine evaluates at k = N; so ``partition_tasks``
-groups such tasks by AP count, while the splitting ``"threshold"`` and
-``"greedy"`` policies keep each task on its own, where
-``evaluate_topology`` runs the interference-graph engine.  The
-regression proven here: a mixed task list dispatched through
-``run_tasks`` is bit-identical to one-task units (``chunk_size=1``) and
-to direct per-task evaluation, in the original task order, serially and
-on a pool.
+Every cluster policy batches: ``partition_tasks`` groups tasks by AP
+count (and options), and ``run_batch`` turns each task into one engine
+row per coordination cluster.  The default and ``"fixed"`` policies form
+one cluster of all N APs; the ``"threshold"`` and ``"greedy"`` policies
+may split a topology, so one unit can hold split and whole topologies
+side by side.  The regression proven here: a mixed task list dispatched
+through ``run_tasks`` is bit-identical to one-task units
+(``chunk_size=1``) and to direct per-task evaluation, in the original
+task order, serially and on a pool.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro.core.batch import batchable, group_key, partition_tasks
+from repro.core.clustering import form_clusters
 from repro.core.ncell import GraphStrategyOutcome
 from repro.core.options import EngineOptions
 from repro.sim.config import SimConfig
@@ -59,22 +60,15 @@ def assert_same_records(records_a, records_b):
 
 
 class TestClassification:
-    def test_n_ap_tasks_group_by_ap_count(self, mixed_tasks):
-        for policy in (None, "fixed"):
-            tasks = with_policy(mixed_tasks, policy)
-            assert len({group_key(task) for task in tasks}) == 3
-            batches, singles = partition_tasks(tasks)
-            assert singles == []
-            assert [[t.index for t in group] for group in batches] == [[0, 3], [1, 4], [2, 5]]
-            assert [{n_aps(t) for t in group} for group in batches] == [{2}, {3}, {4}]
-
-    def test_cluster_policy_tasks_classify_to_singles(self, mixed_tasks):
-        """Only the policies that may split a topology leave the batch."""
-        for policy in ("threshold", "greedy"):
-            tasks = with_policy(mixed_tasks, policy)
-            assert not any(batchable(task) for task in tasks)
-            batches, singles = partition_tasks(tasks)
-            assert batches == [] and singles == tasks
+    @pytest.mark.parametrize("policy", [None, "fixed", "threshold", "greedy"])
+    def test_n_ap_tasks_group_by_ap_count(self, mixed_tasks, policy):
+        tasks = with_policy(mixed_tasks, policy)
+        assert all(batchable(task) for task in tasks)
+        assert len({group_key(task) for task in tasks}) == 3
+        batches, singles = partition_tasks(tasks)
+        assert singles == []
+        assert [[t.index for t in group] for group in batches] == [[0, 3], [1, 4], [2, 5]]
+        assert [{n_aps(t) for t in group} for group in batches] == [{2}, {3}, {4}]
 
 
 class TestMixedDispatchBitIdentity:
@@ -103,6 +97,49 @@ class TestMixedDispatchBitIdentity:
         assert_same_records(default, fixed)
 
 
+#: Splits some of the mixed topologies and keeps others whole.
+SPLIT_THRESHOLD_DB = -65.0
+
+
+class TestSplitTopologiesShareUnits:
+    """Split and whole topologies of one AP count run in one unit."""
+
+    @pytest.fixture(scope="class", params=["threshold", "greedy"])
+    def split_tasks(self, request, mixed_tasks):
+        options = EngineOptions(
+            cluster_policy=request.param, cluster_threshold_db=SPLIT_THRESHOLD_DB
+        )
+        return [
+            dataclasses.replace(task, options=options, include_copa_plus=True)
+            for task in mixed_tasks
+        ]
+
+    def test_a_unit_holds_split_and_whole_topologies(self, split_tasks):
+        options = split_tasks[0].options
+        batches, singles = partition_tasks(split_tasks)
+        assert singles == []
+        sizes = [
+            {
+                len(form_clusters(t.channels.topology, options.cluster_policy, SPLIT_THRESHOLD_DB))
+                for t in group
+            }
+            for group in batches
+        ]
+        assert any(1 in counts and len(counts) > 1 for counts in sizes), sizes
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_shared_units_match_one_task_units(self, split_tasks, workers):
+        batched, stats = run_tasks(split_tasks, workers=workers, chunk_size=2)
+        single, single_stats = run_tasks(split_tasks, workers=1, chunk_size=1)
+        assert stats.batch_size == 2 and single_stats.batch_size == 1
+        assert stats.parallel == (workers > 1)
+        assert_same_records(batched, single)
+        for a, b in zip(batched, single):
+            assert_same_outcome(a.plus_outcome, b.plus_outcome)
+        kinds = {type(record.outcome) for record in batched}
+        assert GraphStrategyOutcome in kinds and len(kinds) == 2
+
+
 class TestMultiClusterThroughRunner:
     """An N-AP task with a splitting threshold runs the combined engine."""
 
@@ -121,7 +158,7 @@ class TestMultiClusterThroughRunner:
             imperfections=config.imperfections(),
             options=options,
         )
-        assert not batchable(tasks[0])
+        assert batchable(tasks[0])
         records, _ = run_tasks(tasks, workers=1)
         outcome = records[0].outcome
         assert isinstance(outcome, GraphStrategyOutcome)

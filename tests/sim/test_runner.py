@@ -239,6 +239,20 @@ class TestRunnerObservability:
         # The one batched unit's engine spans were grafted once, under it.
         assert names.count("runner.unit") == 1 and names.count("engine.run") == 1
         assert stats.observed and stats.spans_merged == len(collector.spans)
+        # Outside every span the dispatch is a root...
+        (dispatch,) = [s for s in collector.spans if s.name == "runner.run_tasks"]
+        assert dispatch.parent_id is None
+        # ...and inside an experiment it nests under the experiment's span.
+        collector = Collector()
+        run_experiment(
+            ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
+            SimConfig(n_topologies=2),
+            workers=1,
+            collector=collector,
+        )
+        by_id = {span.span_id: span for span in collector.spans}
+        (dispatch,) = [s for s in collector.spans if s.name == "runner.run_tasks"]
+        assert by_id[dispatch.parent_id].name == "experiment"
 
     def test_parallel_merge_matches_serial(self):
         tasks = self._tasks(3)
