@@ -26,9 +26,9 @@ The cluster size k shapes the menu.  Nulling designs null the stacked
 antennas of every other client; sequential schemes give each client 1/k
 of the airtime; SDA (§3.4) is a two-AP protocol and runs only at k = 2;
 a lone AP (k = 1) is offered CSMA and COPA-SEQ only.  The Figure-6
-concurrent allocation runs batched at k = 2 and as N-player
-best-response dynamics (:func:`repro.core.oracle.allocate_graph`), one
-interference graph per row, at k ≥ 3.
+concurrent allocation is one batched call of
+:func:`~repro.core.equi_sinr.allocate_concurrent_batch` over the k
+players of all B rows, whatever k.
 
 Any per-stream allocator and rate selector works.  Equi-SNR, mercury
 and ``best_rate`` are one-row calls of their batched forms, which the
@@ -89,7 +89,6 @@ from .equi_sinr import (
     radiated_powers_batch,
 )
 from .ncell import combine_clusters, restrict_channels
-from .oracle import GraphPlayer, InterferenceGraph, allocate_graph
 from .strategy import (
     SCHEME_CONC_BF,
     SCHEME_CONC_NULL,
@@ -396,38 +395,23 @@ class BatchedStrategyEngine:
         residual = self.imperfections.csi_error_linear * entry_power
         return coupled + residual[:, None, None]
 
-    def interference_graphs(self, designs: Sequence[BatchDesign]) -> List[InterferenceGraph]:
-        """Each row's k-player interference graph under ``designs``, from CSI.
+    def concurrent_context(self, designs: Sequence[BatchDesign]) -> BatchConcurrentContext:
+        """Every row's Figure-6 problem under ``designs``, from CSI.
 
-        Players carry their stream gains and edge (victim, source) the
-        source's coupling at the victim — the k-player form of the
-        Figure-6 context.
+        Player i carries its stream gains and edge (victim, source) the
+        source's coupling at the victim, for every ordered pair.
         """
-        gains = [self._stream_gains(design) for design in designs]
-        coupling = {
-            (victim, source): self._coupling(designs, victim, source)
-            for victim in range(self.k)
-            for source in self._others(victim)
-        }
-        graphs = []
-        for b, channels in enumerate(self.channels):
-            players = [
-                GraphPlayer(
-                    name=channels.topology.aps[design.ap].name,
-                    gains=gains[i][b],
-                    budget=self.tx_power_mw,
-                    noise_mw=self.noise_floor_mw,
-                )
-                for i, design in enumerate(designs)
-            ]
-            graphs.append(
-                InterferenceGraph(
-                    players=players,
-                    coupling={edge: value[b] for edge, value in coupling.items()},
-                    leakage_linear=self.imperfections.carrier_leakage_linear,
-                )
-            )
-        return graphs
+        return BatchConcurrentContext(
+            gains=[self._stream_gains(design) for design in designs],
+            coupling={
+                (victim, source): self._coupling(designs, victim, source)
+                for victim in range(self.k)
+                for source in self._others(victim)
+            },
+            budgets=[self.tx_power_mw] * self.k,
+            noise_mw=[self.noise_floor_mw] * self.k,
+            leakage_linear=self.imperfections.carrier_leakage_linear,
+        )
 
     # ------------------------------------------------------------------
     # power allocation
@@ -472,36 +456,17 @@ class BatchedStrategyEngine:
     ) -> List[BatchStreamAllocation]:
         """The Fig. 6 iterative Equi-SINR joint allocation of every row.
 
-        ``allocator`` defaults to the engine's.  Two APs iterate batched;
-        larger clusters run the k-player best-response dynamics row by row.
+        ``allocator`` defaults to the engine's.  The k players of all B
+        rows iterate in one batched call, whatever k.
         """
         allocator = allocator if allocator is not None else self.allocator
-        collector = self.collector if self.collector.enabled else None
-        if self.k == 2:
-            context = BatchConcurrentContext(
-                gains=[self._stream_gains(design) for design in designs],
-                coupling=[self._coupling(designs, 1 - i, i) for i in range(2)],
-                budgets=[self.tx_power_mw, self.tx_power_mw],
-                noise_mw=[self.noise_floor_mw] * 2,
-                leakage_linear=self.imperfections.carrier_leakage_linear,
-            )
-            allocations, _, _ = allocate_concurrent_batch(
-                context,
-                max_iterations=self.max_iterations,
-                allocator=_batched(allocator),
-                collector=collector,
-            )
-            return allocations
-        rows = [
-            allocate_graph(
-                graph,
-                max_iterations=self.max_iterations,
-                allocator=allocator,
-                collector=collector,
-            ).allocations
-            for graph in self.interference_graphs(designs)
-        ]
-        return [BatchStreamAllocation.from_rows([row[i] for row in rows]) for i in range(self.k)]
+        allocations, _, _ = allocate_concurrent_batch(
+            self.concurrent_context(designs),
+            max_iterations=self.max_iterations,
+            allocator=_batched(allocator),
+            collector=self.collector if self.collector.enabled else None,
+        )
+        return allocations
 
     def _note_allocations(self, allocations: Sequence[BatchStreamAllocation]) -> None:
         """Feed dropped-subcarrier counts from Algorithm 1 into the metrics."""

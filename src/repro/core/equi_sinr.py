@@ -13,12 +13,16 @@ with its AP1/AP2 subcarrier anecdote.  COPA's heuristic:
 4. iterate until convergence or an iteration cap, keeping the best
    solution seen — the iteration may regress, and is not guaranteed to
    find a global optimum.
+
+:func:`allocate_concurrent_batch` is the one implementation: it runs the
+iteration for k ≥ 2 players over a batch of topologies, so the paper's
+AP pair and an N-AP coordination cluster take the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +44,7 @@ __all__ = [
     "allocate_single",
     "allocate_single_batch",
     "allocate_concurrent",
+    "allocate_concurrent_row",
     "allocate_concurrent_batch",
 ]
 
@@ -342,7 +347,7 @@ class ConcurrentContext:
 
 @dataclass
 class ConcurrentAllocation:
-    """Joint allocation for the two concurrent transmissions."""
+    """Joint allocation for the concurrent transmissions, one per player."""
 
     allocations: List[StreamAllocation]
     iterations: int
@@ -369,13 +374,25 @@ def allocate_concurrent(
     """
     batch = BatchConcurrentContext(
         gains=[np.asarray(g)[None] for g in context.gains],
-        coupling=[np.asarray(c)[None] for c in context.coupling],
+        # context.coupling[a] is AP a's interference gain at the other client.
+        coupling={(1 - a, a): np.asarray(c)[None] for a, c in enumerate(context.coupling)},
         budgets=context.budgets,
         noise_mw=context.noise_mw,
         leakage_linear=context.leakage_linear,
     )
+    return allocate_concurrent_row(batch, max_iterations, tolerance, allocator, collector)
+
+
+def allocate_concurrent_row(
+    context: BatchConcurrentContext,
+    max_iterations: int,
+    tolerance: float,
+    allocator: StreamAllocator,
+    collector=None,
+) -> ConcurrentAllocation:
+    """:func:`allocate_concurrent_batch` on a one-row context, as one result."""
     allocations, iterations, converged = allocate_concurrent_batch(
-        batch, max_iterations, tolerance, _batched(allocator), collector
+        context, max_iterations, tolerance, _batched(allocator), collector
     )
     return ConcurrentAllocation(
         allocations=[allocation.row(0) for allocation in allocations],
@@ -386,29 +403,62 @@ def allocate_concurrent(
 
 @dataclass
 class BatchConcurrentContext:
-    """Batched :class:`ConcurrentContext`: one row per topology.
+    """The Figure-6 problem of k ≥ 2 concurrent transmissions, one row per topology.
 
-    ``gains[a]``/``coupling[a]`` have shape (n_rows, n_sc, n_streams_a);
-    budgets and noise floors are shared across the batch (the engine only
-    batches topologies with identical configuration).
+    ``gains[i]`` is player i's signal gain at its own client, shape
+    (n_rows, n_sc, n_streams_i).  ``coupling[(victim, source)]`` is the
+    per-antenna interference gain of the source's streams at the victim's
+    client, shaped like ``gains[source]``; a missing edge means the two
+    networks do not hear each other.  All gains are per unit transmit
+    power.  Budgets and noise floors are per player and shared across the
+    batch (the engine only batches topologies with identical
+    configuration).  :class:`repro.core.oracle.InterferenceGraph` is its
+    one-row, named form and is validated here.
     """
 
     gains: Sequence[np.ndarray]
-    coupling: Sequence[np.ndarray]
+    coupling: Dict[Tuple[int, int], np.ndarray]
     budgets: Sequence[float]
     noise_mw: Sequence[float]
     leakage_linear: float = 10.0 ** (-27.0 / 10.0)
 
     def __post_init__(self):
-        if len(self.gains) != 2 or len(self.coupling) != 2:
-            raise ValueError("exactly two APs are supported")
-        for a in range(2):
-            if self.gains[a].shape != self.coupling[a].shape:
-                raise ValueError("gains and coupling must have matching shapes")
+        if len(self.gains) < 2:
+            raise ValueError("an interference graph needs at least two players")
+        cells = np.shape(self.gains[0])[:2]
+        for gains in self.gains:
+            if np.ndim(gains) != 3 or np.shape(gains)[:2] != cells:
+                raise ValueError("all players must share the row and subcarrier axes")
+        for (victim, source), edge in self.coupling.items():
+            if victim == source:
+                raise ValueError("a player cannot interfere with itself")
+            if not (0 <= victim < self.n_players and 0 <= source < self.n_players):
+                raise ValueError(f"coupling ({victim}, {source}) names a missing player")
+            if np.shape(edge) != np.shape(self.gains[source]):
+                raise ValueError(
+                    f"coupling ({victim}, {source}) must be (n_sc, n_streams_source) per row"
+                )
+
+    @property
+    def n_players(self) -> int:
+        return len(self.gains)
 
     @property
     def n_rows(self) -> int:
         return self.gains[0].shape[0]
+
+    def interference_at(self, victim: int, radiated: Sequence[np.ndarray]) -> np.ndarray:
+        """Total interference power (n_rows, n_sc) at one victim's client.
+
+        The sources are summed in ascending order, so every row sees the
+        arithmetic of its own one-row graph.
+        """
+        total = np.zeros(np.shape(self.gains[victim])[:2])
+        for source in range(self.n_players):
+            edge = self.coupling.get((victim, source))
+            if edge is not None:
+                total += np.sum(edge * radiated[source], axis=2)
+        return total
 
 
 def _merge_batch_allocation(new: BatchAllocation, old: BatchAllocation, take) -> BatchAllocation:
@@ -443,8 +493,14 @@ def allocate_concurrent_batch(
 ):
     """The Figure-6 iteration for every row of a batch of topologies.
 
+    Synchronous best-response dynamics over the k players: every player
+    starts assuming the others spread their power equally, then each
+    iteration re-runs Algorithm 1 for every player (one batched allocator
+    call per player over all rows) against the interference implied by
+    the others' last radiated powers, leakage included.
+
     Returns ``(allocations, iterations, converged)`` where ``allocations``
-    is a list of two :class:`BatchStreamAllocation` (one per AP) holding
+    is a list of k :class:`BatchStreamAllocation` (one per player) holding
     each row's best-seen solution, and ``iterations``/``converged`` are
     (n_rows,) arrays.  Rows converge independently: a row that meets the
     tolerance is frozen (its best solution, radiated powers and iteration
@@ -457,13 +513,12 @@ def allocate_concurrent_batch(
     """
     n_rows = context.n_rows
     n_sc = context.gains[0].shape[1]
+    players = range(context.n_players)
 
-    # Step 1: the other sender is assumed to spread power equally.
+    # Step 1: the other senders are assumed to spread power equally.
     radiated = [
-        np.full(
-            context.gains[a].shape, context.budgets[a] / (context.gains[a].shape[2] * n_sc)
-        )
-        for a in range(2)
+        np.full(gains.shape, budget / (gains.shape[2] * n_sc))
+        for gains, budget in zip(context.gains, context.budgets)
     ]
 
     best: Optional[List[BatchStreamAllocation]] = None
@@ -475,18 +530,16 @@ def allocate_concurrent_batch(
 
     for iteration in range(1, max_iterations + 1):
         iterations = np.where(active, iteration, iterations)
-        allocations: List[BatchStreamAllocation] = []
-        for a in range(2):
-            interference = np.sum(context.coupling[1 - a] * radiated[1 - a], axis=2)
-            allocations.append(
-                allocate_single_batch(
-                    context.gains[a],
-                    context.budgets[a],
-                    interference=interference,
-                    noise_mw=context.noise_mw[a],
-                    allocator=allocator,
-                )
+        allocations = [
+            allocate_single_batch(
+                context.gains[i],
+                context.budgets[i],
+                interference=context.interference_at(i, radiated),
+                noise_mw=context.noise_mw[i],
+                allocator=allocator,
             )
+            for i in players
+        ]
         aggregate = np.zeros(n_rows)
         for allocation in allocations:
             aggregate = aggregate + allocation.predicted_goodput_bps()
@@ -495,22 +548,18 @@ def allocate_concurrent_batch(
             best_aggregate = aggregate
         else:
             improved = active & (aggregate > best_aggregate)
-            best = [
-                _merge_batch_stream(allocations[a], best[a], improved) for a in range(2)
-            ]
+            best = [_merge_batch_stream(allocations[i], best[i], improved) for i in players]
             best_aggregate = np.where(improved, aggregate, best_aggregate)
 
         new_radiated = [
-            radiated_powers_batch(
-                allocations[a].powers, allocations[a].used, context.leakage_linear
-            )
-            for a in range(2)
+            radiated_powers_batch(allocation.powers, allocation.used, context.leakage_linear)
+            for allocation in allocations
         ]
         if previous_powers is not None:
             scale = sum(context.budgets)
             change = np.zeros(n_rows)
-            for a in range(2):
-                change = change + np.abs(new_radiated[a] - previous_powers[a]).reshape(
+            for i in players:
+                change = change + np.abs(new_radiated[i] - previous_powers[i]).reshape(
                     n_rows, -1
                 ).sum(axis=1)
             newly_converged = active & (change <= tolerance * scale)
@@ -522,11 +571,11 @@ def allocate_concurrent_batch(
         else:
             # Frozen rows stop updating: alone, their loop would have ended.
             previous_powers = [
-                np.where(active[:, None, None], new_radiated[a], previous_powers[a])
-                for a in range(2)
+                np.where(active[:, None, None], new_radiated[i], previous_powers[i])
+                for i in players
             ]
             radiated = [
-                np.where(active[:, None, None], new_radiated[a], radiated[a]) for a in range(2)
+                np.where(active[:, None, None], new_radiated[i], radiated[i]) for i in players
             ]
         if not active.any():
             break

@@ -5,10 +5,9 @@ networks.  The N-cell generalization partitions N networks into
 coordination clusters (:mod:`repro.core.clustering`):
 
 * **within a cluster** the full COPA machinery runs — sequential power
-  allocation, concurrent beamforming/nulling (at k ≥ 3 APs with the
-  N-player best-response dynamics of
-  :func:`repro.core.oracle.allocate_graph`), and the incentive-compatible
-  strategy choice;
+  allocation, concurrent beamforming/nulling (the Figure-6 iteration over
+  the cluster's k APs, batched like every other cluster size), and the
+  incentive-compatible strategy choice;
 * **across clusters** networks fall back to plain CSMA: clusters take
   turns on the medium and do not interfere (idealized carrier sense, the
   same idealization the paper applies to its sequential schemes).

@@ -58,8 +58,11 @@ from ..phy.rates import best_rate
 from . import equi_snr
 from .equi_snr import MIN_GAIN
 from .equi_sinr import (
+    BatchConcurrentContext,
+    ConcurrentAllocation,
     ConcurrentContext,
     StreamAllocation,
+    allocate_concurrent_row,
     effective_gains,
     radiated_powers,
 )
@@ -609,6 +612,9 @@ class InterferenceGraph:
     client, per unit transmit power — the N-player generalization of
     :class:`repro.core.equi_sinr.ConcurrentContext`.  Missing edges mean
     the two networks do not hear each other (out of carrier-sense range).
+    The graph is one row of a :class:`~repro.core.equi_sinr
+    .BatchConcurrentContext` with named players (:meth:`context`), which
+    also validates it.
     """
 
     players: List[GraphPlayer]
@@ -616,21 +622,7 @@ class InterferenceGraph:
     leakage_linear: float = 10.0 ** (-27.0 / 10.0)
 
     def __post_init__(self):
-        if len(self.players) < 2:
-            raise ValueError("an interference graph needs at least two players")
-        n_sc = self.players[0].gains.shape[0]
-        for player in self.players:
-            if player.gains.ndim != 2 or player.gains.shape[0] != n_sc:
-                raise ValueError("all players must share the subcarrier axis")
-        for (victim, source), edge in self.coupling.items():
-            if victim == source:
-                raise ValueError("a player cannot interfere with itself")
-            if edge.shape != self.players[source].gains.shape[:1] + (
-                self.players[source].n_streams,
-            ):
-                raise ValueError(
-                    f"coupling ({victim}, {source}) must be (n_sc, n_streams_source)"
-                )
+        self.context()
 
     @property
     def n_players(self) -> int:
@@ -640,16 +632,19 @@ class InterferenceGraph:
     def n_subcarriers(self) -> int:
         return int(self.players[0].gains.shape[0])
 
+    def context(self) -> BatchConcurrentContext:
+        """This graph as a one-row batched Figure-6 context."""
+        return BatchConcurrentContext(
+            gains=[np.asarray(p.gains)[None] for p in self.players],
+            coupling={edge: np.asarray(gain)[None] for edge, gain in self.coupling.items()},
+            budgets=[p.budget for p in self.players],
+            noise_mw=[p.noise_mw for p in self.players],
+            leakage_linear=self.leakage_linear,
+        )
+
     def interference_at(self, victim: int, radiated: Sequence[np.ndarray]) -> np.ndarray:
         """Total interference power (n_sc,) at one victim's client."""
-        total = np.zeros(self.n_subcarriers)
-        for source in range(self.n_players):
-            if source == victim:
-                continue
-            edge = self.coupling.get((victim, source))
-            if edge is not None:
-                total += np.sum(edge * radiated[source], axis=1)
-        return total
+        return self.context().interference_at(victim, [r[None] for r in radiated])[0]
 
 
 def graph_from_context(context: ConcurrentContext) -> InterferenceGraph:
@@ -673,17 +668,8 @@ def graph_from_context(context: ConcurrentContext) -> InterferenceGraph:
     )
 
 
-@dataclass
-class GraphAllocation:
-    """Joint allocation for all players of an interference graph."""
-
-    allocations: List[StreamAllocation]
-    iterations: int
-    converged: bool
-
-    @property
-    def predicted_aggregate_bps(self) -> float:
-        return float(sum(a.predicted_goodput_bps for a in self.allocations))
+#: Joint allocation for all players of an interference graph.
+GraphAllocation = ConcurrentAllocation
 
 
 def allocate_graph(
@@ -699,63 +685,13 @@ def allocate_graph(
     starts assuming equal power spread everywhere, then repeatedly re-runs
     Algorithm 1 against the interference implied by everyone else's last
     radiated powers (leakage included), keeping the best joint allocation
-    seen.  At N = 2 this reproduces :func:`repro.core.equi_sinr
-    .allocate_concurrent` exactly.
+    seen.  A one-row call of :func:`repro.core.equi_sinr
+    .allocate_concurrent_batch`, so at N = 2 it reproduces
+    :func:`repro.core.equi_sinr.allocate_concurrent` exactly.  The
+    collector sees one ``oracle.graph_dynamics`` span.
     """
-    from .equi_sinr import allocate_single  # local: avoids a cycle at import
-
-    col = active(collector)
-    n = graph.n_players
-    n_sc = graph.n_subcarriers
-    radiated = [
-        np.full(p.gains.shape, p.budget / (p.n_streams * n_sc)) for p in graph.players
-    ]
-
-    best: Optional[GraphAllocation] = None
-    previous: Optional[List[np.ndarray]] = None
-    converged = False
-    iterations_run = 0
-    scale = sum(p.budget for p in graph.players)
-
-    with col.span("oracle.graph_dynamics", players=n):
-        for iteration in range(1, max_iterations + 1):
-            iterations_run = iteration
-            allocations = []
-            for i, player in enumerate(graph.players):
-                interference = graph.interference_at(i, radiated)
-                allocations.append(
-                    allocate_single(
-                        player.gains,
-                        player.budget,
-                        interference=interference,
-                        noise_mw=player.noise_mw,
-                        allocator=allocator,
-                    )
-                )
-            candidate = GraphAllocation(
-                allocations=allocations, iterations=iteration, converged=False
-            )
-            if best is None or candidate.predicted_aggregate_bps > best.predicted_aggregate_bps:
-                best = candidate
-
-            new_radiated = [
-                radiated_powers(a.powers, a.used, graph.leakage_linear)
-                for a in allocations
-            ]
-            if previous is not None:
-                change = sum(
-                    float(np.abs(new_radiated[i] - previous[i]).sum()) for i in range(n)
-                )
-                if change <= tolerance * scale:
-                    converged = True
-                    break
-            previous = new_radiated
-            radiated = new_radiated
-
-    assert best is not None
-    return GraphAllocation(
-        allocations=best.allocations, iterations=iterations_run, converged=converged
-    )
+    with active(collector).span("oracle.graph_dynamics", players=graph.n_players):
+        return allocate_concurrent_row(graph.context(), max_iterations, tolerance, allocator)
 
 
 def score_stream_allocation(

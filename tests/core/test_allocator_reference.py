@@ -1,8 +1,8 @@
 """Per-row Equi-SNR and Figure-6 entry points against the per-row reference.
 
 ``equalizing_powers``, ``allocate``, ``radiated_powers``,
-``allocate_single`` and ``allocate_concurrent`` are one-row calls of
-their batched forms.  The references below are the per-row functions as
+``allocate_single``, ``allocate_concurrent`` and ``oracle.allocate_graph``
+are one-row calls of their batched forms.  The references below are the per-row functions as
 first written, copied verbatim, less the ``stream_split`` and
 ``on_iteration`` knobs, and with each call to another per-row function
 pointed at that function's reference.  Goldens, fingerprint pins and
@@ -37,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro.core import equi_snr
+from repro.core.differential import draw_graph
 from repro.core.equi_sinr import (
     BatchConcurrentContext,
     ConcurrentAllocation,
@@ -61,8 +62,11 @@ from repro.core.equi_snr import (
     uniform_goodput,
 )
 from repro.core.mercury import mercury_allocate, mercury_allocate_batch
+from repro.core.oracle import GraphAllocation, GraphPlayer, InterferenceGraph, allocate_graph
 from repro.obs import Collector
+from repro.obs.collector import active
 from repro.phy.constants import MCS_TABLE, MPDU_PAYLOAD_BYTES, Mcs
+from tests.core.test_ncell_properties import _engine_graph
 from tests.phy.test_rates_reference import SAME_RATE_TIES, TABLES, mcs_copies
 
 # ---------------------------------------------------------------------------
@@ -290,6 +294,80 @@ def _reference_allocate_concurrent(
     )
 
 
+def _reference_graph_interference_at(
+    graph: InterferenceGraph, victim: int, radiated: Sequence[np.ndarray]
+) -> np.ndarray:
+    total = np.zeros(graph.n_subcarriers)
+    for source in range(graph.n_players):
+        if source == victim:
+            continue
+        edge = graph.coupling.get((victim, source))
+        if edge is not None:
+            total += np.sum(edge * radiated[source], axis=1)
+    return total
+
+
+def _reference_allocate_graph(
+    graph: InterferenceGraph,
+    max_iterations: int = 8,
+    tolerance: float = 1e-3,
+    allocator=_reference_allocate,
+    collector=None,
+) -> GraphAllocation:
+    col = active(collector)
+    n = graph.n_players
+    n_sc = graph.n_subcarriers
+    radiated = [
+        np.full(p.gains.shape, p.budget / (p.n_streams * n_sc)) for p in graph.players
+    ]
+
+    best: Optional[GraphAllocation] = None
+    previous: Optional[List[np.ndarray]] = None
+    converged = False
+    iterations_run = 0
+    scale = sum(p.budget for p in graph.players)
+
+    with col.span("oracle.graph_dynamics", players=n):
+        for iteration in range(1, max_iterations + 1):
+            iterations_run = iteration
+            allocations = []
+            for i, player in enumerate(graph.players):
+                interference = _reference_graph_interference_at(graph, i, radiated)
+                allocations.append(
+                    _reference_allocate_single(
+                        player.gains,
+                        player.budget,
+                        interference=interference,
+                        noise_mw=player.noise_mw,
+                        allocator=allocator,
+                    )
+                )
+            candidate = GraphAllocation(
+                allocations=allocations, iterations=iteration, converged=False
+            )
+            if best is None or candidate.predicted_aggregate_bps > best.predicted_aggregate_bps:
+                best = candidate
+
+            new_radiated = [
+                _reference_radiated_powers(a.powers, a.used, graph.leakage_linear)
+                for a in allocations
+            ]
+            if previous is not None:
+                change = sum(
+                    float(np.abs(new_radiated[i] - previous[i]).sum()) for i in range(n)
+                )
+                if change <= tolerance * scale:
+                    converged = True
+                    break
+            previous = new_radiated
+            radiated = new_radiated
+
+    assert best is not None
+    return GraphAllocation(
+        allocations=best.allocations, iterations=iterations_run, converged=converged
+    )
+
+
 # ---------------------------------------------------------------------------
 # Comparisons
 # ---------------------------------------------------------------------------
@@ -320,7 +398,7 @@ def assert_same_streams(actual: StreamAllocation, expected: StreamAllocation) ->
 def assert_same_concurrent(actual: ConcurrentAllocation, expected: ConcurrentAllocation) -> None:
     _assert_same_bytes(actual.iterations, expected.iterations, "iterations")
     _assert_same_bytes(actual.converged, expected.converged, "converged")
-    assert len(actual.allocations) == len(expected.allocations) == 2
+    assert len(actual.allocations) == len(expected.allocations)
     for a, e in zip(actual.allocations, expected.allocations):
         assert_same_streams(a, e)
 
@@ -661,6 +739,138 @@ def test_concurrent_cases_cover_both_endings():
     assert len(iterations) >= 3
 
 
+def _mixed_graph(rng, coupling_scale=1e-9, leakage_linear=10 ** (-2.7), streams=(1, 2, 3)):
+    """Players with unequal stream counts, budgets and noise floors; every edge."""
+    players = [
+        GraphPlayer(
+            name=f"AP{i + 1}",
+            gains=_stream_gains(rng, s, 10, 30),
+            budget=float(budget),
+            noise_mw=noise_mw,
+        )
+        for i, (s, budget, noise_mw) in enumerate(zip(streams, (31.6, 10.0, 3.2), (1e-10, 3e-10, 2e-11)))
+    ]
+    coupling = {
+        (victim, source): _db(rng, 0, 15, (52, players[source].n_streams)) * coupling_scale
+        for victim in range(len(players))
+        for source in range(len(players))
+        if victim != source
+    }
+    return InterferenceGraph(players=players, coupling=coupling, leakage_linear=leakage_linear)
+
+
+def _graph_cases():
+    """name -> (graph, max_iterations, tolerance)."""
+    rng = np.random.default_rng(2026)
+    cases = {f"engine-n{n}": (_engine_graph(n, seed=1), 8, 1e-3) for n in (2, 3, 4, 6)}
+    cases.update({f"draw-graph-{seed}": (draw_graph(seed, n_players=3 + seed % 2), 8, 1e-3) for seed in range(3)})
+    full = _engine_graph(4, seed=2)
+    cases["missing-edges"] = (
+        InterferenceGraph(
+            players=full.players,
+            coupling={edge: gain for edge, gain in full.coupling.items() if (edge[0] + edge[1]) % 3},
+            leakage_linear=full.leakage_linear,
+        ),
+        8,
+        1e-3,
+    )
+    cases["unequal-players"] = (_mixed_graph(rng), 8, 1e-3)
+    cases["unequal-players-weakly-coupled"] = (_mixed_graph(rng, coupling_scale=1e-12), 8, 1e-3)
+    cases["no-edges"] = (InterferenceGraph(players=full.players, coupling={}), 8, 1e-3)
+    cases["unequal-players-never-converges"] = (_mixed_graph(rng), 4, 0.0)
+    base = _engine_graph(3, seed=0)
+    cases["no-leakage"] = (
+        InterferenceGraph(players=base.players, coupling=base.coupling, leakage_linear=0.0), 8, 1e-3
+    )
+    cases["one-iteration"] = (_engine_graph(4, seed=0), 1, 1e-3)
+    return cases
+
+
+GRAPH_CASES = _graph_cases()
+
+
+@pytest.mark.parametrize(
+    "allocator, case",
+    [("equi_snr", case) for case in sorted(GRAPH_CASES)]
+    + [
+        (allocator, case)
+        for allocator in ("mercury", "power_only", "selection_only")
+        for case in ("unequal-players-weakly-coupled", "one-iteration")
+    ],
+)
+def test_allocate_graph_matches_the_reference(allocator, case):
+    production, reference = ALLOCATORS[allocator]
+    graph, max_iterations, tolerance = GRAPH_CASES[case]
+    collectors = Collector(), Collector()
+    actual = allocate_graph(graph, max_iterations, tolerance, production, collectors[0])
+    expected = _reference_allocate_graph(graph, max_iterations, tolerance, reference, collectors[1])
+    assert_same_concurrent(actual, expected)
+    assert collectors[0].metrics.as_payload() == collectors[1].metrics.as_payload()
+    assert [(s.name, s.attrs) for s in collectors[0].spans] == [
+        (s.name, s.attrs) for s in collectors[1].spans
+    ]
+
+
+def test_graph_cases_cover_both_endings():
+    results = {case: _reference_allocate_graph(*GRAPH_CASES[case]) for case in GRAPH_CASES}
+    assert {r.converged for r in results.values()} == {True, False}
+    assert len({r.iterations for r in results.values()}) >= 3
+    assert {len(r.allocations) for r in results.values()} >= {2, 3, 4, 6}
+
+
+def _row_context(coupling_scales, rng):
+    """A k = 3 batch whose row b has its coupling scaled by ``coupling_scales[b]``."""
+    streams = (2, 1, 2)
+    n_rows = len(coupling_scales)
+    gains = [_db(rng, 10, 30, (n_rows, 52, s)) * 1e-8 for s in streams]
+    scale = np.asarray(coupling_scales, dtype=float)[:, None, None]
+    coupling = {
+        (victim, source): _db(rng, 10, 20, (n_rows, 52, streams[source])) * 1e-8 * scale
+        for victim in range(3)
+        for source in range(3)
+        if victim != source
+    }
+    return BatchConcurrentContext(
+        gains=gains, coupling=coupling, budgets=[31.6, 15.8, 31.6], noise_mw=[1e-10, 2e-10, 1e-10]
+    )
+
+
+def _take_rows(context, rows):
+    return BatchConcurrentContext(
+        gains=[g[rows] for g in context.gains],
+        coupling={edge: gain[rows] for edge, gain in context.coupling.items()},
+        budgets=context.budgets,
+        noise_mw=context.noise_mw,
+        leakage_linear=context.leakage_linear,
+    )
+
+
+def test_three_player_rows_are_independent():
+    """An uncoupled and a weakly coupled row converge early while their
+    neighbours run to the cap; each row equals its own one-row call, and
+    row order is immaterial."""
+    context = _row_context([1.0, 0.0, 3e-5, 1.0], np.random.default_rng(31))
+    allocations, iterations, converged = allocate_concurrent_batch(context, 6, 1e-3)
+    assert iterations.tolist() == [6, 2, 5, 6]
+    assert converged.tolist() == [False, True, True, False]
+    for b in range(context.n_rows):
+        alone, alone_iterations, alone_converged = allocate_concurrent_batch(
+            _take_rows(context, [b]), 6, 1e-3
+        )
+        assert (alone_iterations[0], alone_converged[0]) == (iterations[b], converged[b])
+        for together, single in zip(allocations, alone):
+            assert_same_streams(together.row(b), single.row(0))
+    order = [2, 1, 3, 0]
+    permuted, permuted_iterations, permuted_converged = allocate_concurrent_batch(
+        _take_rows(context, order), 6, 1e-3
+    )
+    _assert_same_bytes(permuted_iterations, iterations[order])
+    _assert_same_bytes(permuted_converged, converged[order])
+    for b, source_row in enumerate(order):
+        for shuffled, original in zip(permuted, allocations):
+            assert_same_streams(shuffled.row(b), original.row(source_row))
+
+
 # ---------------------------------------------------------------------------
 # Budgets
 # ---------------------------------------------------------------------------
@@ -710,7 +920,7 @@ def test_stream_allocators_reject_bad_budgets(budget):
             allocate_concurrent(context)
         batch = BatchConcurrentContext(
             gains=[gains[None], gains[None]],
-            coupling=[coupling[None], coupling[None]],
+            coupling={(0, 1): coupling[None], (1, 0): coupling[None]},
             budgets=budgets,
             noise_mw=[1e-10, 1e-10],
         )

@@ -30,6 +30,7 @@ import pytest
 from repro.core.clustering import form_clusters
 from repro.core.strategy import StrategyEngine
 from repro.core.oracle import (
+    GraphPlayer,
     InterferenceGraph,
     allocate_graph,
     equilibrium_gaps,
@@ -68,9 +69,20 @@ def _cluster_engine(n_aps, seed, ap_antennas=4, client_antennas=2):
 
 
 def _engine_graph(n_aps, seed):
+    """The engine's concurrent beamforming problem as a named graph."""
     engine = _cluster_engine(n_aps, seed)
-    (graph,) = engine.interference_graphs(engine.beamforming_designs())
-    return graph
+    context = engine.concurrent_context(engine.beamforming_designs())
+    players = [
+        GraphPlayer(name=ap.name, gains=gains[0], budget=budget, noise_mw=noise_mw)
+        for ap, gains, budget, noise_mw in zip(
+            engine.channels[0].topology.aps, context.gains, context.budgets, context.noise_mw
+        )
+    ]
+    return InterferenceGraph(
+        players=players,
+        coupling={edge: gain[0] for edge, gain in context.coupling.items()},
+        leakage_linear=context.leakage_linear,
+    )
 
 
 # ---------------------------------------------------------------------------

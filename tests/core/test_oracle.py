@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core import equi_snr, mercury, oracle
-from repro.core.equi_sinr import ConcurrentContext, allocate_concurrent, allocate_single
+from repro.core.equi_sinr import (
+    BatchConcurrentContext,
+    ConcurrentContext,
+    allocate_concurrent,
+    allocate_single,
+)
 from repro.core.equi_snr import equalizing_powers
 from repro.core.mercury import (
     mercury_waterfilling,
@@ -316,6 +321,31 @@ class TestInterferenceGraph:
             oracle.InterferenceGraph(
                 players=graph.players, coupling={(0, 1): np.zeros((4, 2))}
             )
+        with pytest.raises(ValueError, match="missing player"):
+            oracle.InterferenceGraph(
+                players=graph.players, coupling={(3, 0): np.zeros((16, 2))}
+            )
+        # The batched k-player context is where these checks live.
+        gains = [np.ones((2, 16, s)) for s in (2, 1, 2)]
+        malformed = [
+            ("itself", [np.ones((2, 16, 2))] * 3, {(1, 1): np.ones((2, 16, 2))}),
+            ("missing player", gains, {(0, 3): np.ones((2, 16, 2))}),
+            ("missing player", gains, {(-1, 0): np.ones((2, 16, 2))}),
+            ("n_sc", gains, {(0, 1): np.ones((2, 16, 2))}),
+            ("n_sc", gains, {(2, 0): np.ones((3, 16, 2))}),
+            ("share the row", [gains[0], np.ones((2, 8, 1)), gains[2]], {}),
+            ("share the row", [gains[0], np.ones((3, 16, 1)), gains[2]], {}),
+            ("share the row", [gains[0], np.ones((16, 1)), gains[2]], {}),
+            ("at least two", gains[:1], {}),
+        ]
+        for message, players, coupling in malformed:
+            with pytest.raises(ValueError, match=message):
+                BatchConcurrentContext(
+                    gains=players,
+                    coupling=coupling,
+                    budgets=[1.0] * len(players),
+                    noise_mw=[1.0] * len(players),
+                )
 
     def test_isolated_players_reach_equilibrium_immediately(self):
         """With no edges, best response == own optimum: zero regret for all."""

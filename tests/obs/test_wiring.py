@@ -86,6 +86,31 @@ class TestExperimentTrace:
             )
 
 
+class TestClusterDynamicsTelemetry:
+    def test_four_ap_rows_record_the_figure6_telemetry(self):
+        """Every concurrent-allocation row records its iteration count and
+        convergence, whatever the cluster size: here one 4-AP cluster per
+        topology, where nulling is infeasible and only conc_bf iterates."""
+        collector = Collector()
+        run_experiment(
+            ScenarioSpec("4x2-n4", 4, 2, include_copa_plus=False, n_aps=4),
+            SimConfig(n_topologies=2),
+            collector=collector,
+        )
+        counts = row_weighted(collector.spans)
+        rows = sum(
+            counts[f"scheme:{scheme}"]
+            for scheme in (Scheme.CONC_BF, Scheme.CONC_NULL, Scheme.CONC_SDA)
+        )
+        assert rows == 2
+        metrics = collector.metrics
+        assert metrics.histograms["alloc.concurrent_iterations"].count == rows
+        assert metrics.counters.get("alloc.converged", 0) + metrics.counters.get(
+            "alloc.unconverged", 0
+        ) == rows
+        assert "alloc.concurrent_dropped_subcarriers" in metrics.counters
+
+
 class TestSdaCoverage:
     def test_overconstrained_scenario_traces_sda(self):
         """3×2 is overconstrained, so the engine walks the §3.4 SDA search."""
