@@ -11,7 +11,7 @@ from .equi_sinr import (
 )
 from .controller import CopaAccessPoint, CopaSession, TxopRecord
 from .options import EngineOptions
-from .scheduler import MultiApScheduler, Neighbourhood, ScheduleResult
+from .scheduler import PairingThroughput, ScheduleResult, pairing_throughput
 from .schemes import COPA_CANDIDATES, SCHEMES, SERIES_KEYS, Scheme, SeriesKey
 from .differential import (
     SweepReport,
@@ -82,10 +82,10 @@ __all__ = [
     "SeriesKey",
     "CopaAccessPoint",
     "CopaSession",
-    "MultiApScheduler",
     "MultiDecoderSelection",
-    "Neighbourhood",
+    "PairingThroughput",
     "ScheduleResult",
+    "pairing_throughput",
     "TxopRecord",
     "per_subcarrier_rates",
     "SCHEME_CONC_BF",

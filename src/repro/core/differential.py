@@ -355,30 +355,24 @@ def draw_graph(
 ) -> InterferenceGraph:
     """Draw a seeded N-player interference graph from the office pipeline.
 
-    Uses :class:`repro.core.scheduler.Neighbourhood` to drop N (AP, client)
-    pairs on one floor and realize every pairwise channel, then turns each
-    pair's SVD design plus all cross couplings into an
-    :class:`InterferenceGraph`.
+    Drops N (AP, client) pairs with the calibrated topology sampler
+    (``n_aps=N``, at least two) and realizes their channels, as
+    :func:`draw_scenario` does for two, then turns each pair's SVD design
+    plus all cross couplings into an :class:`InterferenceGraph`.
     """
-    from .scheduler import Neighbourhood  # local: scheduler imports core modules
-
     rng = np.random.default_rng(seed)
     ap_antennas, client_antennas = _ANTENNA_CYCLE[seed % len(_ANTENNA_CYCLE)]
-    neighbourhood = Neighbourhood.sample(
-        max(n_players, 2),
-        rng,
-        ap_antennas=ap_antennas,
-        client_antennas=client_antennas,
-        generator=config.topology_generator() if config is not None else None,
-        model=config.channel_model() if config is not None else None,
-    )
+    generator = config.topology_generator() if config is not None else TopologyGenerator()
+    model = config.channel_model() if config is not None else ChannelModel()
+    topology = generator.sample(rng, ap_antennas, client_antennas, n_aps=max(n_players, 2))
+    channels = model.realize(topology, rng)
     tx_power_mw = float(dbm_to_mw(tx_power_dbm))
-    noise_mw = neighbourhood.noise_floor_mw
+    pairs = list(zip(topology.aps, topology.clients))
 
     designs = []
     players = []
-    for ap, client in neighbourhood.pairs:
-        channel = neighbourhood.channels[(ap.name, client.name)]
+    for ap, client in pairs:
+        channel = channels.channel(ap.name, client.name)
         design = beamforming_design(channel, ap=ap.name, client=client.name)
         designs.append(design)
         players.append(
@@ -386,18 +380,16 @@ def draw_graph(
                 name=ap.name,
                 gains=stream_gains(channel, design),
                 budget=tx_power_mw,
-                noise_mw=noise_mw,
+                noise_mw=channels.noise_floor_mw,
             )
         )
 
     coupling = {}
-    for victim in range(len(players)):
-        victim_client = neighbourhood.pairs[victim][1]
-        for source in range(len(players)):
+    for victim, (_, victim_client) in enumerate(pairs):
+        for source, (source_ap, _) in enumerate(pairs):
             if source == victim:
                 continue
-            source_ap = neighbourhood.pairs[source][0]
-            channel = neighbourhood.channels[(source_ap.name, victim_client.name)]
+            channel = channels.channel(source_ap.name, victim_client.name)
             coupling[(victim, source)] = cross_coupling(
                 channel, designs[source], victim_active_rx=designs[victim].active_rx
             )

@@ -3,232 +3,121 @@
 The paper limits its evaluation to two APs and sketches how more senders
 would behave: the contention winner runs an ITS exchange with one
 responder, the pair transmits (concurrently or sequentially), and other
-radios honour the ITS airtime field like an RTS/CTS NAV.  This module
-implements that round structure for N (AP, client) pairs:
+radios honour the ITS airtime field like an RTS/CTS NAV.  For an N-AP
+:class:`~repro.phy.channel.ChannelSet` (``TopologyGenerator.sample(n_aps=N)``
+plus ``ChannelModel.realize``), :func:`pairing_throughput` computes that
+round structure's per-client throughput in closed form:
 
-1. realize channels between *all* nodes of an N-pair neighbourhood,
-2. each round, a DCF draw elects a leader among backlogged APs,
-3. the leader pairs with the responder whose *predicted* joint throughput
-   is best (the ITS REQ race decided by channel quality), runs the
-   two-network strategy engine on that sub-topology, and both transmit,
-4. everyone else defers for the round.
+1. every one of the C(N, 2) pairs is a k = 2 row of one
+   :class:`~repro.core.batch.BatchedStrategyEngine` call on
+   :func:`~repro.core.ncell.restrict_channels`, pair ``p``'s CSI measured
+   with child seed ``p`` of ``default_rng(seed)`` — the engine call that
+   :func:`~repro.core.batch.run_batch` makes for a split topology's rows;
+2. the DCF leader is uniform over the N APs;
+3. a leader pairs with the responder whose *predicted* joint throughput
+   is best (the ITS REQ race decided by channel quality), and the pair's
+   COPA (or COPA-fair) scheme delivers to both clients;
+4. plain CSMA lets the leader transmit alone: it gets twice its CSMA
+   figure from the pair ``(i, i + 1 mod N)``, whose per-client CSMA value
+   is halved for turn-taking.
 
-A plain-CSMA baseline (winner transmits alone) runs on the same draws, so
-aggregate and Jain-fairness comparisons are paired.
+Pair outcomes are channel-static and the leader draw is uniform, so
+contention rounds are i.i.d.: a client's throughput is the mean over the
+N leaders of what each leader's round delivers to it, exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..mac.csma import jain_fairness
-from ..phy.channel import ChannelModel, ChannelSet
-from ..phy.constants import NOISE_FLOOR_DBM
+from ..phy.channel import ChannelSet
 from ..phy.noise import ImperfectionModel
-from ..phy.topology import Node, PathLossModel, Topology, TopologyGenerator
-from ..util import dbm_to_mw
-from .strategy import SCHEME_CSMA, StrategyEngine
+from .batch import BatchedStrategyEngine, measure_csi
+from .ncell import restrict_channels
+from .strategy import SCHEME_CSMA, StrategyOutcome
 
-__all__ = ["Neighbourhood", "RoundRecord", "ScheduleResult", "MultiApScheduler"]
-
-
-@dataclass
-class Neighbourhood:
-    """N (AP, client) pairs with channels between every pair of nodes."""
-
-    pairs: List[Tuple[Node, Node]]
-    channels: Dict[Tuple[str, str], np.ndarray]
-    gains_db: Dict[Tuple[str, str], float]
-    noise_floor_mw: float = float(dbm_to_mw(NOISE_FLOOR_DBM))
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pairs)
-
-    @classmethod
-    def sample(
-        cls,
-        n_pairs: int,
-        rng: np.random.Generator,
-        ap_antennas: int = 4,
-        client_antennas: int = 2,
-        generator: Optional[TopologyGenerator] = None,
-        model: Optional[ChannelModel] = None,
-    ) -> "Neighbourhood":
-        """Drop N pairs on one floor and realize every pairwise channel."""
-        if n_pairs < 2:
-            raise ValueError("a neighbourhood needs at least two pairs")
-        generator = generator if generator is not None else TopologyGenerator()
-        model = model if model is not None else ChannelModel()
-        width, height = generator.floor_m
-
-        pairs: List[Tuple[Node, Node]] = []
-        for index in range(n_pairs):
-            ap_xy = (rng.uniform(0, width), rng.uniform(0, height))
-            client_xy = generator._place_client(ap_xy, rng)
-            pairs.append(
-                (
-                    Node(f"AP{index + 1}", ap_xy, ap_antennas),
-                    Node(f"C{index + 1}", client_xy, client_antennas),
-                )
-            )
-
-        nodes = [node for pair in pairs for node in pair]
-        gains: Dict[Tuple[str, str], float] = {}
-        loss_model: PathLossModel = generator.path_loss
-        big = Topology(aps=[p[0] for p in pairs], clients=[p[1] for p in pairs])
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                shadowing = rng.normal(0.0, loss_model.shadowing_sigma_db)
-                obstructed = rng.uniform() < generator.obstruction_probability
-                gains[(a.name, b.name)] = -loss_model.path_loss_db(
-                    a.distance_to(b), shadowing, obstructed
-                )
-        big.link_gain_db.update(gains)
-        realized = model.realize(big, rng)
-        return cls(pairs=pairs, channels=dict(realized.channels), gains_db=gains)
-
-    def pairwise_channels(self, i: int, j: int) -> ChannelSet:
-        """The two-network :class:`ChannelSet` for pairs ``i`` and ``j``."""
-        if i == j:
-            raise ValueError("a pair cannot coordinate with itself")
-        selected = [self.pairs[i], self.pairs[j]]
-        names = {node.name for pair in selected for node in pair}
-        topology = Topology(
-            aps=[pair[0] for pair in selected],
-            clients=[pair[1] for pair in selected],
-        )
-        for (a, b), gain in self.gains_db.items():
-            if a in names and b in names:
-                topology.link_gain_db[(a, b)] = gain
-        channels = {
-            key: value
-            for key, value in self.channels.items()
-            if key[0] in names and key[1] in names
-        }
-        return ChannelSet(
-            topology=topology, channels=channels, noise_floor_mw=self.noise_floor_mw
-        )
+__all__ = ["PairingThroughput", "ScheduleResult", "pairing_throughput"]
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """One contention round's outcome."""
-
-    leader: int
-    partner: Optional[int]
-    scheme: str
-    #: Bits-per-second-equivalent delivered to each participating client.
-    delivered_bps: Dict[int, float]
-
-
-@dataclass
 class ScheduleResult:
-    """Accumulated outcome of a scheduler run."""
+    """Per-client expected throughput (bit/s) of one access mode."""
 
-    rounds: List[RoundRecord]
-    #: Client index → mean throughput across rounds (bit/s).
-    throughput_bps: Dict[int, float]
+    #: Client index → throughput, in topology order.
+    throughput_bps: Tuple[float, ...]
 
     @property
     def aggregate_bps(self) -> float:
-        return float(sum(self.throughput_bps.values()))
+        return float(sum(self.throughput_bps))
 
     @property
     def fairness(self) -> float:
-        return jain_fairness(list(self.throughput_bps.values()))
+        return jain_fairness(list(self.throughput_bps))
 
 
-class MultiApScheduler:
-    """Round-based COPA pairing across an N-pair neighbourhood."""
+@dataclass(frozen=True)
+class PairingThroughput:
+    """The neighbourhood's three access modes, on the same pair outcomes."""
 
-    def __init__(
-        self,
-        neighbourhood: Neighbourhood,
-        imperfections: Optional[ImperfectionModel] = None,
-        rng: Optional[np.random.Generator] = None,
-        fair: bool = False,
-    ):
-        self.neighbourhood = neighbourhood
-        self.imperfections = imperfections if imperfections is not None else ImperfectionModel()
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.fair = fair
-        # Pairwise strategy outcomes are channel-static: compute lazily, once.
-        self._outcomes: Dict[Tuple[int, int], object] = {}
+    csma: ScheduleResult
+    copa: ScheduleResult
+    copa_fair: ScheduleResult
+    #: ``(i, j)`` with ``i < j`` → the pair's two-network outcome; client
+    #: ``i`` is the outcome's client 0.
+    outcomes: Dict[Tuple[int, int], StrategyOutcome]
 
-    def _outcome(self, i: int, j: int):
-        key = (min(i, j), max(i, j))
-        if key not in self._outcomes:
-            channels = self.neighbourhood.pairwise_channels(*key)
-            self._outcomes[key] = StrategyEngine(
-                channels,
-                imperfections=self.imperfections,
-                rng=np.random.default_rng(hash(key) % (2**32)),
-            ).run()
-        return self._outcomes[key]
 
-    def _best_partner(self, leader: int) -> Tuple[int, object]:
-        """The responder whose predicted pairing aggregate is highest."""
-        best_partner, best_outcome, best_value = -1, None, -1.0
-        for candidate in range(self.neighbourhood.n_pairs):
-            if candidate == leader:
-                continue
-            outcome = self._outcome(leader, candidate)
-            chosen = outcome.copa_fair if self.fair else outcome.copa
-            predicted = outcome.predictions[
-                outcome.copa_fair_choice if self.fair else outcome.copa_choice
-            ]
-            if predicted.aggregate_bps > best_value:
-                best_value = predicted.aggregate_bps
-                best_partner, best_outcome = candidate, outcome
-        assert best_outcome is not None
-        return best_partner, best_outcome
+def pairing_throughput(
+    channels: ChannelSet, imperfections: Optional[ImperfectionModel] = None, seed: int = 0
+) -> PairingThroughput:
+    """Expected per-client throughput of §3.1's pairing, CSMA and COPA."""
+    n = len(channels.topology.aps)
+    if n < 2:
+        raise ValueError("pairing needs at least two networks")
+    imperfections = imperfections if imperfections is not None else ImperfectionModel()
+    pairs = list(combinations(range(n), 2))
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(pairs)).tolist()
+    rows = [restrict_channels(channels, pair) for pair in pairs]
+    csi = [
+        measure_csi(row, imperfections, np.random.default_rng(child))
+        for row, child in zip(rows, seeds)
+    ]
+    outcomes = dict(
+        zip(pairs, BatchedStrategyEngine(rows, csi, imperfections=imperfections).run())
+    )
 
-    def _round_copa(self, leader: int) -> RoundRecord:
-        partner, outcome = self._best_partner(leader)
-        chosen = outcome.copa_fair if self.fair else outcome.copa
-        key = (min(leader, partner), max(leader, partner))
-        # client_throughput order follows the sub-topology's pair order.
-        first, second = key
-        delivered = {
-            first: chosen.client_throughput_bps[0],
-            second: chosen.client_throughput_bps[1],
-        }
-        return RoundRecord(
-            leader=leader, partner=partner, scheme=chosen.name, delivered_bps=delivered
-        )
+    def pair(i: int, j: int) -> StrategyOutcome:
+        return outcomes[(min(i, j), max(i, j))]
 
-    def _round_csma(self, leader: int) -> RoundRecord:
-        """Baseline: the winner transmits alone for the round."""
-        other = (leader + 1) % self.neighbourhood.n_pairs
-        outcome = self._outcome(leader, other)
-        csma = outcome.schemes[SCHEME_CSMA]
-        key = (min(leader, other), max(leader, other))
-        position = key.index(leader)
-        # CSMA's per-client figure is already halved for turn-taking;
-        # transmitting alone for the whole round doubles it back.
-        delivered = {leader: csma.client_throughput_bps[position] * 2.0}
-        return RoundRecord(leader=leader, partner=None, scheme="csma", delivered_bps=delivered)
+    def paired(fair: bool) -> ScheduleResult:
+        delivered = np.zeros(n)
+        for leader in range(n):
 
-    def run(self, n_rounds: int, mode: str = "copa") -> ScheduleResult:
-        """Simulate ``n_rounds`` contention rounds.
+            def predicted(partner: int) -> float:
+                outcome = pair(leader, partner)
+                choice = outcome.copa_fair_choice if fair else outcome.copa_choice
+                return outcome.predictions[choice].aggregate_bps
 
-        ``mode``: ``"copa"`` pairs the winner with its best responder;
-        ``"csma"`` lets the winner transmit alone (the baseline).
-        """
-        if mode not in ("copa", "csma"):
-            raise ValueError(f"unknown mode {mode!r}")
-        n = self.neighbourhood.n_pairs
-        totals = {i: 0.0 for i in range(n)}
-        rounds: List[RoundRecord] = []
-        for _ in range(n_rounds):
-            leader = int(self.rng.integers(0, n))
-            record = self._round_copa(leader) if mode == "copa" else self._round_csma(leader)
-            rounds.append(record)
-            for client, bps in record.delivered_bps.items():
-                totals[client] += bps
-        throughput = {i: totals[i] / n_rounds for i in range(n)}
-        return ScheduleResult(rounds=rounds, throughput_bps=throughput)
+            partner = max((p for p in range(n) if p != leader), key=predicted)
+            outcome = pair(leader, partner)
+            chosen = outcome.copa_fair if fair else outcome.copa
+            delivered[sorted((leader, partner))] += chosen.client_throughput_bps
+        return ScheduleResult(tuple((delivered / n).tolist()))
+
+    def alone(leader: int) -> float:
+        other = (leader + 1) % n
+        csma = pair(leader, other).schemes[SCHEME_CSMA]
+        # Transmitting alone for the whole round doubles the turn-taking figure.
+        return 2.0 * csma.client_throughput_bps[int(leader > other)]
+
+    return PairingThroughput(
+        csma=ScheduleResult(tuple(alone(leader) / n for leader in range(n))),
+        copa=paired(fair=False),
+        copa_fair=paired(fair=True),
+        outcomes=outcomes,
+    )

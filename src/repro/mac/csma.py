@@ -129,11 +129,11 @@ class DcfSimulator:
             return lowest[0], []
         return None, lowest
 
-    def run(self, n_rounds: int) -> DcfStats:
-        """Simulate ``n_rounds`` medium acquisitions."""
+    def run(self, rounds: int) -> DcfStats:
+        """Simulate ``rounds`` medium acquisitions."""
         txops = {s.name: 0 for s in self.stations}
         collisions = 0
-        for _ in range(n_rounds):
+        for _ in range(rounds):
             winner, colliders = self._winner()
             if winner is None:
                 collisions += 1
@@ -156,7 +156,7 @@ class DcfSimulator:
             else:
                 txops[winner.name] += 1
             winner.backoff = self._draw(winner)
-        return DcfStats(txops_won=txops, collisions=collisions, rounds=n_rounds)
+        return DcfStats(txops_won=txops, collisions=collisions, rounds=rounds)
 
     def _partner(self, station: Station) -> Optional[Station]:
         if station.copa_partner is None:

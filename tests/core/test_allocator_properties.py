@@ -13,9 +13,9 @@ Invariants every allocator must honour regardless of the channel draw:
 
 The same invariants, suitably translated, cover the §4.6 multi-decoder
 rate selection (conservation of the per-code-rate decomposition instead
-of a power budget) and the N-pair scheduler (conservation of delivered
-throughput across rounds).  The gain draws are seeded, so failures
-reproduce exactly.
+of a power budget) and §3.1's N-network pairing (conservation of the
+bits each leader's round delivers).  The gain draws are seeded, so
+failures reproduce exactly.
 """
 
 import numpy as np
@@ -25,7 +25,9 @@ from repro.core.equi_sinr import allocate_single
 from repro.core.equi_snr import allocate, allocate_power_only, allocate_selection_only
 from repro.core.mercury import mercury_allocate
 from repro.core.multi_decoder import per_subcarrier_rates
-from repro.core.scheduler import MultiApScheduler, Neighbourhood
+from repro.core.scheduler import pairing_throughput
+from repro.core.strategy import SCHEME_CSMA
+from repro.sim.config import DEFAULT_CONFIG
 
 N_SUBCARRIERS = 52
 TOTAL_POWER_MW = 100.0
@@ -180,45 +182,68 @@ class TestMultiDecoderProperties:
 
 
 class TestSchedulerProperties:
-    """Conservation and determinism invariants for the N-pair scheduler."""
+    """Conservation and determinism invariants for the N-network pairing."""
 
-    N_PAIRS = 3
-    N_ROUNDS = 6
+    N_APS = 3
 
-    def _schedule(self, seed: int, mode: str):
-        neighbourhood = Neighbourhood.sample(
-            self.N_PAIRS, np.random.default_rng(seed), ap_antennas=2, client_antennas=2
-        )
-        scheduler = MultiApScheduler(neighbourhood, rng=np.random.default_rng(seed + 1))
-        return scheduler.run(self.N_ROUNDS, mode=mode)
+    def _schedule(self, seed: int):
+        rng = np.random.default_rng(seed)
+        topology = DEFAULT_CONFIG.topology_generator().sample(rng, 2, 2, n_aps=self.N_APS)
+        channels = DEFAULT_CONFIG.channel_model().realize(topology, rng)
+        return pairing_throughput(channels, DEFAULT_CONFIG.imperfections(), seed)
+
+    def _partner(self, result, leader: int) -> int:
+        def predicted(partner: int) -> float:
+            outcome = result.outcomes[tuple(sorted((leader, partner)))]
+            return outcome.predictions[outcome.copa_choice].aggregate_bps
+
+        return max((p for p in range(self.N_APS) if p != leader), key=predicted)
+
+    def _round_total(self, result, mode: str, leader: int) -> float:
+        """Bits per second one leader's round delivers, over all clients."""
+        if mode == "copa":
+            partner = self._partner(result, leader)
+            return result.outcomes[tuple(sorted((leader, partner)))].copa.aggregate_bps
+        other = (leader + 1) % self.N_APS
+        alone = result.outcomes[tuple(sorted((leader, other)))].schemes[SCHEME_CSMA]
+        return 2.0 * alone.client_throughput_bps[int(leader > other)]
 
     @pytest.mark.parametrize("mode", ["copa", "csma"])
     def test_throughput_conserves_delivered_bits(self, mode):
-        """Mean throughputs must re-aggregate to the per-round deliveries."""
-        result = self._schedule(0, mode)
-        delivered = {i: 0.0 for i in range(self.N_PAIRS)}
-        for record in result.rounds:
-            for client, bps in record.delivered_bps.items():
-                delivered[client] += bps
-        for client in range(self.N_PAIRS):
-            assert result.throughput_bps[client] == pytest.approx(
-                delivered[client] / self.N_ROUNDS, rel=1e-12
-            )
-        assert result.aggregate_bps >= 0.0
-        assert 0.0 < result.fairness <= 1.0 + 1e-12
+        """Per-client throughputs must re-aggregate to the rounds' deliveries."""
+        result = self._schedule(0)
+        schedule = getattr(result, mode)
+        delivered = sum(self._round_total(result, mode, leader) for leader in range(self.N_APS))
+        assert len(schedule.throughput_bps) == self.N_APS
+        assert schedule.aggregate_bps == pytest.approx(delivered / self.N_APS, rel=1e-12)
+        assert schedule.aggregate_bps >= 0.0
+        assert 0.0 < schedule.fairness <= 1.0 + 1e-12
 
     def test_copa_rounds_deliver_to_pairs_csma_to_leaders(self):
-        copa = self._schedule(1, "copa")
-        for record in copa.rounds:
-            assert record.partner is not None
-            assert set(record.delivered_bps) == {record.leader, record.partner}
-        csma = self._schedule(1, "csma")
-        for record in csma.rounds:
-            assert record.partner is None
-            assert set(record.delivered_bps) == {record.leader}
+        result = self._schedule(1)
+        for client in range(self.N_APS):
+            # CSMA: a client receives only in the rounds its own AP leads.
+            own = self._round_total(result, "csma", client)
+            assert result.csma.throughput_bps[client] == pytest.approx(
+                own / self.N_APS, rel=1e-12
+            )
+            # COPA: it receives when it leads and whenever a leader picks it.
+            received = 0.0
+            for leader in range(self.N_APS):
+                partner = self._partner(result, leader)
+                if client in (leader, partner):
+                    low, high = sorted((leader, partner))
+                    copa = result.outcomes[(low, high)].copa
+                    received += copa.client_throughput_bps[int(client == high)]
+            assert result.copa.throughput_bps[client] == pytest.approx(
+                received / self.N_APS, rel=1e-12
+            )
 
     def test_deterministic_under_fixed_seeds(self):
-        first = self._schedule(2, "copa")
-        second = self._schedule(2, "copa")
-        assert first.throughput_bps == second.throughput_bps
-        assert [r.leader for r in first.rounds] == [r.leader for r in second.rounds]
+        first = self._schedule(2)
+        second = self._schedule(2)
+        assert first.copa.throughput_bps == second.copa.throughput_bps
+        assert first.csma.throughput_bps == second.csma.throughput_bps
+        assert [o.copa_choice for o in first.outcomes.values()] == [
+            o.copa_choice for o in second.outcomes.values()
+        ]
