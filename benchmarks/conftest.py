@@ -9,7 +9,8 @@ also prints them to the terminal report.
 Scenario fixtures fan their topologies out through the parallel runner
 (``repro.sim.runner``); the per-topology seeding makes the results
 bit-identical to a serial run, so benchmark numbers do not depend on the
-worker count.  Set ``REPRO_WORKERS=1`` to force the serial path.
+worker count.  Set ``REPRO_WORKERS=1`` to force the serial path (it is read
+as the CLI reads it: ``0`` or unset is one worker per CPU).
 """
 
 from __future__ import annotations
@@ -22,19 +23,9 @@ import pytest
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.emulation import run_emulated_experiment
 from repro.sim.experiment import ScenarioSpec, run_experiment
+from repro.sim.runner import workers_from_env
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def bench_workers() -> int:
-    """Worker count for the benchmark fixtures (``$REPRO_WORKERS`` wins)."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def write_result(name: str, text: str) -> None:
@@ -54,27 +45,27 @@ def config():
 @pytest.fixture(scope="session")
 def result_1x1(config):
     """§4.2: two single-antenna AP/client pairs (Figure 10)."""
-    return run_experiment(ScenarioSpec("1x1", 1, 1), config, workers=bench_workers())
+    return run_experiment(ScenarioSpec("1x1", 1, 1), config, workers=workers_from_env())
 
 
 @pytest.fixture(scope="session")
 def result_4x2(config):
     """§4.3: the constrained nulling scenario (Figure 11)."""
-    return run_experiment(ScenarioSpec("4x2", 4, 2), config, workers=bench_workers())
+    return run_experiment(ScenarioSpec("4x2", 4, 2), config, workers=workers_from_env())
 
 
 @pytest.fixture(scope="session")
 def result_4x2_weak(config):
     """§4.4: trace-driven emulation with interference −10 dB (Figure 12)."""
     return run_emulated_experiment(
-        ScenarioSpec("4x2", 4, 2), -10.0, config, workers=bench_workers()
+        ScenarioSpec("4x2", 4, 2), -10.0, config, workers=workers_from_env()
     )
 
 
 @pytest.fixture(scope="session")
 def result_3x2(config):
     """§4.5: the overconstrained scenario with SDA (Figure 13)."""
-    return run_experiment(ScenarioSpec("3x2", 3, 2), config, workers=bench_workers())
+    return run_experiment(ScenarioSpec("3x2", 3, 2), config, workers=workers_from_env())
 
 
 def cdf_table(result, keys, paper_means):

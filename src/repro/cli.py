@@ -49,17 +49,6 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def _default_workers() -> int:
-    """CPU-count-aware default for ``--workers`` (overridable via env)."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _engine_options(args) -> EngineOptions:
     """Typed engine options from the CLI overrides."""
     options = EngineOptions()
@@ -171,7 +160,7 @@ from .sim.emulation import run_emulated_experiment
 from .sim.experiment import ScenarioSpec, generate_channel_sets, run_experiment
 from .sim.metrics import compare
 from .sim.network import measure_nulling_effect
-from .sim.runner import RunnerError
+from .sim.runner import RunnerError, workers_from_env
 
 
 def _make_collector(args) -> "Collector | None":
@@ -581,9 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
             "-w",
             "--workers",
             type=int,
-            default=_default_workers(),
+            default=None,
             help="worker processes for per-topology fan-out; 1 = serial, "
-            "<= 0 = one per CPU (default: all CPUs, or $REPRO_WORKERS)",
+            "<= 0 = one per CPU (default: $REPRO_WORKERS, else one per CPU)",
         )
         command.add_argument(
             "--chunk-size",
@@ -853,7 +842,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) is None:
+        # Read only when a command runs, so a bad value cannot break --help.
+        try:
+            args.workers = workers_from_env()
+        except ValueError as error:
+            parser.error(str(error))
     return args.func(args)
 
 

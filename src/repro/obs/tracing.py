@@ -10,7 +10,7 @@ topologies ran in a process pool.
 
 The disabled path is a shared :data:`NULL_SPAN` singleton: entering and
 exiting it allocates nothing, which is what keeps observability free when
-it is off (see ``benchmarks/bench_obs_overhead.py``).
+it is off.
 """
 
 from __future__ import annotations

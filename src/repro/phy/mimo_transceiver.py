@@ -106,8 +106,8 @@ def _reference_mmse_equalize(
     window: int = _SMOOTHING_WINDOW,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The original per-subcarrier MMSE loop, retained as the equivalence
-    and perf baseline for :func:`_mmse_equalize` (see
-    ``benchmarks/bench_phy_hotpaths.py``)."""
+    baseline for :func:`_mmse_equalize` (see
+    ``tests/phy/test_phy_vectorization.py``)."""
     n_rx = rx_grids.shape[0]
     n_symbols = rx_grids.shape[1]
     n_sc, _, n_streams = scaled.shape

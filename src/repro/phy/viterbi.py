@@ -251,9 +251,9 @@ def viterbi_decode(received, code_rate: Tuple[int, int] = (1, 2), n_info_bits: i
 def _reference_viterbi_decode(
     received, code_rate: Tuple[int, int] = (1, 2), n_info_bits: int = None
 ) -> np.ndarray:
-    """The original per-step hard decoder, retained as the equivalence and
-    perf baseline for the table-driven ACS kernel (``benchmarks/
-    bench_phy_hotpaths.py`` measures the speedup against this body)."""
+    """The original per-step hard decoder, retained as the equivalence
+    baseline for the table-driven ACS kernel (see
+    ``tests/phy/test_phy_vectorization.py``)."""
     received = np.asarray(received, dtype=np.int8).ravel()
     if code_rate != (1, 2) or n_info_bits is not None:
         if n_info_bits is None:
@@ -376,8 +376,8 @@ def viterbi_decode_soft(
 def _reference_viterbi_decode_soft(
     llrs, code_rate: Tuple[int, int] = (1, 2), n_info_bits: int = None
 ) -> np.ndarray:
-    """The original per-step soft decoder, retained as the equivalence and
-    perf baseline for the table-driven ACS kernel."""
+    """The original per-step soft decoder, retained as the equivalence
+    baseline for the table-driven ACS kernel."""
     llrs = np.asarray(llrs, dtype=float).ravel()
     if code_rate != (1, 2) or n_info_bits is not None:
         if n_info_bits is None:

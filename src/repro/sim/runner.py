@@ -98,6 +98,7 @@ __all__ = [
     "evaluate_batch",
     "evaluate_topology",
     "resolve_workers",
+    "workers_from_env",
     "auto_chunk_size",
     "run_tasks",
 ]
@@ -375,6 +376,24 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers <= 0:
         return os.cpu_count() or 1
     return int(workers)
+
+
+def workers_from_env() -> int:
+    """The worker count that ``$REPRO_WORKERS`` asks for, resolved.
+
+    Unset or empty means one worker per CPU; any integer means what it
+    means to :func:`resolve_workers`, so ``0`` is one per CPU too.  A
+    value that is not an integer raises :class:`ValueError` naming the
+    variable instead of falling back quietly.
+    """
+    raw = os.environ.get("REPRO_WORKERS", "").strip()
+    if not raw:
+        return resolve_workers(0)
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise ValueError(f"REPRO_WORKERS must be an integer, got {raw!r}") from None
+    return resolve_workers(requested)
 
 
 def auto_chunk_size(n_tasks: int, workers: int) -> int:

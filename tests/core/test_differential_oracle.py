@@ -75,6 +75,13 @@ def test_differential_sweep_100_seeds(scheme, tmp_path):
         f"reproducers: {[p.name for p in report.reproducers]}"
     )
     assert report.tolerance == ORACLE_RTOL[scheme]
+    # Measured worst gaps sit orders of magnitude below each tolerance
+    # (EXPERIMENTS.md, oracle tolerance policy); a drift that the
+    # tolerance would still absorb fails here.
+    assert report.worst_gap <= 1e-3 * report.tolerance, (
+        f"{scheme}: worst gap {report.worst_gap:.3g} is within the tolerance "
+        f"{report.tolerance:g} but above 1e-3 of it"
+    )
     assert list(tmp_path.iterdir()) == []  # no reproducers on agreement
     assert collector.metrics.counters["oracle.agree"] == report.n_total
     assert "oracle.mismatch" not in collector.metrics.counters

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.core.strategy import StrategyEngine
 from repro.obs import Collector, collector_payload, validate_payload
 from repro.phy.constants import MCS_TABLE
 from repro.phy.fading import TappedDelayLine, exponential_pdp
@@ -26,6 +27,7 @@ from repro.sim.config import SimConfig
 from repro.sim.emulation import run_emulated_experiment
 from repro.sim.experiment import ScenarioSpec, run_experiment
 from repro.sim.sweep import sweep_coherence_time
+from tests.core.test_batch import assert_same_outcome
 
 
 def row_weighted(spans):
@@ -84,6 +86,28 @@ class TestExperimentTrace:
             np.testing.assert_array_equal(
                 plain.series_mbps(key), observed.series_mbps(key)
             )
+
+
+class TestEngineTrace:
+    """One engine run, traced and plain, on each antenna configuration."""
+
+    @pytest.mark.parametrize("channels", ["channels_1x1", "channels_3x2", "channels_4x2"])
+    def test_tracing_leaves_the_outcome_unchanged(self, channels, request):
+        channels = request.getfixturevalue(channels)
+        collector = Collector()
+        observed = StrategyEngine(
+            channels, rng=np.random.default_rng(2015), collector=collector
+        ).run()
+        plain = StrategyEngine(channels, rng=np.random.default_rng(2015)).run()
+        assert_same_outcome(observed, plain)
+
+        names = [span.name for span in collector.spans]
+        assert names.count("engine.run") == 1
+        # Every evaluated scheme is traced, and nothing else is (the SDA
+        # search of an overconstrained topology re-enters some per role).
+        assert {name for name in names if name.startswith("scheme:")} == {
+            f"scheme:{scheme}" for scheme in observed.schemes
+        }
 
 
 class TestClusterDynamicsTelemetry:

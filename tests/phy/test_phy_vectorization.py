@@ -2,9 +2,8 @@
 
 The batched MMSE equalizer and the table-driven Viterbi ACS kernel must
 reproduce the retained ``_reference_*`` loop implementations: decoded
-bits bit-for-bit, SINRs to ``rtol=1e-10``.  These tests are the contract
-behind ``benchmarks/bench_phy_hotpaths.py``'s speedup numbers — a fast
-kernel that drifts from the reference is a bug, not an optimization.
+bits bit-for-bit, SINRs to ``rtol=1e-10``.  A fast kernel that drifts
+from the reference is a bug, not an optimization.
 """
 
 import numpy as np
@@ -19,6 +18,8 @@ from repro.phy.mimo import svd_beamformer
 from repro.phy.mimo_transceiver import MimoTransceiver
 from repro.phy.ofdm import data_subcarrier_bins
 from repro.phy.constants import N_FFT
+from repro.phy.qam import awgn, demodulate_hard, modulate
+from repro.util import db_to_linear
 
 CODE_RATES = ((1, 2), (2, 3), (3, 4), (5, 6))
 
@@ -97,6 +98,50 @@ class TestViterbiEquivalence:
             )
 
 
+def _demodulated_frame(mcs, snr_db, seed=2015, n_sc=52, n_symbols=12):
+    """One full coded frame at ``mcs`` through the AWGN demapper.
+
+    Returns (soft LLRs, hard bits, n_info): the decoder inputs of a real
+    receive chain, with the multi-level LLR magnitudes of the QAM
+    demapper and a frame as long as a 52-subcarrier, 12-symbol PPDU.
+    """
+    rng = np.random.default_rng(seed)
+    num, den = mcs.code_rate
+    coded_bits = n_sc * mcs.modulation.bits_per_symbol * n_symbols
+    n_info = coded_bits * num // den
+    info = rng.integers(0, 2, n_info).astype(np.int8)
+    coded = vit.puncture(vit.encode(info), mcs.code_rate)[:coded_bits]
+    snr = float(db_to_linear(snr_db))
+    received = awgn(modulate(coded, mcs.modulation), snr, rng)
+    llrs = llr_demodulate(received, mcs.modulation, 1.0 / snr)
+    return llrs, demodulate_hard(received, mcs.modulation), n_info
+
+
+class TestViterbiOnDemodulatedFrames:
+    """Every MCS on full-length frames: at 5 dB the 16- and 64-QAM rates
+    decode 22–53% of their bits in error, at 12 dB only the 64-QAM rates
+    fail, at 25 dB every rate decodes error-free (seed 2015)."""
+
+    @pytest.mark.parametrize("decoder", ["soft", "hard"])
+    @pytest.mark.parametrize("snr_db", [5.0, 12.0, 25.0])
+    @pytest.mark.parametrize("mcs", MCS_TABLE, ids=[f"mcs{m.index}" for m in MCS_TABLE])
+    def test_decoded_bits_match_reference(self, mcs, snr_db, decoder):
+        llrs, hard, n_info = _demodulated_frame(mcs, snr_db)
+        if decoder == "soft":
+            fast, reference, received = (
+                vit.viterbi_decode_soft, vit._reference_viterbi_decode_soft, llrs,
+            )
+        else:
+            fast, reference, received = (
+                vit.viterbi_decode, vit._reference_viterbi_decode, hard,
+            )
+        decoded = fast(received, mcs.code_rate, n_info_bits=n_info)
+        assert decoded.size == n_info
+        assert np.array_equal(
+            decoded, reference(received, mcs.code_rate, n_info_bits=n_info)
+        )
+
+
 # ----------------------------------------------------------------------
 # MMSE: stacked linear algebra vs the per-subcarrier reference loop
 # ----------------------------------------------------------------------
@@ -129,6 +174,25 @@ class TestMmseEquivalence:
         scaled, y, cov, nv = _mmse_problem(seed, n_streams, interferer=bool(seed % 3))
         est_vec, sinr_vec = mt._mmse_equalize(scaled, y, cov, nv)
         est_ref, sinr_ref = mt._reference_mmse_equalize(scaled, y, cov, nv)
+        np.testing.assert_allclose(sinr_vec, sinr_ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(est_vec, est_ref, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("interferer", [False, True], ids=["clean", "interfered"])
+    @pytest.mark.parametrize(
+        "n_rx, n_streams",
+        [(n_rx, n_streams) for n_rx in range(1, 5) for n_streams in range(1, n_rx + 1)],
+    )
+    def test_every_antenna_configuration_matches_reference(
+        self, n_rx, n_streams, interferer
+    ):
+        """1–4 receive antennas, every stream count, a 12-symbol frame."""
+        scaled, y, cov, nv = _mmse_problem(
+            100 * n_rx + n_streams, n_streams, n_rx=n_rx, n_symbols=12,
+            interferer=interferer,
+        )
+        est_vec, sinr_vec = mt._mmse_equalize(scaled, y, cov, nv)
+        est_ref, sinr_ref = mt._reference_mmse_equalize(scaled, y, cov, nv)
+        assert sinr_vec.shape == (52, n_streams)
         np.testing.assert_allclose(sinr_vec, sinr_ref, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(est_vec, est_ref, rtol=1e-8, atol=1e-10)
 

@@ -37,6 +37,7 @@ from repro.sim.service import (
     run_worker,
     worker_entry,
 )
+from tests.core.test_batch import assert_same_outcome
 
 SPEC = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
 N_TOPOLOGIES = 4
@@ -385,22 +386,33 @@ class TestAllocationService:
     def cache(self, tmp_path):
         return ResultCache(str(tmp_path / "cache"))
 
-    def test_repeat_query_hits_bit_identically(self, cache, channel_sets):
+    @staticmethod
+    def assert_same_answer(warm, cold):
+        """A warm answer is the cold answer that filled its cell, bit for bit."""
+        assert warm.key == cold.key
+        assert_same_outcome(warm.record.outcome, cold.record.outcome)
+
+    @pytest.mark.parametrize("repeats", [2, 20])
+    def test_repeat_query_hits_bit_identically(self, cache, channel_sets, repeats):
         svc = AllocationService(cache, config=CONFIG)
-        first = svc.query(channel_sets[0])
-        second = svc.query(channel_sets[0])
-        assert (first.hit, second.hit) == (False, True)
-        assert first.key == second.key
-        assert (
-            second.record.outcome.copa.aggregate_bps
-            == first.record.outcome.copa.aggregate_bps
-        )
-        assert svc.stats.as_dict()["hit_rate"] == 0.5
+        cold = [svc.query(channels) for channels in channel_sets]
+        assert not any(answer.hit for answer in cold)
+        for _ in range(repeats - 1):
+            for channels, first in zip(channel_sets, cold):
+                answer = svc.query(channels)
+                assert answer.hit
+                self.assert_same_answer(answer, first)
+        assert svc.stats.queries == repeats * len(channel_sets)
+        assert svc.stats.hit_rate == (repeats - 1) / repeats
 
     def test_warm_cache_serves_other_handles(self, cache, channel_sets):
-        AllocationService(cache, config=CONFIG).query(channel_sets[0])
+        first = AllocationService(cache, config=CONFIG)
+        cold = [first.query(channels) for channels in channel_sets]
         other = AllocationService(cache, config=CONFIG)
-        assert other.query(channel_sets[0]).hit
+        for channels, answer in zip(channel_sets, cold):
+            warm = other.query(channels)
+            assert warm.hit
+            self.assert_same_answer(warm, answer)
 
     def test_distinct_channels_miss(self, cache, channel_sets):
         svc = AllocationService(cache, config=CONFIG)

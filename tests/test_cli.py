@@ -256,3 +256,59 @@ class TestFaultTolerance:
         assert "topology[1]: InjectedCrash" in err
         assert "2 of 3 topologies completed" in err
         assert "--checkpoint/--resume" in err
+
+
+class TestWorkersVariable:
+    """``$REPRO_WORKERS`` sets the default ``--workers`` and reads like it."""
+
+    class Dispatched(Exception):
+        """Raised by the stand-in runner with the worker count it got."""
+
+    @pytest.fixture()
+    def dispatch(self, monkeypatch):
+        import os
+
+        import repro.cli as cli
+
+        def record(*args, workers, **kwargs):
+            raise self.Dispatched(workers)
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+        def run(env, *flags):
+            if env is None:
+                monkeypatch.delenv("REPRO_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_WORKERS", env)
+            with pytest.raises(self.Dispatched) as excinfo:
+                main(["run", "1x1", "-n", "2", *flags])
+            return excinfo.value.args[0]
+
+        return run
+
+    @pytest.mark.parametrize("env", [None, "", "0", "-2"])
+    def test_unset_or_nonpositive_means_one_per_cpu(self, dispatch, env):
+        assert dispatch(env) == 3
+
+    def test_positive_value_is_the_count(self, dispatch):
+        assert dispatch("2") == 2
+
+    def test_flag_wins_over_the_variable(self, dispatch):
+        assert dispatch("abc", "--workers", "1") == 1
+
+    @pytest.mark.parametrize("env", ["abc", "1.5"])
+    def test_non_integer_fails_naming_the_variable(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("REPRO_WORKERS", env)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "1x1", "-n", "2"])
+        assert excinfo.value.code == 2
+        assert f"REPRO_WORKERS must be an integer, got {env!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_survives_a_bad_value(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert "usage:" in capsys.readouterr().out
