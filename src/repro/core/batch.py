@@ -52,6 +52,13 @@ together.
 Observability is batch-granular: one ``engine.run`` span covers all B
 rows, every span the engine opens carries ``rows=B``, and counters are
 incremented in bulk with the same totals as B one-row runs.
+
+An engine evaluates the allocator-independent half of the menu once:
+the designs, their stream gains and Figure-6 contexts, and the
+equal-power CSMA and Null schemes.  A second :meth:`~BatchedStrategyEngine.run`
+with another allocator (the COPA+ pass) reuses them, so its
+``engine.run`` span has no ``design``, ``scheme:csma`` or ``scheme:null``
+child.
 """
 
 from __future__ import annotations
@@ -287,6 +294,8 @@ class BatchedStrategyEngine:
             )
             for i, j in csi[0]
         }
+        # The allocator-independent half of the menu, filled by the first run.
+        self._fixed: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # channel access
@@ -425,10 +434,10 @@ class BatchedStrategyEngine:
         return BatchStreamAllocation(powers=powers, used=used, per_stream=[])
 
     def _sequential_allocation(
-        self, design: BatchDesign, allocator: StreamAllocator
+        self, gains: np.ndarray, allocator: StreamAllocator
     ) -> BatchStreamAllocation:
-        """Equi-SNR (Algorithm 1) per stream, no concurrent interference."""
-        gains = self._stream_gains(design)
+        """Equi-SNR (Algorithm 1) per stream of one design's ``gains``, no
+        concurrent interference."""
         allocation = allocate_single_batch(
             gains, self.tx_power_mw, noise_mw=self.noise_floor_mw, allocator=_batched(allocator)
         )
@@ -452,16 +461,17 @@ class BatchedStrategyEngine:
         return allocation
 
     def concurrent_allocation(
-        self, designs: Sequence[BatchDesign], allocator: Optional[StreamAllocator] = None
+        self, context: BatchConcurrentContext, allocator: Optional[StreamAllocator] = None
     ) -> List[BatchStreamAllocation]:
-        """The Fig. 6 iterative Equi-SINR joint allocation of every row.
+        """The Fig. 6 iterative Equi-SINR joint allocation of every row of
+        ``context`` (a :meth:`concurrent_context`).
 
         ``allocator`` defaults to the engine's.  The k players of all B
         rows iterate in one batched call, whatever k.
         """
         allocator = allocator if allocator is not None else self.allocator
         allocations, _, _ = allocate_concurrent_batch(
-            self.concurrent_context(designs),
+            context,
             max_iterations=self.max_iterations,
             allocator=_batched(allocator),
             collector=self.collector if self.collector.enabled else None,
@@ -600,6 +610,44 @@ class BatchedStrategyEngine:
         return actual, predicted
 
     # ------------------------------------------------------------------
+    # the allocator-independent half of the menu, once per engine
+    # ------------------------------------------------------------------
+
+    def _once(self, key: tuple, compute):
+        """``compute()`` on this engine's first request for ``key``; that
+        same result on every later one (see :meth:`run`)."""
+        if key not in self._fixed:
+            self._fixed[key] = compute()
+        return self._fixed[key]
+
+    def _design_set(
+        self, key: tuple, build
+    ) -> Tuple[List[BatchDesign], Optional[BatchConcurrentContext]]:
+        """Design set ``key`` = (kind, ...) from ``build()`` and, at k ≥ 2,
+        its Figure-6 context."""
+
+        def compute():
+            with self.collector.span("design", kind=key[0], rows=self.B):
+                designs = build()
+            return designs, (self.concurrent_context(designs) if self.k >= 2 else None)
+
+        return self._once(("design",) + key, compute)
+
+    def _equal_power(
+        self, name: str, key: tuple, designs: Sequence[BatchDesign], concurrent: bool, overhead
+    ) -> Tuple[List[SchemeResult], List[SchemeResult]]:
+        """(measured, predicted) rows of equal-power scheme ``name`` on
+        design set ``key``."""
+
+        def evaluate():
+            with self.collector.span(f"scheme:{name}", rows=self.B):
+                with self.collector.span("allocate", rows=self.B):
+                    equal = [self.equal_allocation(d) for d in designs]
+                return self._both(name, designs, equal, concurrent, overhead)
+
+        return self._once(("scheme", name) + key, evaluate)
+
+    # ------------------------------------------------------------------
     # scheme menu
     # ------------------------------------------------------------------
 
@@ -634,12 +682,38 @@ class BatchedStrategyEngine:
         follower_ok = max_nulled_streams(self.n_tx, 1, self.n_rx) >= 1
         return leader_ok and follower_ok
 
+    def _concurrent(
+        self,
+        name: str,
+        designs: Sequence[BatchDesign],
+        context: BatchConcurrentContext,
+        allocator: StreamAllocator,
+    ) -> Tuple[List[SchemeResult], List[SchemeResult]]:
+        """(measured, predicted) rows of a Figure-6 allocated scheme."""
+        with self.collector.span(f"scheme:{name}", rows=self.B):
+            with self.collector.span("allocate", rows=self.B):
+                allocations = self.concurrent_allocation(context, allocator)
+            self._note_allocations(allocations)
+            return self._both(name, designs, allocations, True, self.overheads.copa_concurrent)
+
     def run(self, allocator: Optional[StreamAllocator] = None) -> List[StrategyOutcome]:
         """Evaluate the full menu for every row; one outcome per row.
 
         ``allocator`` overrides the engine's per-stream allocator for this
         run (:func:`run_batch`'s COPA+ mercury pass reuses the measured
         CSI this way).
+
+        Half of the menu does not depend on the allocator: the transmit
+        designs with their stream gains and Figure-6 contexts, and the
+        equal-power schemes (CSMA, vanilla Null and each leader role's
+        Null+SDA baseline) with their measured and predicted rates.  The
+        engine's first run evaluates that half and every later run reuses
+        it, bit for bit: it depends only on the engine's channels and CSI,
+        a run draws no randomness, and a :class:`SchemeResult` is frozen.
+        A later run evaluates only the allocated schemes (COPA-SEQ,
+        conc_bf, conc_null, conc_sda), so its ``engine.run`` span has no
+        ``design`` child, no ``scheme:csma`` or ``scheme:null`` span and
+        no ``engine.scheme.*`` count of those two schemes.
         """
         allocator = allocator if allocator is not None else self.allocator
         schemes_rows: List[Dict[str, SchemeResult]] = [{} for _ in range(self.B)]
@@ -659,17 +733,18 @@ class BatchedStrategyEngine:
             antennas=f"{self.n_tx}x{self.n_rx}",
             rows=self.B,
         ):
-            with col.span("design", kind="beamforming", rows=self.B):
-                bf = self.beamforming_designs()
+            bf, bf_context = self._design_set(("beamforming",), self.beamforming_designs)
+            store(
+                SCHEME_CSMA,
+                self._equal_power(SCHEME_CSMA, ("beamforming",), bf, False, ovh.csma),
+            )
 
-            with col.span(f"scheme:{SCHEME_CSMA}", rows=self.B):
-                with col.span("allocate", rows=self.B):
-                    equal_bf = [self.equal_allocation(d) for d in bf]
-                store(SCHEME_CSMA, self._both(SCHEME_CSMA, bf, equal_bf, False, ovh.csma))
-
+            gains = self._once(
+                ("gains", "beamforming"), lambda: [self._stream_gains(d) for d in bf]
+            )
             with col.span(f"scheme:{SCHEME_COPA_SEQ}", rows=self.B):
                 with col.span("allocate", rows=self.B):
-                    seq_alloc = [self._sequential_allocation(d, allocator) for d in bf]
+                    seq_alloc = [self._sequential_allocation(g, allocator) for g in gains]
                 self._note_allocations(seq_alloc)
                 store(
                     SCHEME_COPA_SEQ,
@@ -677,77 +752,45 @@ class BatchedStrategyEngine:
                 )
 
             if self.k >= 2:
-                with col.span(f"scheme:{SCHEME_CONC_BF}", rows=self.B):
-                    with col.span("allocate", rows=self.B):
-                        conc_bf_alloc = self.concurrent_allocation(bf, allocator)
-                    self._note_allocations(conc_bf_alloc)
-                    store(
-                        SCHEME_CONC_BF,
-                        self._both(SCHEME_CONC_BF, bf, conc_bf_alloc, True, ovh.copa_concurrent),
-                    )
+                store(SCHEME_CONC_BF, self._concurrent(SCHEME_CONC_BF, bf, bf_context, allocator))
 
             if self._reduced_nulling_feasible():
-                with col.span("design", kind="nulling", rows=self.B):
-                    null_designs = self.nulling_designs()
+                null_designs, null_context = self._design_set(("nulling",), self.nulling_designs)
                 if self._full_nulling_feasible():
                     # Vanilla nulling baseline: equal power, no selection.
-                    with col.span(f"scheme:{SCHEME_NULL}", rows=self.B):
-                        with col.span("allocate", rows=self.B):
-                            equal_null = [self.equal_allocation(d) for d in null_designs]
-                        store(
-                            SCHEME_NULL,
-                            self._both(
-                                SCHEME_NULL, null_designs, equal_null, True, ovh.copa_concurrent
-                            ),
-                        )
-                with col.span(f"scheme:{SCHEME_CONC_NULL}", rows=self.B):
-                    with col.span("allocate", rows=self.B):
-                        conc_null_alloc = self.concurrent_allocation(null_designs, allocator)
-                    self._note_allocations(conc_null_alloc)
                     store(
-                        SCHEME_CONC_NULL,
-                        self._both(
-                            SCHEME_CONC_NULL, null_designs, conc_null_alloc, True, ovh.copa_concurrent
+                        SCHEME_NULL,
+                        self._equal_power(
+                            SCHEME_NULL, ("nulling",), null_designs, True, ovh.copa_concurrent
                         ),
                     )
+                store(
+                    SCHEME_CONC_NULL,
+                    self._concurrent(SCHEME_CONC_NULL, null_designs, null_context, allocator),
+                )
 
             if self._sda_applicable():
-                sda_actual, sda_predicted = [], []
+                roles = []
                 for leader in range(2):
                     with col.span("sda.role", leader=leader, rows=self.B):
-                        with col.span("design", kind="sda", rows=self.B):
-                            designs = self.sda_designs(leader)
+                        key = ("sda", leader)
+                        designs, context = self._design_set(key, lambda: self.sda_designs(leader))
                         # Vanilla Null+SDA baseline (equal power)...
-                        with col.span(f"scheme:{SCHEME_NULL}", rows=self.B):
-                            with col.span("allocate", rows=self.B):
-                                equal = [self.equal_allocation(d) for d in designs]
-                            a_eq, p_eq = self._both(
-                                SCHEME_NULL, designs, equal, True, ovh.copa_concurrent
-                            )
+                        baseline = self._equal_power(
+                            SCHEME_NULL, key, designs, True, ovh.copa_concurrent
+                        )
                         # ...and COPA's allocated SDA strategy.
-                        with col.span(f"scheme:{SCHEME_CONC_SDA}", rows=self.B):
-                            with col.span("allocate", rows=self.B):
-                                alloc = self.concurrent_allocation(designs, allocator)
-                            self._note_allocations(alloc)
-                            a, p = self._both(
-                                SCHEME_CONC_SDA, designs, alloc, True, ovh.copa_concurrent
-                            )
-                    sda_actual.append((a_eq, a))
-                    sda_predicted.append((p_eq, p))
+                        allocated = self._concurrent(SCHEME_CONC_SDA, designs, context, allocator)
+                    roles.append((baseline, allocated))
                 # Reported as the average over the two leader roles.
                 for b in range(self.B):
-                    schemes_rows[b][SCHEME_NULL] = average_results(
-                        SCHEME_NULL, [role[0][b] for role in sda_actual]
-                    )
-                    predictions_rows[b][SCHEME_NULL] = average_results(
-                        SCHEME_NULL, [role[0][b] for role in sda_predicted]
-                    )
-                    schemes_rows[b][SCHEME_CONC_SDA] = average_results(
-                        SCHEME_CONC_SDA, [role[1][b] for role in sda_actual]
-                    )
-                    predictions_rows[b][SCHEME_CONC_SDA] = average_results(
-                        SCHEME_CONC_SDA, [role[1][b] for role in sda_predicted]
-                    )
+                    for index, name in enumerate((SCHEME_NULL, SCHEME_CONC_SDA)):
+                        schemes_rows[b][name] = average_results(
+                            name, [role[index][0][b] for role in roles]
+                        )
+                        predictions_rows[b][name] = average_results(
+                            name, [role[index][1][b] for role in roles]
+                        )
 
             with col.span("choose", rows=self.B):
                 copa = [choose_scheme(predictions_rows[b], fair=False) for b in range(self.B)]
@@ -786,8 +829,11 @@ def run_batch(
     one cluster size run as one engine call; a row's result does not
     depend on its neighbours, so a task's result does not depend on the
     group it runs in, and a group of one is the runner's per-topology
-    evaluation.  The COPA+ pass reuses each row's CSI: a re-measurement
-    would draw the identical estimate.
+    evaluation.  The COPA+ pass is a second run of the same engine with
+    mercury's allocator: it reuses each row's CSI (a re-measurement would
+    draw the identical estimate) and the allocator-independent half of
+    the menu (see :meth:`BatchedStrategyEngine.run`), so it evaluates
+    only COPA-SEQ, conc_bf, conc_null and conc_sda.
     """
     tasks = list(tasks)
     if not tasks:

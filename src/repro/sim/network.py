@@ -214,7 +214,7 @@ def copa_vs_nopa_example(
 
     designs = engine.nulling_designs()
     equal = [engine.equal_allocation(d).row(0) for d in designs]
-    copa = [a.row(0) for a in engine.concurrent_allocation(designs)]
+    copa = [a.row(0) for a in engine.concurrent_allocation(engine.concurrent_context(designs))]
     aps, clients = channels.topology.aps, channels.topology.clients
 
     def sinr_of(allocations):

@@ -16,11 +16,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import mercury
+from repro.core import batch, mercury
 from repro.core.batch import (
     BATCHED_ALLOCATORS,
+    BatchedStrategyEngine,
     batchable,
     group_key,
+    measure_csi,
     partition_tasks,
     run_batch,
 )
@@ -113,6 +115,15 @@ def assert_same_outcome(a, b):
         assert_same_scheme(a.schemes[key], b.schemes[key])
     for key in a.predictions:
         assert_same_scheme(a.predictions[key], b.predictions[key])
+
+
+def assert_same_records(records_a, records_b):
+    assert [r.index for r in records_a] == [r.index for r in records_b]
+    for a, b in zip(records_a, records_b):
+        assert_same_outcome(a.outcome, b.outcome)
+        assert (a.plus_outcome is None) == (b.plus_outcome is None)
+        if a.plus_outcome is not None:
+            assert_same_outcome(a.plus_outcome, b.plus_outcome)
 
 
 def assert_batch_matches_one_row(tasks):
@@ -358,3 +369,71 @@ class TestBitIdentity:
         collector = Collector()
         run_batch(tasks, collector=collector)
         assert collector.metrics.counters["engine.runs"] == 3
+
+
+# ---------------------------------------------------------------------------
+# The COPA+ pass reuses the allocator-independent half of the menu.
+# ---------------------------------------------------------------------------
+
+#: 3x2 walks the SDA search; 4x2 offers vanilla Null.  Both run COPA+,
+#: kept small by one Fig-6 iteration.
+PLUS_SCENARIOS = [
+    ScenarioSpec("3x2", 3, 2, include_copa_plus=True),
+    ScenarioSpec("4x2", 4, 2, include_copa_plus=True),
+]
+PLUS_OPTIONS = EngineOptions(max_iterations=1)
+
+
+def fresh_engine(tasks):
+    """A new engine over ``tasks``, its CSI measured as ``run_batch`` does."""
+    first = tasks[0]
+    return BatchedStrategyEngine(
+        [task.channels for task in tasks],
+        [
+            measure_csi(task.channels, task.imperfections, np.random.default_rng(task.seed))
+            for task in tasks
+        ],
+        imperfections=first.imperfections,
+        coherence_s=first.coherence_s,
+        **first.options.engine_kwargs(),
+    )
+
+
+class TestCopaPlusReuse:
+    @pytest.mark.parametrize("spec", PLUS_SCENARIOS, ids=lambda spec: spec.name)
+    def test_both_passes_equal_two_fresh_engines(self, spec):
+        """Each pass of one engine equals a fresh engine run with its
+        allocator alone."""
+        tasks = make_tasks(spec, 2, options=PLUS_OPTIONS)
+        plain = fresh_engine(tasks).run()
+        plus = fresh_engine(tasks).run(allocator=mercury.mercury_allocate)
+        for (outcome, plus_outcome), a, b in zip(run_batch(tasks), plain, plus):
+            assert_same_outcome(outcome, a)
+            assert_same_outcome(plus_outcome, b)
+
+    @pytest.mark.parametrize(
+        "spec, calls",
+        [
+            # Two beamformers; two nulling precoders, two per SDA leader role.
+            (PLUS_SCENARIOS[0], {"svd_beamformer": 2, "nulling_precoder": 6}),
+            # Two beamformers, two nulling precoders.
+            (PLUS_SCENARIOS[1], {"svd_beamformer": 2, "nulling_precoder": 2}),
+        ],
+        ids=[spec.name for spec in PLUS_SCENARIOS],
+    )
+    def test_designs_are_built_once_per_engine(self, spec, calls, monkeypatch):
+        counted = {name: 0 for name in calls}
+
+        def counting(name):
+            design = getattr(batch, name)
+
+            def wrapper(*args, **kwargs):
+                counted[name] += 1
+                return design(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(batch, name, counting(name))
+        run_batch(make_tasks(spec, 2, options=PLUS_OPTIONS))
+        assert counted == calls

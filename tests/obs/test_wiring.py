@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core.batch import run_batch
 from repro.core.schemes import Scheme
 from repro.core.strategy import StrategyEngine
 from repro.obs import Collector, collector_payload, validate_payload
@@ -27,7 +28,23 @@ from repro.sim.config import SimConfig
 from repro.sim.emulation import run_emulated_experiment
 from repro.sim.experiment import ScenarioSpec, run_experiment
 from repro.sim.sweep import sweep_coherence_time
-from tests.core.test_batch import assert_same_outcome
+from tests.core.test_batch import (
+    PLUS_OPTIONS,
+    PLUS_SCENARIOS,
+    assert_same_outcome,
+    make_tasks,
+)
+
+
+def descendants(spans, root):
+    """Names of every span below ``root``, at any depth."""
+    names = []
+    frontier = {root.span_id}
+    while frontier:
+        children = [span for span in spans if span.parent_id in frontier]
+        names += [span.name for span in children]
+        frontier = {span.span_id for span in children}
+    return names
 
 
 def row_weighted(spans):
@@ -107,6 +124,29 @@ class TestEngineTrace:
         # search of an overconstrained topology re-enters some per role).
         assert {name for name in names if name.startswith("scheme:")} == {
             f"scheme:{scheme}" for scheme in observed.schemes
+        }
+
+    @pytest.mark.parametrize("spec", PLUS_SCENARIOS, ids=lambda spec: spec.name)
+    def test_copa_plus_tracing_leaves_both_outcomes_unchanged(self, spec):
+        tasks = make_tasks(spec, 2, options=PLUS_OPTIONS)
+        collector = Collector()
+        observed = run_batch(tasks, collector=collector)
+        for (outcome, plus), (plain, plain_plus) in zip(observed, run_batch(tasks)):
+            assert_same_outcome(outcome, plain)
+            assert_same_outcome(plus, plain_plus)
+
+        runs = [span for span in collector.spans if span.name == "engine.run"]
+        assert [span.attrs["allocator"] for span in runs] == ["allocate", "mercury_allocate"]
+        first, second = (descendants(collector.spans, run) for run in runs)
+        schemes = set(observed[0][0].schemes)
+        assert {name for name in first if name.startswith("scheme:")} == {
+            f"scheme:{scheme}" for scheme in schemes
+        }
+        # The COPA+ pass reuses the designs and the equal-power schemes:
+        # it traces only the allocated schemes.
+        assert "design" not in second
+        assert {name for name in second if name.startswith("scheme:")} == {
+            f"scheme:{scheme}" for scheme in schemes - {Scheme.CSMA, Scheme.NULL}
         }
 
 

@@ -29,7 +29,7 @@ from repro.sim.sweep import (
     sweep_interference,
 )
 
-from tests.core.test_batch import assert_same_outcome
+from tests.core.test_batch import assert_same_records
 
 SPEC = ScenarioSpec("1x1", 1, 1, include_copa_plus=True)
 CONFIG = SimConfig(n_topologies=4)
@@ -50,15 +50,6 @@ def tasks():
 def per_topology(tasks):
     records, _ = run_tasks(tasks, workers=1, chunk_size=1)
     return records
-
-
-def assert_same_records(records_a, records_b):
-    assert [r.index for r in records_a] == [r.index for r in records_b]
-    for a, b in zip(records_a, records_b):
-        assert_same_outcome(a.outcome, b.outcome)
-        assert (a.plus_outcome is None) == (b.plus_outcome is None)
-        if a.plus_outcome is not None:
-            assert_same_outcome(a.plus_outcome, b.plus_outcome)
 
 
 class TestDispatch:

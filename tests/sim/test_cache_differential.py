@@ -22,6 +22,7 @@ from repro.sim.config import SimConfig
 from repro.sim.experiment import ScenarioSpec, run_experiment
 from repro.sim.faults import FaultKind, FaultPlan
 from repro.sim.runner import RetryPolicy, RunnerError
+from tests.core.test_batch import PLUS_OPTIONS, PLUS_SCENARIOS, assert_same_records
 
 CONFIG = SimConfig(n_topologies=3)
 SCENARIOS = [
@@ -29,6 +30,10 @@ SCENARIOS = [
     ScenarioSpec("3x2", 3, 2, include_copa_plus=False),
     ScenarioSpec("4x2", 4, 2, include_copa_plus=False),
 ]
+#: 3x2 with COPA+, whose two engine passes share their allocator-independent
+#: results, so a cached outcome pair pickles shared references.
+PLUS_SPEC = PLUS_SCENARIOS[0]
+PLUS_CONFIG = SimConfig(n_topologies=2)
 RETRYING = RetryPolicy(max_retries=2, sleep=lambda s: None)
 FAIL_FAST = RetryPolicy(max_retries=0, sleep=lambda s: None)
 
@@ -94,6 +99,33 @@ class TestColdVersusWarm:
         warm_parallel = run_experiment(spec, CONFIG, workers=2, cache=cache)
         assert warm_parallel.stats.cache_hits == CONFIG.n_topologies
         assert_matches_baseline(warm_parallel, spec, "serial-cold/parallel-warm")
+
+
+def plus_run(**kwargs):
+    return run_experiment(PLUS_SPEC, PLUS_CONFIG, workers=1, options=PLUS_OPTIONS, **kwargs)
+
+
+class TestCopaPlus:
+    """COPA+ outcome pairs come back from the cache and the sharded
+    service equal to a fresh run's."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return plus_run()
+
+    def test_cold_and_warm_runs_equal_a_fresh_one(self, fresh, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        cold = plus_run(cache=cache)
+        warm = plus_run(cache=cache)
+        assert (cold.stats.cache_hits, warm.stats.cache_hits) == (0, PLUS_CONFIG.n_topologies)
+        for result in (cold, warm):
+            assert_same_records(result.records, fresh.records)
+
+    def test_sharded_run_equals_a_fresh_one(self, fresh, tmp_path):
+        sharded = plus_run(
+            shard_dir=str(tmp_path / "shards"), cache=ResultCache(str(tmp_path / "cache"))
+        )
+        assert_same_records(sharded.records, fresh.records)
 
 
 class TestTwoProcessSharedCache:

@@ -31,6 +31,7 @@ from repro.sim.runner import (
     build_tasks,
     evaluate_topology,
 )
+from tests.core.test_batch import PLUS_OPTIONS, PLUS_SCENARIOS, assert_same_records
 
 CONFIG = SimConfig(n_topologies=3)
 SCENARIOS = [
@@ -107,6 +108,26 @@ class TestCrashResumeProperty:
         reference = baseline_for(spec)
         for key in reference.available_series():
             np.testing.assert_array_equal(resumed.series_mbps(key), reference.series_mbps(key))
+
+
+def plus_run(**kwargs):
+    """3x2 with COPA+, whose two engine passes share their
+    allocator-independent results, over 2 topologies."""
+    return run_experiment(
+        PLUS_SCENARIOS[0], SimConfig(n_topologies=2), workers=1, options=PLUS_OPTIONS, **kwargs
+    )
+
+
+class TestCopaPlusResume:
+    @pytest.mark.parametrize("crash_index", [0, 1])
+    def test_resume_equals_a_fresh_run(self, crash_index, tmp_path):
+        path = str(tmp_path / "plus.ckpt")
+        plan = FaultPlan.at([crash_index], FaultKind.CRASH, trips=100)
+        with pytest.raises(RunnerError):
+            plus_run(policy=FAIL_FAST, fault_plan=plan, checkpoint=path)
+        resumed = plus_run(checkpoint=path, resume=True)
+        assert resumed.stats.resumed == 1
+        assert_same_records(resumed.records, plus_run().records)
 
 
 class TestFingerprint:
