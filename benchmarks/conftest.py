@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.sim.config import DEFAULT_CONFIG
-from repro.sim.emulation import run_emulated_experiment
 from repro.sim.experiment import ScenarioSpec, run_experiment
 from repro.sim.runner import workers_from_env
 
@@ -57,8 +56,10 @@ def result_4x2(config):
 @pytest.fixture(scope="session")
 def result_4x2_weak(config):
     """§4.4: trace-driven emulation with interference −10 dB (Figure 12)."""
-    return run_emulated_experiment(
-        ScenarioSpec("4x2", 4, 2), -10.0, config, workers=workers_from_env()
+    return run_experiment(
+        ScenarioSpec("4x2-10dB", 4, 2, interference_offset_db=-10.0),
+        config,
+        workers=workers_from_env(),
     )
 
 

@@ -59,15 +59,6 @@ def _engine_options(args) -> EngineOptions:
     return options
 
 
-def _spec_n_aps(args) -> int:
-    return getattr(args, "n_aps", None) or 2
-
-
-def _scenario_name(base_name: str, n_aps: int) -> str:
-    """Scenario label with the AP count folded in for N-cell runs."""
-    return base_name if n_aps == 2 else f"{base_name}-n{n_aps}"
-
-
 def _print_runner_stats(result) -> None:
     stats = result.stats
     if stats is None:
@@ -156,7 +147,6 @@ from .core.clustering import CLUSTER_POLICIES
 from .core.options import EngineOptions
 from .obs import Collector, format_trace, write_json
 from .sim.config import DEFAULT_CONFIG
-from .sim.emulation import run_emulated_experiment
 from .sim.experiment import ScenarioSpec, generate_channel_sets, run_experiment
 from .sim.metrics import compare
 from .sim.network import measure_nulling_effect
@@ -201,39 +191,37 @@ def _print_series_table(result) -> None:
         print(f"{key:<16}{s.mean:>11.1f}{s.median:>9.1f}{s.minimum:>8.1f}{s.maximum:>8.1f}")
 
 
-def _run_for_args(args, spec, config, collector, cache):
-    """Dispatch run/report to the sharded, emulated or direct path."""
-    if getattr(args, "shard_dir", None):
-        if args.checkpoint or args.resume:
-            print(
-                "error: --shard-dir supersedes --checkpoint/--resume "
-                "(the service journals per shard)",
-                file=sys.stderr,
-            )
-            return None
-        # The manifest carries the offset; workers regenerate-and-scale,
-        # which is bit-identical to the in-process emulation transform.
-        return run_experiment(
-            ScenarioSpec(
-                spec.name,
-                spec.ap_antennas,
-                spec.client_antennas,
-                interference_offset_db=args.interference,
-                include_copa_plus=spec.include_copa_plus,
-                n_aps=spec.n_aps,
-            ),
-            config,
-            workers=args.workers,
-            options=_engine_options(args),
-            collector=collector,
-            policy=_retry_policy(args),
-            cache=cache,
-            shard_dir=args.shard_dir,
-        )
+def _spec_config(args):
+    """(spec, config) for one command's scenario arguments.
+
+    The label folds in the AP count of an N-cell run and §4.4's
+    cross-link offset, e.g. ``4x2-n3`` or ``4x2-10dB``.
+    """
+    base = SCENARIOS[args.scenario]
+    n_aps = getattr(args, "n_aps", None) or 2
+    name = base.name if n_aps == 2 else f"{base.name}-n{n_aps}"
     if args.interference:
-        return run_emulated_experiment(
+        name += f"{args.interference:+g}dB"
+    spec = ScenarioSpec(
+        name,
+        base.ap_antennas,
+        base.client_antennas,
+        interference_offset_db=args.interference,
+        include_copa_plus=args.plus,
+        n_aps=n_aps,
+    )
+    return spec, DEFAULT_CONFIG.with_(n_topologies=args.topologies)
+
+
+def _run_for_args(args, spec, config, collector, cache):
+    """One experiment for run/report.
+
+    ``None`` after printing the error when the flags contradict each
+    other (e.g. ``--shard-dir`` with ``--checkpoint`` or ``--chunk-size``).
+    """
+    try:
+        return run_experiment(
             spec,
-            args.interference,
             config,
             workers=args.workers,
             chunk_size=args.chunk_size,
@@ -243,19 +231,11 @@ def _run_for_args(args, spec, config, collector, cache):
             checkpoint=args.checkpoint,
             resume=args.resume,
             cache=cache,
+            shard_dir=args.shard_dir,
         )
-    return run_experiment(
-        spec,
-        config,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        options=_engine_options(args),
-        collector=collector,
-        policy=_retry_policy(args),
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        cache=cache,
-    )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
 
 
 def _cmd_scenarios(_args) -> int:
@@ -269,16 +249,7 @@ def _cmd_scenarios(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    spec = SCENARIOS[args.scenario]
-    n_aps = _spec_n_aps(args)
-    spec = ScenarioSpec(
-        _scenario_name(spec.name, n_aps),
-        spec.ap_antennas,
-        spec.client_antennas,
-        include_copa_plus=args.plus,
-        n_aps=n_aps,
-    )
-    config = DEFAULT_CONFIG.with_(n_topologies=args.topologies)
+    spec, config = _spec_config(args)
     if not _check_resume_flags(args):
         return 2
     collector = _make_collector(args)
@@ -343,16 +314,7 @@ def _cmd_nulling(args) -> int:
 def _cmd_report(args) -> int:
     from .sim.reporting import experiment_report
 
-    spec = SCENARIOS[args.scenario]
-    n_aps = _spec_n_aps(args)
-    spec = ScenarioSpec(
-        _scenario_name(spec.name, n_aps),
-        spec.ap_antennas,
-        spec.client_antennas,
-        include_copa_plus=args.plus,
-        n_aps=n_aps,
-    )
-    config = DEFAULT_CONFIG.with_(n_topologies=args.topologies)
+    spec, config = _spec_config(args)
     if not _check_resume_flags(args):
         return 2
     collector = _make_collector(args)
@@ -379,21 +341,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _service_spec_config(args):
-    """(spec, config) for one service command's scenario arguments."""
-    spec = SCENARIOS[args.scenario]
-    n_aps = _spec_n_aps(args)
-    spec = ScenarioSpec(
-        _scenario_name(spec.name, n_aps),
-        spec.ap_antennas,
-        spec.client_antennas,
-        interference_offset_db=getattr(args, "interference", 0.0),
-        include_copa_plus=args.plus,
-        n_aps=n_aps,
-    )
-    return spec, DEFAULT_CONFIG.with_(n_topologies=args.topologies)
-
-
 def _print_service_stats(stats) -> None:
     print(
         f"worker {stats.worker_id}: claimed {stats.shards_claimed}"
@@ -407,7 +354,7 @@ def _print_service_stats(stats) -> None:
 def _cmd_service_publish(args) -> int:
     from .sim.service import ServiceError, publish_shards
 
-    spec, config = _service_spec_config(args)
+    spec, config = _spec_config(args)
     cache = _make_cache(args)
     try:
         manifest = publish_shards(
@@ -496,7 +443,7 @@ def _cmd_service_query(args) -> int:
     if cache is None:
         print("error: service query requires --cache-dir PATH", file=sys.stderr)
         return 2
-    spec, config = _service_spec_config(args)
+    spec, config = _spec_config(args)
     collector = _make_collector(args)
     service = AllocationService(
         cache,

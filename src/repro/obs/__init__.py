@@ -3,9 +3,8 @@
 The observability layer behind every perf claim in this repo: nested
 :class:`Span` timing via :class:`Tracer`, process-local counters/gauges/
 histograms via :class:`MetricsRegistry`, and schema-stable JSON/CSV
-exporters.  Disabled by default; pass ``collector=Collector()`` to any
-experiment entry point (``run_experiment``, the sweeps,
-``run_emulated_experiment``) or use the CLI's ``--trace`` /
+exporters.  Disabled by default; pass ``collector=Collector()`` to
+``run_experiment`` or a sweep, or use the CLI's ``--trace`` /
 ``--metrics-out`` flags.
 
 Quick start::

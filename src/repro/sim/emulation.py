@@ -1,112 +1,31 @@
-"""Trace-driven emulation: record channel realizations, transform, replay.
+"""Trace persistence: record channel realizations to ``.npz`` and replay them.
 
 The paper's §4.4 takes the CSI traces of all 4×2 topologies, reduces the
 interference strength by 10 dB while leaving the signal of interest
-unchanged, and replays the experiment — producing Figure 12.  The same
-mechanism serves COPA+ ("these curves are trace-driven emulation based on
-real CSI measurements").
-
-Traces can also be persisted to ``.npz`` files so experiments are exactly
-replayable across processes.
+unchanged, and replays the experiment — producing Figure 12.  That
+transform is a scenario field: run
+:func:`~repro.sim.experiment.run_experiment` on a spec with
+``interference_offset_db=-10``.  This module persists traces so an
+experiment is exactly replayable across processes: pass the loaded list
+as ``run_experiment(..., channel_sets=...)``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..core.options import EngineOptions
-from ..obs.collector import Collector, active
 from ..phy.channel import ChannelSet
 from ..phy.topology import Node, Topology
-from .config import DEFAULT_CONFIG, SimConfig
-from .faults import FaultPlan
-from .runner import RetryPolicy
-from .experiment import (
-    ExperimentResult,
-    ScenarioSpec,
-    generate_channel_sets,
-    run_experiment,
-)
 
 __all__ = [
-    "scaled_traces",
-    "run_emulated_experiment",
     "save_trace",
     "load_trace",
     "save_traces",
     "load_traces",
 ]
-
-
-def scaled_traces(traces: Sequence[ChannelSet], interference_offset_db: float) -> List[ChannelSet]:
-    """Copies of the traces with every cross link scaled by the offset."""
-    return [trace.scaled_interference(interference_offset_db) for trace in traces]
-
-
-def run_emulated_experiment(
-    spec: ScenarioSpec,
-    interference_offset_db: float,
-    config: SimConfig = DEFAULT_CONFIG,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    options: Optional[EngineOptions] = None,
-    collector: Optional[Collector] = None,
-    policy: Optional[RetryPolicy] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    cache=None,
-) -> ExperimentResult:
-    """Record the scenario's traces, weaken interference, replay (§4.4).
-
-    The replay fans out to a process pool when ``workers`` asks for one;
-    emulated traces are plain :class:`ChannelSet` data, so the parallel
-    path is bit-identical to the serial one (see :mod:`repro.sim.runner`).
-    The execution/observability/fault-tolerance keywords (``workers``,
-    ``chunk_size``, ``options``, ``collector``, ``policy``,
-    ``checkpoint``, ``resume``, ``fault_plan``, ``cache``) match
-    :func:`repro.sim.experiment.run_experiment`; with a cache, the base
-    (unscaled) traces are memoized once and every offset's scaled replay
-    is derived from — and cached under — its own content address.
-    """
-    # Resolve here so a bad options value fails in the caller's frame.
-    options = EngineOptions.resolve(options)
-    col = active(collector)
-    with col.span("emulation", scenario=spec.name, offset_db=interference_offset_db):
-        with col.span("record_traces"):
-            traces = generate_channel_sets(spec, config, cache=cache, collector=collector)
-        with col.span("transform_traces"):
-            emulated = scaled_traces(traces, interference_offset_db)
-        emulated_spec = ScenarioSpec(
-            name=f"{spec.name}{interference_offset_db:+g}dB",
-            ap_antennas=spec.ap_antennas,
-            client_antennas=spec.client_antennas,
-            interference_offset_db=interference_offset_db,
-            include_copa_plus=spec.include_copa_plus,
-            n_aps=spec.n_aps,
-        )
-        return run_experiment(
-            emulated_spec,
-            config,
-            channel_sets=emulated,
-            workers=workers,
-            chunk_size=chunk_size,
-            options=options,
-            collector=collector,
-            policy=policy,
-            checkpoint=checkpoint,
-            resume=resume,
-            fault_plan=fault_plan,
-            cache=cache,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Trace persistence.
-# ---------------------------------------------------------------------------
 
 
 def save_trace(channels: ChannelSet, path: str) -> None:

@@ -132,8 +132,8 @@ def generate_channel_sets(
 ) -> List[ChannelSet]:
     """Draw the scenario's channel realizations (its "traces").
 
-    Separated from :func:`run_experiment` so trace-driven emulation
-    (§4.4 / Fig. 12) can transform recorded channels before replaying.
+    A nonzero ``spec.interference_offset_db`` scales every cross link of
+    each realization (§4.4's trace-driven emulation, Fig. 12).
 
     ``cache`` (a :class:`repro.cache.ResultCache`) memoizes the whole
     list under a fingerprint of the channel-determining spec/config
@@ -176,12 +176,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full strategy evaluation over a scenario's topologies.
 
-    ``channel_sets`` overrides trace generation (used by the emulation
-    path); the CSI-measurement RNG is re-seeded per topology so COPA and
-    COPA+ see identical noisy CSI.
+    ``channel_sets`` overrides trace generation (e.g. traces reloaded
+    with :func:`repro.sim.emulation.load_traces`); the CSI-measurement
+    RNG is re-seeded per topology so COPA and COPA+ see identical noisy
+    CSI.  §4.4's emulation is ``spec.interference_offset_db``; the sweeps
+    call this once per operating point.
 
-    Every experiment entry point (this one, the sweeps, the emulation
-    replay) shares the same execution/observability keywords:
+    The execution/observability keywords:
 
     ``workers``
         fans topologies out to a process pool (``None``/1 → serial,
@@ -228,8 +229,8 @@ def run_experiment(
         ``None``; shards carry the spec/config, not arrays) and is
         mutually exclusive with ``checkpoint``/``resume``/``fault_plan``
         (the service journals per shard and chaos-injects through its own
-        hook); ``chunk_size`` doesn't apply: a worker drains each shard
-        in the runner's default units.
+        hook) and with ``chunk_size`` (a worker drains each shard in the
+        runner's default units).
     """
     # Resolve here so a bad options value fails in the caller's frame.
     options = EngineOptions.resolve(options)
@@ -243,6 +244,11 @@ def run_experiment(
             raise ValueError(
                 "shard_dir is mutually exclusive with checkpoint/resume/fault_plan; "
                 "the service keeps per-shard journals itself"
+            )
+        if chunk_size is not None:
+            raise ValueError(
+                "shard_dir is mutually exclusive with chunk_size; "
+                "a worker drains each shard in the runner's default units"
             )
         from .service import run_sharded_experiment
 

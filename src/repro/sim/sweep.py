@@ -14,18 +14,15 @@ sweeps generalize the evaluation along the axes the paper discusses:
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.options import EngineOptions
 from ..obs.collector import Collector, active
-from .runner import RetryPolicy
 from .config import DEFAULT_CONFIG, SimConfig
-from .emulation import scaled_traces
-from .experiment import ExperimentResult, ScenarioSpec, generate_channel_sets, run_experiment
+from .experiment import ScenarioSpec, run_experiment
 
 __all__ = [
     "SweepPoint",
@@ -65,33 +62,28 @@ class SweepResult:
         return np.array([p.gain_over_csma(key) for p in self.points])
 
 
-def _means(result: ExperimentResult) -> Dict[str, float]:
-    return result.mean_table_mbps()
-
-
-def _point_checkpoint(checkpoint_dir: Optional[str], point_index: int) -> Optional[str]:
-    """Per-point journal path inside the sweep's checkpoint directory.
-
-    Journals are keyed by config-hash, so a resumed sweep only reuses a
-    point's journal when that point's tasks are identical.
-    """
-    if checkpoint_dir is None:
-        return None
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    return os.path.join(checkpoint_dir, f"point_{point_index:02d}.ckpt")
-
-
-def _point_shard_dir(shard_dir: Optional[str], point_index: int) -> Optional[str]:
-    """Per-point shard directory for service-routed sweeps.
-
-    Each point is its own published experiment (its own manifest,
-    config-hash, leases and journals), so N sweep processes sharing the
-    parent directory cooperate point by point — and the per-point
-    checkpoint machinery is superseded by the service's shard journals.
-    """
-    if shard_dir is None:
-        return None
-    return os.path.join(shard_dir, f"point_{point_index:02d}")
+def _sweep(
+    parameter_name: str,
+    points: Iterable[Tuple[float, ScenarioSpec, SimConfig]],
+    workers: Optional[int],
+    options: Optional[EngineOptions],
+    collector: Optional[Collector],
+) -> SweepResult:
+    """One :func:`run_experiment` per ``(value, spec, config)`` point."""
+    # Resolve here so a bad options value fails in the caller's frame.
+    options = EngineOptions.resolve(options)
+    points = list(points)
+    col = active(collector)
+    swept = []
+    with col.span("sweep", parameter=parameter_name, points=len(points)):
+        for value, spec, config in points:
+            with col.span("sweep.point", value=float(value)):
+                result = run_experiment(
+                    spec, config, workers=workers, options=options, collector=collector
+                )
+            swept.append(SweepPoint(parameter=value, means_mbps=result.mean_table_mbps()))
+            col.inc("sweep.points")
+    return SweepResult(parameter_name=parameter_name, points=swept)
 
 
 def sweep_coherence_time(
@@ -99,67 +91,24 @@ def sweep_coherence_time(
     spec: ScenarioSpec = ScenarioSpec("4x2", 4, 2, include_copa_plus=False),
     config: SimConfig = DEFAULT_CONFIG,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     options: Optional[EngineOptions] = None,
     collector: Optional[Collector] = None,
-    policy: Optional["RetryPolicy"] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    cache=None,
-    shard_dir: Optional[str] = None,
 ) -> SweepResult:
     """COPA vs CSMA as the channel gets more static.
 
-    Channels are held fixed across points (the same traces are replayed),
-    so only the MAC-overhead amortization varies — isolating Table 1's
-    effect on end-to-end throughput.  The execution/observability keywords
-    (``workers``, ``chunk_size``, ``options``, ``collector``) are the same
-    surface :func:`repro.sim.experiment.run_experiment` takes and are
-    forwarded to every point's experiment.  With ``cache`` the shared
-    traces are memoized once and each point's per-topology results are
-    cached under their own coherence-specific content addresses.
-
-    ``shard_dir`` routes every point through the sharded experiment
-    service (one subdirectory per point; see
-    :mod:`repro.sim.service`): workers regenerate the shared traces from
-    the manifest instead of receiving them — ``coherence_s`` is
-    channel-irrelevant, so every point rebuilds the *same* realization
-    (one cached artifact) and results stay bit-identical to the replayed
-    path.  ``checkpoint_dir``/``resume`` are superseded by the service's
-    per-shard journals and ignored for sharded points.
+    ``coherence_s`` does not enter the channel draw, so every point sees
+    the same realizations and only the MAC-overhead amortization varies —
+    isolating Table 1's effect on end-to-end throughput.  ``workers``,
+    ``options`` and ``collector`` are forwarded to every point's
+    :func:`~repro.sim.experiment.run_experiment`.
     """
-    # Resolve here so a bad options value fails in the caller's frame.
-    options = EngineOptions.resolve(options)
-    col = active(collector)
-    with col.span("sweep", parameter="coherence_s", points=len(list(coherence_values_s))):
-        traces = (
-            None
-            if shard_dir is not None
-            else generate_channel_sets(spec, config, cache=cache, collector=collector)
-        )
-        points = []
-        for point_index, coherence_s in enumerate(coherence_values_s):
-            point_shard = _point_shard_dir(shard_dir, point_index)
-            with col.span("sweep.point", value=float(coherence_s)):
-                result = run_experiment(
-                    spec,
-                    config.with_(coherence_s=coherence_s),
-                    channel_sets=traces,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    options=options,
-                    collector=collector,
-                    policy=policy,
-                    checkpoint=None
-                    if point_shard
-                    else _point_checkpoint(checkpoint_dir, point_index),
-                    resume=False if point_shard else resume,
-                    cache=cache,
-                    shard_dir=point_shard,
-                )
-            points.append(SweepPoint(parameter=coherence_s, means_mbps=_means(result)))
-            col.inc("sweep.points")
-    return SweepResult(parameter_name="coherence_s", points=points)
+    return _sweep(
+        "coherence_s",
+        ((c, spec, config.with_(coherence_s=c)) for c in coherence_values_s),
+        workers,
+        options,
+        collector,
+    )
 
 
 def sweep_interference(
@@ -167,145 +116,48 @@ def sweep_interference(
     spec: ScenarioSpec = ScenarioSpec("4x2", 4, 2, include_copa_plus=False),
     config: SimConfig = DEFAULT_CONFIG,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     options: Optional[EngineOptions] = None,
     collector: Optional[Collector] = None,
-    policy: Optional["RetryPolicy"] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    cache=None,
-    shard_dir: Optional[str] = None,
 ) -> SweepResult:
     """§4.4 generalized: scale the cross links through a range of offsets.
 
-    One base channel realization is drawn (or, with ``cache``, reloaded
-    from the channel cache) and every point derives its operating
-    conditions from it via :meth:`ChannelSet.scaled_interference` — the
-    cheap transform — so the cache holds a single base realization plus
-    per-offset result artifacts, never one realization per offset.
-
-    ``shard_dir`` routes every point through the sharded experiment
-    service (one subdirectory per point).  Sharded workers cannot receive
-    arrays, so each point's manifest carries the offset in its scenario
-    spec and workers apply :meth:`ChannelSet.scaled_interference` to the
-    regenerated base realization — the *same* transform this function
-    applies in-process, so per-topology results (and their cache keys)
-    are bit-identical between the two modes.  Requires
-    ``spec.interference_offset_db == 0`` (stacking two offsets in one
-    dB-domain scale is not bit-equal to applying them in sequence).
+    Each offset is absolute: the point runs ``spec`` with
+    ``interference_offset_db`` replaced by it, so the channels are the
+    base realization with every cross link scaled by
+    :meth:`ChannelSet.scaled_interference`.
     """
-    # Resolve here so a bad options value fails in the caller's frame.
-    options = EngineOptions.resolve(options)
-    if shard_dir is not None and spec.interference_offset_db:
-        raise ValueError(
-            "sweep_interference(shard_dir=...) needs a base spec with "
-            "interference_offset_db == 0; the sweep offsets become the "
-            "manifest's per-point offset"
-        )
-    col = active(collector)
-    with col.span("sweep", parameter="interference_offset_db", points=len(list(offsets_db))):
-        traces = (
-            None
-            if shard_dir is not None
-            else generate_channel_sets(spec, config, cache=cache, collector=collector)
-        )
-        points = []
-        for point_index, offset in enumerate(offsets_db):
-            point_shard = _point_shard_dir(shard_dir, point_index)
-            with col.span("sweep.point", value=float(offset)):
-                if point_shard is not None:
-                    result = run_experiment(
-                        ScenarioSpec(
-                            spec.name,
-                            spec.ap_antennas,
-                            spec.client_antennas,
-                            interference_offset_db=float(offset),
-                            include_copa_plus=spec.include_copa_plus,
-                            n_aps=spec.n_aps,
-                        ),
-                        config,
-                        workers=workers,
-                        options=options,
-                        collector=collector,
-                        policy=policy,
-                        cache=cache,
-                        shard_dir=point_shard,
-                    )
-                else:
-                    emulated = scaled_traces(traces, offset) if offset else list(traces)
-                    result = run_experiment(
-                        spec,
-                        config,
-                        channel_sets=emulated,
-                        workers=workers,
-                        chunk_size=chunk_size,
-                        options=options,
-                        collector=collector,
-                        policy=policy,
-                        checkpoint=_point_checkpoint(checkpoint_dir, point_index),
-                        resume=resume,
-                        cache=cache,
-                    )
-            points.append(SweepPoint(parameter=offset, means_mbps=_means(result)))
-            col.inc("sweep.points")
-    return SweepResult(parameter_name="interference_offset_db", points=points)
+    return _sweep(
+        "interference_offset_db",
+        ((o, replace(spec, interference_offset_db=float(o)), config) for o in offsets_db),
+        workers,
+        options,
+        collector,
+    )
 
 
 def sweep_antenna_configurations(
     configurations: Sequence[Tuple[int, int]] = ((1, 1), (2, 2), (3, 2), (4, 2)),
     config: SimConfig = DEFAULT_CONFIG,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     options: Optional[EngineOptions] = None,
     collector: Optional[Collector] = None,
-    policy: Optional["RetryPolicy"] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    cache=None,
-    shard_dir: Optional[str] = None,
 ) -> SweepResult:
     """The §4 progression: spatial degrees of freedom vs COPA's win.
 
     The parameter value encodes the configuration as ``ap + client / 10``
     (e.g. 4.2 for 4×2); use :meth:`SweepResult.series` labels accordingly.
-    ``shard_dir`` routes every point through the sharded experiment
-    service (one subdirectory per point, superseding per-point
-    checkpoints).
     """
-    # Resolve here so a bad options value fails in the caller's frame.
-    options = EngineOptions.resolve(options)
-    col = active(collector)
-    with col.span("sweep", parameter="antennas", points=len(list(configurations))):
-        points = []
-        for point_index, (ap_antennas, client_antennas) in enumerate(configurations):
-            spec = ScenarioSpec(
-                f"{ap_antennas}x{client_antennas}",
-                ap_antennas,
-                client_antennas,
-                include_copa_plus=False,
+    return _sweep(
+        "antennas",
+        (
+            (
+                ap + client / 10.0,
+                ScenarioSpec(f"{ap}x{client}", ap, client, include_copa_plus=False),
+                config,
             )
-            point_shard = _point_shard_dir(shard_dir, point_index)
-            with col.span("sweep.point", value=ap_antennas + client_antennas / 10.0):
-                result = run_experiment(
-                    spec,
-                    config,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    options=options,
-                    collector=collector,
-                    policy=policy,
-                    checkpoint=None
-                    if point_shard
-                    else _point_checkpoint(checkpoint_dir, point_index),
-                    resume=False if point_shard else resume,
-                    cache=cache,
-                    shard_dir=point_shard,
-                )
-            points.append(
-                SweepPoint(
-                    parameter=ap_antennas + client_antennas / 10.0,
-                    means_mbps=_means(result),
-                )
-            )
-            col.inc("sweep.points")
-    return SweepResult(parameter_name="antennas", points=points)
+            for ap, client in configurations
+        ),
+        workers,
+        options,
+        collector,
+    )

@@ -25,9 +25,12 @@ from repro.phy.mimo_transceiver import MimoTransceiver
 from repro.phy.constants import N_FFT
 from repro.phy.ofdm import data_subcarrier_bins
 from repro.sim.config import SimConfig
-from repro.sim.emulation import run_emulated_experiment
 from repro.sim.experiment import ScenarioSpec, run_experiment
-from repro.sim.sweep import sweep_coherence_time
+from repro.sim.sweep import (
+    sweep_antenna_configurations,
+    sweep_coherence_time,
+    sweep_interference,
+)
 from tests.core.test_batch import (
     PLUS_OPTIONS,
     PLUS_SCENARIOS,
@@ -324,30 +327,26 @@ class TestPartialFailureMerge:
 
 
 class TestOtherSurfaces:
-    def test_sweep_forwards_collector(self):
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda spec, config, **kw: sweep_coherence_time((0.030,), spec, config, **kw),
+            lambda spec, config, **kw: sweep_interference((-10.0,), spec, config, **kw),
+            lambda spec, config, **kw: sweep_antenna_configurations(((1, 1),), config, **kw),
+        ],
+        ids=["coherence", "interference", "antennas"],
+    )
+    def test_sweep_forwards_collector(self, sweep):
         collector = Collector()
-        sweep_coherence_time(
-            coherence_values_s=(0.030,),
-            spec=ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
-            config=SimConfig(n_topologies=1),
+        sweep(
+            ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
+            SimConfig(n_topologies=1),
             collector=collector,
         )
         names = [span.name for span in collector.spans]
         assert "sweep" in names and "sweep.point" in names
         assert "experiment" in names and "engine.run" in names
         assert collector.metrics.counters["sweep.points"] == 1
-
-    def test_emulation_forwards_collector(self):
-        collector = Collector()
-        run_emulated_experiment(
-            ScenarioSpec("1x1", 1, 1, include_copa_plus=False),
-            interference_offset_db=-10.0,
-            config=SimConfig(n_topologies=1),
-            collector=collector,
-        )
-        names = [span.name for span in collector.spans]
-        assert "emulation" in names and "transform_traces" in names
-        assert "experiment" in names
 
     def test_parallel_experiment_trace_matches_serial_shape(self):
         """Serially one unit of 3 rows, on the pool three units of one."""

@@ -20,7 +20,6 @@ from repro.obs import Collector
 from repro.sim import runner
 from repro.sim.checkpoint import validate_journal
 from repro.sim.config import SimConfig
-from repro.sim.emulation import run_emulated_experiment
 from repro.sim.experiment import ScenarioSpec, generate_channel_sets, run_experiment
 from repro.sim.runner import RunnerError, build_tasks, run_tasks
 from repro.sim.sweep import (
@@ -251,9 +250,6 @@ class TestLegacyDictRejection:
         sets = generate_channel_sets(spec, config)
         yield "run_experiment", lambda: run_experiment(
             spec, config, options=dict(self.LEGACY)
-        )
-        yield "run_emulated_experiment", lambda: run_emulated_experiment(
-            spec, -10.0, config, options=dict(self.LEGACY)
         )
         yield "build_tasks", lambda: build_tasks(
             sets,

@@ -1,54 +1,42 @@
-"""Trace-driven emulation: scaling, persistence, replay."""
+"""Trace-driven emulation (§4.4): the offset spec, persistence, replay."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.sim.config import SimConfig
-from repro.sim.emulation import (
-    load_trace,
-    load_traces,
-    run_emulated_experiment,
-    save_trace,
-    save_traces,
-    scaled_traces,
-)
-from repro.sim.experiment import ScenarioSpec, generate_channel_sets
+from repro.sim.emulation import load_trace, load_traces, save_trace, save_traces
+from repro.sim.experiment import ScenarioSpec, generate_channel_sets, run_experiment
 
-
-class TestScaledTraces:
-    def test_every_trace_scaled(self):
-        cfg = SimConfig(n_topologies=2)
-        traces = generate_channel_sets(ScenarioSpec("4x2", 4, 2), cfg)
-        weak = scaled_traces(traces, -10.0)
-        for before, after in zip(traces, weak):
-            ratio = np.mean(np.abs(after.channel("AP2", "C1")) ** 2) / np.mean(
-                np.abs(before.channel("AP2", "C1")) ** 2
-            )
-            assert 10 * np.log10(ratio) == pytest.approx(-10.0, abs=0.1)
-
-    def test_originals_untouched(self):
-        cfg = SimConfig(n_topologies=1)
-        traces = generate_channel_sets(ScenarioSpec("4x2", 4, 2), cfg)
-        before = traces[0].channel("AP1", "C2").copy()
-        scaled_traces(traces, -10.0)
-        np.testing.assert_array_equal(traces[0].channel("AP1", "C2"), before)
+from tests.core.test_batch import assert_same_records
 
 
 class TestEmulatedExperiment:
-    def test_runs_and_labels(self):
-        spec = ScenarioSpec("4x2", 4, 2, include_copa_plus=False)
-        result = run_emulated_experiment(spec, -10.0, SimConfig(n_topologies=2))
-        assert result.spec.name == "4x2-10dB"
-        assert result.series_mbps("copa").shape == (2,)
+    @pytest.mark.parametrize(
+        "spec, offset_db",
+        [
+            (ScenarioSpec("4x2", 4, 2, include_copa_plus=False), -10.0),
+            (ScenarioSpec("3x2", 3, 2, include_copa_plus=True), -5.0),
+        ],
+        ids=["4x2-10dB", "3x2-5dB+plus"],
+    )
+    def test_offset_spec_equals_replaying_scaled_traces(self, spec, offset_db):
+        """The spec's offset is the record-scale-replay of §4.4, bit for bit."""
+        cfg = SimConfig(n_topologies=3)
+        scaled = [c.scaled_interference(offset_db) for c in generate_channel_sets(spec, cfg)]
+        replayed = run_experiment(spec, cfg, channel_sets=scaled, workers=1)
+        emulated = run_experiment(
+            replace(spec, interference_offset_db=offset_db), cfg, workers=1
+        )
+        assert_same_records(emulated.records, replayed.records)
 
     def test_weak_interference_helps_concurrency(self):
         """§4.4: with −10 dB interference, concurrent schemes gain."""
         cfg = SimConfig(n_topologies=5)
         spec = ScenarioSpec("4x2", 4, 2, include_copa_plus=False)
-        from repro.sim.experiment import run_experiment
-
         base = run_experiment(spec, cfg)
-        weak = run_emulated_experiment(spec, -10.0, cfg)
+        weak = run_experiment(replace(spec, interference_offset_db=-10.0), cfg)
         assert weak.series_mbps("null").mean() > base.series_mbps("null").mean()
 
 

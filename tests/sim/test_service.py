@@ -309,14 +309,17 @@ class TestWorkerAndHarvest:
                 SPEC, CONFIG, channel_sets=channel_sets, shard_dir=str(tmp_path)
             )
 
-    def test_shard_dir_rejects_checkpoint_flags(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags",
+        [{"checkpoint": "j.ckpt"}, {"resume": True}, {"chunk_size": 2}],
+        ids=["checkpoint", "resume", "chunk_size"],
+    )
+    def test_shard_dir_rejects_checkpoint_flags(self, tmp_path, flags):
+        """Refused before publishing, never silently dropped."""
+        shard_dir = str(tmp_path / "shards")
         with pytest.raises(ValueError, match="mutually exclusive"):
-            run_experiment(
-                SPEC,
-                CONFIG,
-                shard_dir=str(tmp_path / "shards"),
-                checkpoint=str(tmp_path / "j.ckpt"),
-            )
+            run_experiment(SPEC, CONFIG, shard_dir=shard_dir, **flags)
+        assert not os.path.exists(shard_dir)
 
     def test_second_run_resumes_everything_from_journals(self, tmp_path, baseline):
         shard_dir = str(tmp_path / "shards")

@@ -1,10 +1,12 @@
-"""Parameter sweeps."""
+"""Parameter sweeps: each point is one ``run_experiment`` on its spec and config."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.sim.config import SimConfig
-from repro.sim.experiment import ScenarioSpec
+from repro.sim.experiment import ScenarioSpec, run_experiment
 from repro.sim.sweep import (
     sweep_antenna_configurations,
     sweep_coherence_time,
@@ -47,6 +49,11 @@ class TestCoherenceSweep:
         gains = sweep.gains("copa")
         assert gains.shape == (3,)
 
+    def test_every_point_is_one_experiment(self, sweep, small_config, small_spec):
+        for point in sweep.points:
+            config = small_config.with_(coherence_s=point.parameter)
+            assert point.means_mbps == run_experiment(small_spec, config).mean_table_mbps()
+
 
 class TestInterferenceSweep:
     @pytest.fixture(scope="class")
@@ -61,20 +68,34 @@ class TestInterferenceSweep:
         gains = sweep.gains("copa")
         assert gains[-1] > gains[0]
 
-    def test_zero_offset_matches_baseline(self, sweep, small_config, small_spec):
-        from repro.sim.experiment import run_experiment
+    def test_every_point_is_one_experiment(self, sweep, small_config, small_spec):
+        for point in sweep.points:
+            spec = replace(small_spec, interference_offset_db=point.parameter)
+            assert point.means_mbps == run_experiment(spec, small_config).mean_table_mbps()
 
-        baseline = run_experiment(small_spec, small_config)
-        assert sweep.points[0].means_mbps["copa"] == pytest.approx(
-            baseline.mean_table_mbps()["copa"], rel=1e-6
-        )
+    def test_offsets_are_absolute(self, sweep, small_config, small_spec):
+        """The base spec's own offset is replaced, not added to."""
+        weakened = replace(small_spec, interference_offset_db=-10.0)
+        again = sweep_interference((0.0, -10.0), spec=weakened, config=small_config)
+        assert [p.means_mbps for p in again.points] == [
+            sweep.points[0].means_mbps,
+            sweep.points[1].means_mbps,
+        ]
 
 
 class TestAntennaSweep:
-    def test_throughput_grows_with_antennas(self, small_config):
-        sweep = sweep_antenna_configurations(((1, 1), (4, 2)), config=small_config)
+    @pytest.fixture(scope="class")
+    def sweep(self, small_config):
+        return sweep_antenna_configurations(((1, 1), (4, 2)), config=small_config)
+
+    def test_throughput_grows_with_antennas(self, sweep):
         _, copa = sweep.series("copa")
         assert copa[1] > copa[0] * 1.3
+
+    def test_every_point_is_one_experiment(self, sweep, small_config):
+        for point, (ap, client) in zip(sweep.points, ((1, 1), (4, 2))):
+            spec = ScenarioSpec(f"{ap}x{client}", ap, client, include_copa_plus=False)
+            assert point.means_mbps == run_experiment(spec, small_config).mean_table_mbps()
 
     def test_parameter_encoding(self, small_config):
         sweep = sweep_antenna_configurations(((3, 2),), config=small_config)

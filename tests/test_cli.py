@@ -46,6 +46,20 @@ class TestParser:
         out = capsys.readouterr().out
         assert "nulling beats CSMA" in out
 
+    def test_interference_run_is_the_same_with_and_without_shard_dir(self, tmp_path, capsys):
+        argv = ["run", "4x2", "-n", "2", "--interference", "-10", "--workers", "1"]
+
+        def table(text):
+            """Scenario label, scheme table and comparisons; not the run stats."""
+            return text.split("\nevaluated ")[0]
+
+        assert main(argv) == 0
+        direct = table(capsys.readouterr().out)
+        assert main([*argv, "--shard-dir", str(tmp_path / "shards")]) == 0
+        sharded = table(capsys.readouterr().out)
+        assert direct.startswith("scenario 4x2-10dB: 2 topologies\n")
+        assert sharded == direct
+
     def test_nulling_small(self, capsys):
         assert main(["nulling", "-n", "2"]) == 0
         out = capsys.readouterr().out
@@ -174,6 +188,22 @@ class TestFaultTolerance:
     def test_report_resume_without_checkpoint_rejected(self, capsys):
         assert main(["report", "1x1", "-n", "2", "--resume"]) == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--checkpoint", "run.ckpt"],
+            ["--resume", "--checkpoint", "run.ckpt"],
+            ["--chunk-size", "2"],
+        ],
+        ids=["checkpoint", "resume", "chunk-size"],
+    )
+    def test_shard_dir_refuses_flags_it_cannot_honour(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        shard_dir = tmp_path / "shards"
+        assert main(["run", "1x1", "-n", "2", "--shard-dir", str(shard_dir), *flags]) == 2
+        assert "error: shard_dir is mutually exclusive with" in capsys.readouterr().err
+        assert not shard_dir.exists()
 
     def test_cache_flag_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

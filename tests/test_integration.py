@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.sim.config import SimConfig
-from repro.sim.emulation import run_emulated_experiment
 from repro.sim.experiment import ScenarioSpec, run_experiment
 from repro.sim.metrics import compare
 
@@ -37,8 +36,8 @@ def result_3x2(cfg):
 
 @pytest.fixture(scope="module")
 def result_weak(cfg):
-    spec = ScenarioSpec("4x2", 4, 2, include_copa_plus=False)
-    return run_emulated_experiment(spec, -10.0, cfg)
+    spec = ScenarioSpec("4x2", 4, 2, interference_offset_db=-10.0, include_copa_plus=False)
+    return run_experiment(spec, cfg)
 
 
 class TestConstrained4x2:
