@@ -21,7 +21,7 @@ import numpy as np
 
 from ..phy.ber import uncoded_ber
 from ..phy.constants import MCS_TABLE, MPDU_PAYLOAD_BYTES, N_DATA_SUBCARRIERS, Mcs
-from ..phy.rates import _mcs_runs, _run_goodputs
+from ..phy.rates import _goodputs, _mcs_runs
 from ..util import masked_row_apply
 
 __all__ = [
@@ -100,7 +100,7 @@ def uniform_goodput(
     the per-run scan :func:`allocate_batch` makes.
     """
     ber = uncoded_ber(np.asarray(snr_linear, dtype=float), mcs.modulation)
-    ((goodput, _),) = _run_goodputs(ber, np.asarray(n_used, dtype=float), (mcs,), payload_bytes)
+    (goodput,), _ = _goodputs(ber[None], np.asarray(n_used, dtype=float), [(mcs,)], payload_bytes)
     return goodput
 
 
@@ -217,10 +217,11 @@ def allocate_batch(
     run at a time and top-down, and a cell keeps its best MCS.  Before a
     run, cells whose rate ceiling is strictly below their row's best so
     far are skipped; each live cell is gathered once per run for one
-    uncoded BER and one :func:`repro.phy.coding.coded_bers` call.  The
-    result equals an ascending scan of every cell with a strict ``>``:
-    a skipped cell can be neither the row's argmax nor tie with it, and
-    the argmax cell is the only one whose MCS is read.
+    uncoded BER and one stacked :func:`repro.phy.coding.coded_bers` pass
+    over the run's code rates.  The result equals an ascending scan of
+    every cell with a strict ``>``: a skipped cell can be neither the
+    row's argmax nor tie with it, and the argmax cell is the only one
+    whose MCS is read.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2:
@@ -258,8 +259,8 @@ def allocate_batch(
             continue
         cell_goodput, cell_mcs_index = best_goodput[live], best_mcs_index[live]
         ber = uncoded_ber(equalized[live], run[0].modulation)
-        goodputs = _run_goodputs(ber, n_used[live], run, payload_bytes)
-        for mcs, (goodput, _) in reversed(list(zip(run, goodputs))):
+        goodputs, _ = _goodputs(ber[None], n_used[live], [run], payload_bytes)
+        for mcs, goodput in reversed(list(zip(run, goodputs))):
             improved = (goodput > cell_goodput) | ((goodput == cell_goodput) & (goodput > 0))
             cell_goodput = np.where(improved, goodput, cell_goodput)
             cell_mcs_index = np.where(improved, mcs.index, cell_mcs_index)

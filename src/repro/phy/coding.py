@@ -10,11 +10,20 @@ frame error rate for an MPDU.
 The distance spectra below are the published weight enumerators
 (information-bit-weight coefficients ``B_d`` starting at each code's free
 distance) for the 133/171 code and its standard 802.11 puncturing patterns.
+
+The bound is evaluated as one stacked pass (:func:`_union_bound`) over
+a term plan cached per tuple of spectra: one ``p**k`` and one ``q**j``
+table, every ``(C(d,k)·p^k)·q^j`` term of every distance in one
+broadcast, then each distance's terms and each rate's weighted
+distances added one term position at a time.  The additions keep the order
+of the per-distance formula, so a rate's result does not depend on the
+other rates or distances evaluated with it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -39,22 +48,14 @@ DISTANCE_SPECTRA: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {
     (5, 6): (4, (92, 528, 8694, 79453, 792114)),
 }
 
+#: code rate → its ``(distance, weight)`` pairs with a nonzero weight.
+_SPECTRA = {
+    code_rate: tuple((dfree + offset, weight) for offset, weight in enumerate(weights) if weight)
+    for code_rate, (dfree, weights) in DISTANCE_SPECTRA.items()
+}
+
 #: Above this channel BER the union bound is meaningless; decoding has failed.
 _UNION_BOUND_LIMIT = 0.08
-
-#: Binomial coefficients C(d, k) as float64, precomputed once so the hot
-#: union-bound loops never re-enter scipy.  Entries are the exact floats
-#: ``scipy.special.comb`` returns.
-_COMB_LIMIT = 64
-_COMB_TABLE = comb(
-    np.arange(_COMB_LIMIT + 1)[:, None], np.arange(_COMB_LIMIT + 1)[None, :]
-)
-
-
-def _comb(d: int, k: int) -> float:
-    if d <= _COMB_LIMIT:
-        return _COMB_TABLE[d, k]
-    return comb(d, k)
 
 
 def _as_batch(values) -> Tuple[np.ndarray, bool]:
@@ -70,34 +71,121 @@ def _as_batch(values) -> Tuple[np.ndarray, bool]:
     return array, False
 
 
-def _pairwise_error_probabilities(p: np.ndarray, distances: Sequence[int]) -> List[np.ndarray]:
-    """``pairwise_error_probability`` of each distance, from one power table.
+class _TermPlan(NamedTuple):
+    """Where each union-bound term and weighted distance sits in the stacked pass.
 
-    ``p`` must already lie in the clip range [0, 0.5] (NaN passes through).
-    Each ``p**k`` and ``q**j`` the distances need is computed once, with
-    the same expression the per-distance formula uses, and shared by every
-    distance.  Each term keeps its association ``(C(d,k) * p**k) *
-    q**(d-k)``, the even-d tie term keeps its ``0.5 * C(d, d/2)`` prefix,
-    and terms are summed in increasing k after the tie term, starting
-    from zeros, so every distance's result is bit-identical to
-    evaluating the formula alone.
+    Built once per tuple of spectra by :func:`_term_plan`.  Distances are
+    ordered largest first, so the longest term lists come first, and
+    term ``t`` is ``coefficients[t] * p**k[t] * q**j[t]``.  Terms are
+    stored position by position: ``term_blocks[i]`` is ``(start, stop,
+    m)``, the slice holding the ``i``-th term of the first ``m``
+    distances, the ones that have one.  Rates are ordered longest
+    spectrum first and their weighted distances stored the same way
+    (``weights``, ``distance_rows``, ``weight_blocks``); ``rate_rows[r]``
+    is where the caller's rate ``r`` lands.  The exponent columns list
+    every ``k`` and ``j`` from 0.
     """
-    q = 1.0 - p
-    p_powers = {k: p**k for k in range((min(distances) + 1) // 2, max(distances) + 1)}
-    q_powers = [q**j for j in range(max(distances) // 2 + 1)]
-    probabilities = []
-    for distance in distances:
-        total = np.zeros_like(p)
-        if distance % 2:
-            start = (distance + 1) // 2
-        else:
-            start = distance // 2 + 1
-            half = distance // 2
-            total = total + 0.5 * _comb(distance, half) * p_powers[half] * q_powers[distance - half]
-        for k in range(start, distance + 1):
-            total = total + _comb(distance, k) * p_powers[k] * q_powers[distance - k]
-        probabilities.append(np.clip(total, 0.0, 1.0))
-    return probabilities
+
+    p_exponents: np.ndarray
+    q_exponents: np.ndarray
+    coefficients: np.ndarray
+    k: np.ndarray
+    j: np.ndarray
+    term_blocks: Tuple[Tuple[int, int, int], ...]
+    weights: np.ndarray
+    distance_rows: np.ndarray
+    weight_blocks: Tuple[Tuple[int, int, int], ...]
+    rate_rows: np.ndarray
+
+
+def _position_major(lists: Sequence[Sequence]) -> Tuple[list, Tuple[Tuple[int, int, int], ...]]:
+    """The items of ``lists`` (longest first) position by position, and each position's slice.
+
+    Position ``i`` holds the ``i``-th item of every list longer than
+    ``i``; those are the first ``m`` lists, stored at ``start:stop``.
+    """
+    items, blocks = [], []
+    for i in range(len(lists[0])):
+        column = [items_of[i] for items_of in lists if i < len(items_of)]
+        blocks.append((len(items), len(items) + len(column), len(column)))
+        items.extend(column)
+    return items, tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _term_plan(spectra: Tuple[Tuple[Tuple[int, int], ...], ...]) -> _TermPlan:
+    """The plan for ``spectra``: per rate, its ``(distance, weight)`` pairs.
+
+    Each distance's terms are listed as the per-distance formula sums
+    them, k ascending from ``ceil(d/2)`` to d; for even d the first is the
+    tie term, whose coefficient is ``0.5 * C(d, d/2)``.
+    """
+    distances = sorted({distance for spectrum in spectra for distance, _ in spectrum}, reverse=True)
+    terms, term_blocks = _position_major(
+        [
+            [
+                ((0.5 if 2 * k == distance else 1.0) * comb(distance, k), k, distance - k)
+                for k in range((distance + 1) // 2, distance + 1)
+            ]
+            for distance in distances
+        ]
+    )
+    order = sorted(range(len(spectra)), key=lambda r: -len(spectra[r]))
+    weighted, weight_blocks = _position_major(
+        [[(weight, distances.index(distance)) for distance, weight in spectra[r]] for r in order]
+    )
+    coefficients, k, j = zip(*terms)
+    weights, distance_rows = zip(*weighted)
+    return _TermPlan(
+        p_exponents=np.arange(max(k) + 1)[:, None],
+        q_exponents=np.arange(max(j) + 1)[:, None],
+        coefficients=np.array(coefficients)[:, None],
+        k=np.array(k),
+        j=np.array(j),
+        term_blocks=term_blocks,
+        weights=np.array(weights, dtype=float)[:, None],
+        distance_rows=np.array(distance_rows),
+        weight_blocks=weight_blocks,
+        rate_rows=np.argsort(order),
+    )
+
+
+def _powers(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``base**e`` for each e of the ``(n, 1)`` exponent column 0, 1, …, one row each.
+
+    ``base**2`` is ``np.square(base)``, which a broadcast power does not
+    reproduce to the last ulp on short inputs, so that row is squared.
+    """
+    table = np.power(base, exponents)
+    if len(exponents) > 2:
+        table[2] = np.square(base)
+    return table
+
+
+def _union_bound(p: np.ndarray, plan: _TermPlan) -> Tuple[np.ndarray, np.ndarray]:
+    """Pairwise error probability of each distance and bound of each rate.
+
+    ``p`` is 1-D and already in the clip range [0, 0.5] (NaN passes
+    through).  Returns the ``(n_distances, n)`` probabilities in the
+    plan's distance order, each clipped to [0, 1], and the ``(n_rates,
+    n)`` unclipped bounds in the caller's rate order.  Every term keeps
+    the association ``(C(d,k) * p**k) * q**(d-k)``, and every sum runs
+    from ``+0.0`` in term order, one term position at a time, so each
+    result is bit-identical to evaluating the per-distance formula
+    alone; a reduction over the term axis would group the additions
+    differently.
+    """
+    terms = plan.coefficients * _powers(p, plan.p_exponents)[plan.k]
+    terms *= _powers(1.0 - p, plan.q_exponents)[plan.j]
+    total = np.zeros((plan.term_blocks[0][2], p.size))
+    for start, stop, m in plan.term_blocks:
+        total[:m] += terms[start:stop]
+    probabilities = np.clip(total, 0.0, 1.0)
+    weighted = plan.weights * probabilities[plan.distance_rows]
+    bounds = np.zeros((plan.weight_blocks[0][2], p.size))
+    for start, stop, m in plan.weight_blocks:
+        bounds[:m] += weighted[start:stop]
+    return probabilities, bounds[plan.rate_rows]
 
 
 def pairwise_error_probability(channel_ber, distance: int) -> np.ndarray:
@@ -108,9 +196,13 @@ def pairwise_error_probability(channel_ber, distance: int) -> np.ndarray:
 
     * odd d:   P_d = Σ_{k=(d+1)/2}^{d} C(d,k) p^k (1−p)^{d−k}
     * even d:  the k = d/2 term counts half (ties broken by a fair coin).
+
+    One distance of the stacked union-bound pass.
     """
     p, scalar = _as_batch(channel_ber)
-    (total,) = _pairwise_error_probabilities(np.clip(p, 0.0, 0.5), (distance,))
+    p = np.clip(p, 0.0, 0.5)
+    probabilities, _ = _union_bound(p.ravel(), _term_plan((((distance, 1),),)))
+    total = probabilities[0].reshape(p.shape)
     return total[0] if scalar else total
 
 
@@ -133,34 +225,27 @@ def coded_bers(channel_ber, code_rates: Sequence[Tuple[int, int]]) -> List[np.nd
     ``_UNION_BOUND_LIMIT`` (+inf included) gives 0.5, and p ≤ 0 (−0.0 and
     −inf included) gives 0.0, because every term of every distance is
     then zero.  The remaining elements, NaN included, are gathered once
-    into one contiguous array.  One power table serves the union of the
-    rates' distances, and each distance's pairwise probability is
-    computed once.  Each rate then sums its own weighted terms in
-    spectrum order, so every result is bit-identical to summing
-    ``weight * pairwise_error_probability(p, d)`` over that rate's
-    spectrum, then saturating and clipping to [0, 0.5].
+    into one contiguous array, and one stacked pass (:func:`_union_bound`)
+    computes every term of every distance the rates need, each distance's
+    pairwise probability and each rate's weighted sum.  Every result is
+    bit-identical to summing ``weight * pairwise_error_probability(p, d)``
+    over that rate's spectrum, then saturating and clipping to [0, 0.5].
     """
-    spectra = []
     for code_rate in code_rates:
-        if code_rate not in DISTANCE_SPECTRA:
+        if code_rate not in _SPECTRA:
             raise ValueError(f"unknown code rate {code_rate!r}")
-        dfree, weights = DISTANCE_SPECTRA[code_rate]
-        spectra.append([(dfree + offset, weight) for offset, weight in enumerate(weights) if weight])
+    if not code_rates:
+        return []
     p, scalar = _as_batch(channel_ber)
     saturated = p >= _UNION_BOUND_LIMIT
-    outs = [np.where(saturated, 0.5, 0.0) for _ in spectra]
+    out = np.repeat(np.where(saturated, 0.5, 0.0)[None], len(code_rates), axis=0)
     pending = ~(saturated | (p <= 0.0))
-    if spectra and pending.any():
+    if pending.any():
         # Pending values lie in (0, limit) or are NaN, inside the clip range.
-        live = p[pending]
-        distances = sorted({distance for terms in spectra for distance, _ in terms})
-        probabilities = dict(zip(distances, _pairwise_error_probabilities(live, distances)))
-        for out, terms in zip(outs, spectra):
-            bound = np.zeros_like(live)
-            for distance, weight in terms:
-                bound = bound + weight * probabilities[distance]
-            out[pending] = np.clip(bound, 0.0, 0.5)
-    return [out[0] if scalar else out for out in outs]
+        plan = _term_plan(tuple(_SPECTRA[code_rate] for code_rate in code_rates))
+        _, bounds = _union_bound(p[pending], plan)
+        out[:, pending] = np.clip(bounds, 0.0, 0.5)
+    return [row[0] if scalar else row for row in out]
 
 
 def frame_error_rate(post_viterbi_ber, n_payload_bits: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..util import masked_row_means
 from .ber import uncoded_ber
 from .coding import coded_bers, frame_error_rate
 from .constants import MCS_TABLE, MPDU_PAYLOAD_BYTES, N_DATA_SUBCARRIERS, Mcs
@@ -178,32 +177,51 @@ def _mcs_runs(mcs_table: Sequence[Mcs]) -> List[Tuple[Mcs, ...]]:
     return [tuple(run) for _, run in groupby(mcs_table, key=lambda mcs: mcs.modulation)]
 
 
-def _run_goodputs(channel_ber, n_used, run: Sequence[Mcs], payload_bytes: int):
-    """``(goodput, fer)`` of each MCS of one modulation run, in run order.
+def _goodputs(channel_bers, n_used, runs: Sequence[Sequence[Mcs]], payload_bytes: int):
+    """``(goodput, fer)`` of every MCS of ``runs``, stacked in table order.
 
-    ``channel_ber`` is the uncoded BER the decoder sees under the run's
-    modulation and ``n_used`` the parallel used-cell counts.  One
-    :func:`repro.phy.coding.coded_bers` call serves the whole run.  The
+    ``channel_bers[r]`` is the uncoded BER the decoder sees under run
+    ``r``'s modulation and ``n_used`` the parallel used-cell counts.  One
+    :func:`repro.phy.coding.coded_bers` call over the union of the runs'
+    code rates and one frame-error-rate call serve every MCS.  The
     goodput is the PHY rate of the used cells times ``1 − FER``; as
     ``1 − FER ≤ 1``, it never exceeds ``mcs.rate_bps * n_used / 52``.
     """
-    posts = coded_bers(channel_ber, [mcs.code_rate for mcs in run])
-    results = []
-    for mcs, post in zip(run, posts):
-        fer = frame_error_rate(post, payload_bytes * 8)
-        phy_rate = mcs.rate_bps * n_used / N_DATA_SUBCARRIERS
-        results.append((phy_rate * (1.0 - fer), fer))
-    return results
+    table = [(r, mcs) for r, run in enumerate(runs) for mcs in run]
+    code_rates = list(dict.fromkeys(mcs.code_rate for _, mcs in table))
+    posts = coded_bers(channel_bers, code_rates)
+    post = np.array([posts[code_rates.index(mcs.code_rate)][r] for r, mcs in table])
+    post = post.reshape((len(table),) + np.shape(channel_bers)[1:])
+    fer = frame_error_rate(post, payload_bytes * 8)
+    rates = np.array([mcs.rate_bps for _, mcs in table]).reshape((-1,) + (1,) * (post.ndim - 1))
+    return rates * n_used / N_DATA_SUBCARRIERS * (1.0 - fer), fer
 
 
-def _channel_bers(flat_sinr, mask, modulation):
-    """Per-row mean uncoded BER over the used cells; 0.5 for empty rows.
+def _decoder_bers(flat_sinr, mask, modulations) -> np.ndarray:
+    """``(n_modulations, n_rows)`` mean uncoded BER over each row's used cells.
 
-    The one masked, order-sensitive mean is computed per row with
-    :func:`repro.util.masked_row_means`, so a row's result does not
-    depend on the rows batched with it.
+    Empty rows get 0.5.  Rows are ordered by used-cell count and their
+    used cells gathered once; each modulation's uncoded BER is evaluated
+    on the gathered cells only, and rows sharing a count are averaged in
+    one ``mean(axis=-1)``.  NumPy's pairwise summation depends only on
+    the number of elements reduced, so a row's mean does not depend on
+    the rows batched with it (as :func:`repro.util.masked_row_means`).
     """
-    return masked_row_means(uncoded_ber(flat_sinr, modulation), mask, fill=0.5)
+    n_rows = flat_sinr.shape[0]
+    out = np.full((len(modulations), n_rows), 0.5)
+    counts = mask.sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    cells = flat_sinr[order][mask[order]]
+    if cells.size == 0 or not modulations:
+        return out
+    bers = np.stack([uncoded_ber(cells, modulation) for modulation in modulations])
+    stop = 0
+    for count, first, size in zip(*np.unique(counts[order], return_index=True, return_counts=True)):
+        start, stop = stop, stop + count * size
+        if count:
+            rows = order[first : first + size]
+            out[:, rows] = bers[:, start:stop].reshape(len(modulations), size, count).mean(axis=-1)
+    return out
 
 
 def evaluate_mcs_batch(
@@ -223,8 +241,8 @@ def evaluate_mcs_batch(
     flat_sinr, mask = _as_batch_2d(sinr_linear, used)
     n_used = mask.sum(axis=1)
     empty = n_used == 0
-    channel_ber = _channel_bers(flat_sinr, mask, mcs.modulation)
-    ((goodput, fer),) = _run_goodputs(channel_ber, n_used, (mcs,), payload_bytes)
+    (channel_ber,) = _decoder_bers(flat_sinr, mask, [mcs.modulation])
+    (goodput,), (fer,) = _goodputs(channel_ber[None], n_used, [(mcs,)], payload_bytes)
     return (
         np.where(empty, 0.0, goodput),
         np.where(empty, 1.0, fer),
@@ -241,32 +259,30 @@ def best_rate_batch(
 ) -> BatchRateSelection:
     """:func:`best_rate` for a batch: the strictly best MCS per row, in table order.
 
-    The table is scanned one modulation run at a time (:func:`_mcs_runs`):
-    each run computes the uncoded BER, its per-row mean and the coded BERs
-    of all its code rates once, then its MCSs are compared in table order,
-    so the first strict goodput maximum wins as in a one-MCS-at-a-time
-    scan.  Every MCS is evaluated: no cell is skipped.
+    One stacked pass scores every MCS of every row: the used cells are
+    gathered once (:func:`_decoder_bers`), each modulation run of the
+    table (:func:`_mcs_runs`) takes one uncoded BER over them, and one
+    :func:`repro.phy.coding.coded_bers` call covers every run and code
+    rate.  The first strict goodput maximum in table order wins, as in a
+    one-MCS-at-a-time scan; a row where no MCS beats zero goodput (NaN
+    included) gets the no-MCS sentinel.  Every MCS is evaluated: no cell
+    is skipped.
     """
     flat_sinr, mask = _as_batch_2d(sinr_linear, used)
     n_rows = flat_sinr.shape[0]
     n_used = mask.sum(axis=1)
-    best = BatchRateSelection(
-        mcs_index=np.full(n_rows, -1),
-        goodput_bps=np.zeros(n_rows),
-        fer=np.ones(n_rows),
-        channel_ber=np.full(n_rows, 0.5),
-        n_used=np.zeros(n_rows, dtype=int),
+    runs = _mcs_runs(mcs_table)
+    channel_bers = _decoder_bers(flat_sinr, mask, [run[0].modulation for run in runs])
+    goodput, fer = _goodputs(channel_bers, n_used, runs, payload_bytes)
+    # Candidate 0 is "no MCS"; argmax keeps the first of equal maxima.
+    goodput = np.concatenate([np.zeros((1, n_rows)), np.where(goodput > 0.0, goodput, 0.0)])
+    winner = goodput.argmax(axis=0)
+    rows = np.arange(n_rows)
+    run_of = np.array([0] + [r + 1 for r, run in enumerate(runs) for _ in run])
+    return BatchRateSelection(
+        mcs_index=np.array([-1] + [mcs.index for run in runs for mcs in run])[winner],
+        goodput_bps=goodput[winner, rows],
+        fer=np.concatenate([np.ones((1, n_rows)), fer])[winner, rows],
+        channel_ber=np.concatenate([np.full((1, n_rows), 0.5), channel_bers])[run_of[winner], rows],
+        n_used=np.where(winner > 0, n_used, 0),
     )
-    for run in _mcs_runs(mcs_table):
-        channel_ber = _channel_bers(flat_sinr, mask, run[0].modulation)
-        for mcs, (goodput, fer) in zip(run, _run_goodputs(channel_ber, n_used, run, payload_bytes)):
-            # An empty row's goodput is exactly 0.0, so it never improves.
-            improved = goodput > best.goodput_bps
-            best = BatchRateSelection(
-                mcs_index=np.where(improved, mcs.index, best.mcs_index),
-                goodput_bps=np.where(improved, goodput, best.goodput_bps),
-                fer=np.where(improved, fer, best.fer),
-                channel_ber=np.where(improved, channel_ber, best.channel_ber),
-                n_used=np.where(improved, n_used, best.n_used),
-            )
-    return best

@@ -7,10 +7,10 @@ per transmission.  Each one-row call must reproduce them byte for byte
 (every field, its type and the ``Mcs`` object itself) on seeded inputs
 and on the edge cases a transmission can hit: 1-D and 2-D SINR, one to
 three streams, no mask, an empty mask, a full mask, a single used cell,
-SINRs of exactly zero, and a subset MCS table.  ``best_rate`` scans the
+SINRs of exactly zero, and a subset MCS table.  ``best_rate`` scores the
 table one modulation run at a time, so reversed, partial, duplicated,
-non-contiguous and one-entry tables, and ties between equal rates, are
-checked too.
+non-contiguous, one-entry and empty tables, and ties between equal
+rates, are checked too.
 """
 
 from dataclasses import fields, replace
@@ -165,6 +165,7 @@ TABLES = {
     "adjacent-duplicate": mcs_copies(range(8)) + [replace(MCS_TABLE[7], index=9)],
     "non-contiguous": mcs_copies([6, 1, 7, 3, 0, 4, 2]),
     "one-entry": mcs_copies([4]),
+    "empty": [],
 }
 
 
