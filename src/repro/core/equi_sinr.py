@@ -16,7 +16,11 @@ with its AP1/AP2 subcarrier anecdote.  COPA's heuristic:
 
 :func:`allocate_concurrent_batch` is the one implementation: it runs the
 iteration for k ≥ 2 players over a batch of topologies, so the paper's
-AP pair and an N-AP coordination cluster take the same loop.
+AP pair and an N-AP coordination cluster take the same loop.  The
+iteration is synchronous, so the k best responses of a round do not
+depend on each other: a round is one batched allocator call over every
+stream of every player and topology (:func:`allocate_players_batch`),
+not one call per player.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "radiated_powers_batch",
     "allocate_single",
     "allocate_single_batch",
+    "allocate_players_batch",
     "allocate_concurrent",
     "allocate_concurrent_row",
     "allocate_concurrent_batch",
@@ -83,35 +88,37 @@ def radiated_powers(powers: np.ndarray, used: np.ndarray, leakage_linear: float)
 def radiated_powers_batch(powers: np.ndarray, used: np.ndarray, leakage_linear: float) -> np.ndarray:
     """:func:`radiated_powers` for every row of a batch of topologies.
 
-    ``powers``/``used`` have shape (n_rows, n_sc, n_streams).  The only
-    order-sensitive reduction — the mean over a stream's *used* powers
-    that dropped subcarriers without active neighbours fall back to — is
-    done with :func:`repro.util.masked_row_means`, which keeps one row's
+    ``powers``/``used`` have shape (n_rows, n_sc, n_streams).  Every
+    (row, stream) column is laid out as its own row of subcarriers and
+    all of them go through one pass; the neighbours wrap around the
+    subcarrier axis.  The only order-sensitive reduction — the mean over
+    a column's *used* powers that dropped subcarriers without active
+    neighbours fall back to — is done with
+    :func:`repro.util.masked_row_means`, which keeps one row's
     pairwise-summation grouping whatever the batch.
     """
     powers = np.asarray(powers, dtype=float)
     used = np.asarray(used, dtype=bool)
-    radiated = np.where(used, powers, 0.0)
-    for s in range(powers.shape[2]):
-        stream_used = used[:, :, s]
-        dropped = ~stream_used
-        needs_fill = dropped.any(axis=1) & (stream_used.sum(axis=1) > 0)
-        if not needs_fill.any():
-            continue
-        column = powers[:, :, s]
+    n_rows, n_sc, n_streams = powers.shape
+    columns = powers.transpose(0, 2, 1).reshape(-1, n_sc)
+    columns_used = used.transpose(0, 2, 1).reshape(-1, n_sc)
+    radiated = np.where(columns_used, columns, 0.0)
+    n_used = columns_used.sum(axis=1)
+    fill = np.flatnonzero((n_used > 0) & (n_used < n_sc))
+    if fill.size:
+        column, column_used = columns[fill], columns_used[fill]
         above = np.roll(column, -1, axis=1)
         below = np.roll(column, 1, axis=1)
-        above_used = np.roll(stream_used, -1, axis=1)
-        below_used = np.roll(stream_used, 1, axis=1)
+        above_used = np.roll(column_used, -1, axis=1)
+        below_used = np.roll(column_used, 1, axis=1)
         neighbour_sum = np.where(above_used, above, 0.0) + np.where(below_used, below, 0.0)
         neighbour_count = above_used.astype(float) + below_used.astype(float)
-        fallback = masked_row_means(column, stream_used)
+        fallback = masked_row_means(column, column_used)
         neighbour_mean = np.where(
             neighbour_count > 0, neighbour_sum / np.maximum(neighbour_count, 1), fallback[:, None]
         )
-        fill = dropped & needs_fill[:, None]
-        radiated[:, :, s] = np.where(fill, leakage_linear * neighbour_mean, radiated[:, :, s])
-    return radiated
+        radiated[fill] = np.where(column_used, column, leakage_linear * neighbour_mean)
+    return np.ascontiguousarray(radiated.reshape(n_rows, n_streams, n_sc).transpose(0, 2, 1))
 
 
 def effective_gains(
@@ -158,8 +165,11 @@ def _batched(allocator: StreamAllocator) -> BatchStreamAllocator:
     if twin is not None:
         return twin
 
-    def lifted(gains: np.ndarray, total_power: float) -> BatchAllocation:
-        return BatchAllocation.from_rows([allocator(row, total_power) for row in gains])
+    def lifted(gains: np.ndarray, total_power) -> BatchAllocation:
+        budgets = np.broadcast_to(np.asarray(total_power, dtype=float), (len(gains),))
+        return BatchAllocation.from_rows(
+            [allocator(row, float(budget)) for row, budget in zip(gains, budgets)]
+        )
 
     return lifted
 
@@ -255,14 +265,15 @@ class BatchStreamAllocation:
 
 
 #: A batched per-stream allocator: ((n_rows, n_sc) effective gains, power
-#: budget) → BatchAllocation.  ``equi_snr.allocate_batch`` and
+#: budget) → BatchAllocation, where the budget is a scalar or one per row,
+#: shape (n_rows,).  ``equi_snr.allocate_batch`` and
 #: ``mercury.mercury_allocate_batch`` are the shipped implementations.
 #: Rows must be independent: row ``b`` of the result depends only on row
-#: ``b`` of the gains, bit for bit, whatever rows share the call.  The
-#: row-by-row lift of :func:`_batched` satisfies this by construction, and
-#: :func:`allocate_single_batch` relies on it to allocate all streams of
-#: an AP in one call.
-BatchStreamAllocator = Callable[[np.ndarray, float], BatchAllocation]
+#: ``b`` of the gains and its budget, bit for bit, whatever rows share the
+#: call.  The row-by-row lift of :func:`_batched` satisfies this by
+#: construction, and :func:`allocate_players_batch` relies on it to
+#: allocate every stream of every player of a Fig-6 round in one call.
+BatchStreamAllocator = Callable[[np.ndarray, object], BatchAllocation]
 
 
 def allocate_single_batch(
@@ -276,10 +287,7 @@ def allocate_single_batch(
 
     ``gains`` has shape (n_rows, n_sc, n_streams); ``interference`` is an
     optional (n_rows, n_sc) array.  The budget is split equally between
-    streams.  The streams are stacked stream-major into one
-    (n_streams · n_rows, n_sc) batch, ``allocator`` runs once over it, and
-    the result is split back per stream; row independence of batched
-    allocators makes this bit-identical to one call per stream.
+    streams.  The one-player case of :func:`allocate_players_batch`.
 
     A zero budget gives every stream an empty allocation (no power, no
     MCS, 0 bit/s).  A NaN, infinite or negative budget raises
@@ -288,37 +296,79 @@ def allocate_single_batch(
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 3:
         raise ValueError("gains must have shape (n_rows, n_subcarriers, n_streams)")
-    if total_power != 0:
-        _check_budget(total_power)
-    n_rows, n_sc, n_streams = gains.shape
-    effective = effective_gains(gains, interference, noise_mw)
-    budget = total_power / n_streams
-    if budget > 0:
+    (allocation,) = allocate_players_batch(
+        [gains], [total_power], [interference], [noise_mw], allocator
+    )
+    return allocation
+
+
+def allocate_players_batch(
+    gains: Sequence[np.ndarray],
+    budgets: Sequence[float],
+    interference: Sequence[Optional[np.ndarray]],
+    noise_mw: Sequence[float],
+    allocator: BatchStreamAllocator = equi_snr.allocate_batch,
+) -> List[BatchStreamAllocation]:
+    """:func:`allocate_single_batch` for k players in one allocator call.
+
+    Player i has gains (n_rows, n_sc, n_streams_i), budget ``budgets[i]``,
+    optional (n_rows, n_sc) ``interference[i]`` and noise floor
+    ``noise_mw[i]``; its budget is split equally between its streams.
+    Every player's streams are stacked stream-major into one
+    (Σ n_streams_i · n_rows, n_sc) batch with per-row budgets
+    ``budgets[i] / n_streams_i``, ``allocator`` runs once over it, and the
+    result is split back per player and stream; row independence of
+    batched allocators makes this bit-identical to one call per player
+    and stream.  A zero-budget player's streams stay out of the call and
+    get empty allocations (no power, no MCS, 0 bit/s).  A NaN, infinite
+    or negative budget raises ``ValueError``.
+    """
+    for total_power in budgets:
+        if total_power != 0:
+            _check_budget(total_power)
+    n_rows, n_sc = np.shape(gains[0])[:2]
+    streams = [np.shape(player_gains)[2] for player_gains in gains]
+    live = [i for i, total_power in enumerate(budgets) if total_power > 0]
+    if live:
         stacked = allocator(
-            effective.transpose(2, 0, 1).reshape(n_streams * n_rows, n_sc), float(budget)
+            np.concatenate(
+                [
+                    effective_gains(gains[i], interference[i], noise_mw[i])
+                    .transpose(2, 0, 1)
+                    .reshape(streams[i] * n_rows, n_sc)
+                    for i in live
+                ]
+            ),
+            np.concatenate([np.full(streams[i] * n_rows, budgets[i] / streams[i]) for i in live]),
         )
-        allocations = [
-            BatchAllocation(
-                powers=stacked.powers[rows],
-                used=stacked.used[rows],
-                equalized_snr=stacked.equalized_snr[rows],
-                mcs_index=stacked.mcs_index[rows],
-                goodput_bps=stacked.goodput_bps[rows],
-            )
-            for rows in (slice(s * n_rows, (s + 1) * n_rows) for s in range(n_streams))
-        ]
-    else:
-        empty = BatchAllocation(
-            powers=np.zeros((n_rows, n_sc)),
-            used=np.zeros((n_rows, n_sc), dtype=bool),
-            equalized_snr=np.zeros(n_rows),
-            mcs_index=np.full(n_rows, -1),
-            goodput_bps=np.zeros(n_rows),
-        )
+    empty = BatchAllocation(
+        powers=np.zeros((n_rows, n_sc)),
+        used=np.zeros((n_rows, n_sc), dtype=bool),
+        equalized_snr=np.zeros(n_rows),
+        mcs_index=np.full(n_rows, -1),
+        goodput_bps=np.zeros(n_rows),
+    )
+    results, start = [], 0
+    for i, n_streams in enumerate(streams):
         allocations = [empty] * n_streams
-    powers = np.stack([a.powers for a in allocations], axis=2)
-    used = np.stack([a.used for a in allocations], axis=2)
-    return BatchStreamAllocation(powers=powers, used=used, per_stream=allocations)
+        if i in live:
+            allocations = [
+                BatchAllocation(
+                    powers=stacked.powers[rows],
+                    used=stacked.used[rows],
+                    equalized_snr=stacked.equalized_snr[rows],
+                    mcs_index=stacked.mcs_index[rows],
+                    goodput_bps=stacked.goodput_bps[rows],
+                )
+                for rows in (
+                    slice(start + s * n_rows, start + (s + 1) * n_rows) for s in range(n_streams)
+                )
+            ]
+            start += n_streams * n_rows
+        powers = np.stack([a.powers for a in allocations], axis=2)
+        used = np.stack([a.used for a in allocations], axis=2)
+        results.append(BatchStreamAllocation(powers=powers, used=used, per_stream=allocations))
+    return results
 
 
 @dataclass
@@ -495,9 +545,12 @@ def allocate_concurrent_batch(
 
     Synchronous best-response dynamics over the k players: every player
     starts assuming the others spread their power equally, then each
-    iteration re-runs Algorithm 1 for every player (one batched allocator
-    call per player over all rows) against the interference implied by
-    the others' last radiated powers, leakage included.
+    iteration re-runs Algorithm 1 for every player against the
+    interference implied by the others' last radiated powers, leakage
+    included.  The k best responses of a round do not depend on each
+    other, so a round makes one allocator call over every stream of every
+    player and row (:func:`allocate_players_batch`) and one
+    :func:`radiated_powers_batch` pass over all of their columns.
 
     Returns ``(allocations, iterations, converged)`` where ``allocations``
     is a list of k :class:`BatchStreamAllocation` (one per player) holding
@@ -530,16 +583,13 @@ def allocate_concurrent_batch(
 
     for iteration in range(1, max_iterations + 1):
         iterations = np.where(active, iteration, iterations)
-        allocations = [
-            allocate_single_batch(
-                context.gains[i],
-                context.budgets[i],
-                interference=context.interference_at(i, radiated),
-                noise_mw=context.noise_mw[i],
-                allocator=allocator,
-            )
-            for i in players
-        ]
+        allocations = allocate_players_batch(
+            context.gains,
+            context.budgets,
+            [context.interference_at(i, radiated) for i in players],
+            context.noise_mw,
+            allocator,
+        )
         aggregate = np.zeros(n_rows)
         for allocation in allocations:
             aggregate = aggregate + allocation.predicted_goodput_bps()
@@ -551,9 +601,14 @@ def allocate_concurrent_batch(
             best = [_merge_batch_stream(allocations[i], best[i], improved) for i in players]
             best_aggregate = np.where(improved, aggregate, best_aggregate)
 
+        every_stream = radiated_powers_batch(
+            np.concatenate([allocation.powers for allocation in allocations], axis=2),
+            np.concatenate([allocation.used for allocation in allocations], axis=2),
+            context.leakage_linear,
+        )
+        splits = np.cumsum([allocation.n_streams for allocation in allocations])[:-1]
         new_radiated = [
-            radiated_powers_batch(allocation.powers, allocation.used, context.leakage_linear)
-            for allocation in allocations
+            np.ascontiguousarray(part) for part in np.split(every_stream, splits, axis=2)
         ]
         if previous_powers is not None:
             scale = sum(context.budgets)

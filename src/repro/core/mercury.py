@@ -33,17 +33,23 @@ within ``tolerance`` of the budget or ``max_bisections`` run out, and
 rescale the powers at ``η_low`` to the budget exactly.
 
 One private kernel, :func:`_waterfill`, walks that trajectory for a whole
-stack of rows at once, and every entry point goes through it:
-:func:`mercury_waterfilling` is a one-row stack, and
+stack of rows at once, each row at its own budget, and every entry point
+goes through it: :func:`mercury_waterfilling` is a one-row stack, and
 :func:`mercury_allocate_batch` stacks its full (constellation × drop count
 × row) grid into one sweep.  The rows lie end to end in one flat array,
-ordered constellation-major, so each iteration makes one ``np.interp``
-per constellation table and one row-wise sum of a ``reshape(k, w)`` view
-per run of equal-width rows.  Both granularities are forced by bit-identity:
+ordered constellation-major, each after one pad element, so each
+iteration makes one ``np.interp`` per constellation table and one
+``np.add.reduceat`` for every row total.  Both are forced by bit-identity:
 
-* *Sums per width.*  NumPy's pairwise summation groups a row's elements
-  by the row's length, so a row must be summed over exactly its own
-  elements; zero-padding rows to a common width changes the rounding.
+* *A pad before every row.*  ``np.add.reduce`` sums a row pairwise,
+  starting from the additive identity; ``np.add.reduceat`` starts a
+  segment from its first element and sums the rest pairwise.  Without a
+  pad the two group a row's elements differently and disagree in the
+  last bits.  The pad has gain ``inf``, so its power is exactly ``+0.0``
+  at every level (the rule for non-positive gains below), and a segment
+  that starts with it sums like ``np.add.reduce`` over the row alone:
+  the same bits under every SIMD dispatch level.  The pads are stripped
+  once, after the final rescale.
 * *Interps per table.*  Merging the tables into one ``np.interp`` (by
   offsetting their abscissae, say) does not reproduce each table's
   interpolation bit for bit.
@@ -214,6 +220,18 @@ def mutual_information_of_snr(snr_linear, modulation: Modulation) -> np.ndarray:
     return out if np.ndim(snr_linear) else float(out[0])
 
 
+@lru_cache(maxsize=None)
+def _inverse_table(bits_per_symbol: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(mmse values, snr grid) of a constellation, reversed and contiguous.
+
+    The values decrease in SNR and ``np.interp`` needs increasing
+    abscissae; reversing once here spares every water-level evaluation
+    the copy ``np.interp`` would make of a reversed view.
+    """
+    grid, values = mmse_curve(bits_per_symbol)
+    return np.ascontiguousarray(values[::-1]), np.ascontiguousarray(grid[::-1])
+
+
 def mmse_inverse(target, modulation: Modulation) -> np.ndarray:
     """SNR at which the constellation's MMSE equals ``target`` ∈ (0, 1].
 
@@ -221,10 +239,9 @@ def mmse_inverse(target, modulation: Modulation) -> np.ndarray:
     floor map to the top of the SNR grid (effectively "unbounded power",
     which the water level never actually requests).
     """
-    grid, values = mmse_curve(modulation.bits_per_symbol)
+    values, snrs = _inverse_table(modulation.bits_per_symbol)
     target = np.asarray(target, dtype=float)
-    # values are decreasing in snr; np.interp needs increasing x.
-    return np.interp(target, values[::-1], grid[::-1], left=grid[-1], right=0.0)
+    return np.interp(target, values, snrs, left=snrs[0], right=0.0)
 
 
 #: Lower-bracket expansions (each divides η by 1e3) before the water
@@ -242,24 +259,41 @@ def _runs(values: np.ndarray) -> List[Tuple[int, int]]:
 
 
 class _Stack:
-    """Rows of gains laid end to end in one flat array.
+    """Padded rows of gains laid end to end in one flat array.
 
-    Row ``r`` has ``widths[r]`` elements and the constellation
+    Row ``r`` spans ``spans[r]`` elements from ``starts[r]``: one pad of
+    gain ``inf``, then its gains, with the constellation
     ``modulations[codes[r]]``.  Levels are interpolated once per run of
-    rows sharing a constellation table and summed once per run of rows
-    sharing a width, so every row is summed over exactly its own elements.
+    rows sharing a constellation table, and all rows are summed in one
+    ``np.add.reduceat`` (see the module docstring for why the pad makes
+    that exact).
     """
 
-    def __init__(self, gains: np.ndarray, widths: np.ndarray, codes: np.ndarray, modulations):
-        self.gains, self.widths, self.codes, self.modulations = gains, widths, codes, modulations
-        stops = np.cumsum(widths)
-        starts = stops - widths
-        self.tables = [(modulations[codes[a]], starts[a], stops[b - 1]) for a, b in _runs(codes)]
-        self.sums = [(a, b, widths[a], starts[a], stops[b - 1]) for a, b in _runs(widths)]
+    def __init__(self, gains: np.ndarray, spans: np.ndarray, codes: np.ndarray, modulations):
+        self.gains, self.spans, self.codes, self.modulations = gains, spans, codes, modulations
+        stops = np.cumsum(spans)
+        self.starts = stops - spans
+        self.tables = [
+            (modulations[codes[a]], self.starts[a], stops[b - 1]) for a, b in _runs(codes)
+        ]
+
+    @classmethod
+    def of(cls, blocks: Sequence[Tuple[Modulation, np.ndarray]]) -> "_Stack":
+        """The rows of ``(modulation, gains)`` blocks, gains (k, w), in order."""
+        modulations = list(dict.fromkeys(modulation for modulation, _ in blocks))
+        spans = np.concatenate([np.full(g.shape[0], g.shape[1] + 1) for _, g in blocks])
+        codes = np.concatenate([np.full(g.shape[0], modulations.index(m)) for m, g in blocks])
+        gains = np.concatenate(
+            [np.hstack((np.full((g.shape[0], 1), np.inf), g)).ravel() for _, g in blocks]
+        )
+        # mmse⁻¹(η/∞)/∞ = 0 at every η: the pads' power, and exactly the
+        # power a non-positive gain gets.
+        gains[~(gains > 0)] = np.inf
+        return cls(gains, spans, codes, modulations)
 
     def powers(self, eta: np.ndarray) -> np.ndarray:
         """Every element's mercury power at its row's water level ``1/eta``."""
-        levels = np.repeat(eta, self.widths) / self.gains
+        levels = np.repeat(eta, self.spans) / self.gains
         for modulation, start, stop in self.tables:
             levels[start:stop] = mmse_inverse(levels[start:stop], modulation)
         with np.errstate(over="ignore"):
@@ -268,39 +302,31 @@ class _Stack:
 
     def totals(self, powers: np.ndarray) -> np.ndarray:
         """Per-row sums of ``powers``."""
-        out = np.empty(self.widths.size)
-        for a, b, width, start, stop in self.sums:
-            np.add.reduce(powers[start:stop].reshape(b - a, width), axis=1, out=out[a:b])
-        return out
+        return np.add.reduceat(powers, self.starts)
 
     def take(self, keep: np.ndarray) -> "_Stack":
         """The stack of the rows where ``keep`` is true."""
-        elements = np.repeat(keep, self.widths)
-        return _Stack(self.gains[elements], self.widths[keep], self.codes[keep], self.modulations)
+        elements = np.repeat(keep, self.spans)
+        return _Stack(self.gains[elements], self.spans[keep], self.codes[keep], self.modulations)
 
 
 def _waterfill(
-    blocks: Sequence[Tuple[Modulation, np.ndarray]],
-    total_power: float,
+    blocks: Sequence[Tuple[Modulation, np.ndarray, np.ndarray]],
     tolerance: float,
     max_bisections: int,
 ) -> List[np.ndarray]:
     """Mercury/water-filling of a stack of blocks in one water-level sweep.
 
-    Each block is ``(modulation, gains)`` with gains of shape (k, w) and
-    at least one positive gain per row; non-positive gains get zero
-    power.  Returns one (k, w) powers array per block, every row equal
-    bit for bit to the serial bracket-and-bisect trajectory (see the
+    Each block is ``(modulation, gains, budgets)`` with gains of shape
+    (k, w), at least one positive gain per row, and one power budget per
+    row, shape (k,); non-positive gains get zero power.  Returns one
+    (k, w) powers array per block, every row equal bit for bit to the
+    serial bracket-and-bisect trajectory at its own budget (see the
     module docstring).
     """
-    modulations = list(dict.fromkeys(modulation for modulation, _ in blocks))
-    widths = np.concatenate([np.full(g.shape[0], g.shape[1]) for _, g in blocks])
-    codes = np.concatenate([np.full(g.shape[0], modulations.index(m)) for m, g in blocks])
-    gains = np.concatenate([g.ravel() for _, g in blocks])
-    high = np.concatenate([g.max(axis=1) for _, g in blocks])
-    # mmse⁻¹(η/∞)/∞ = 0 at every η: exactly the power a non-positive gain gets.
-    gains[~(gains > 0)] = np.inf
-    stack = _Stack(gains, widths, codes, modulations)
+    stack = _Stack.of([(modulation, g) for modulation, g, _ in blocks])
+    budgets = np.concatenate([b for _, _, b in blocks])
+    high = np.concatenate([g.max(axis=1) for _, g, _ in blocks])
 
     low = high * 1e-12
     # Each row's final level starts where the serial bracket gives up.
@@ -309,19 +335,19 @@ def _waterfill(
         eta /= 1e3
     # Saturated rows fall short of the budget even at the table cap, so
     # their bracket never closes and they keep that level.
-    live = stack.totals(stack.powers(np.zeros(widths.size))) >= total_power
+    live = stack.totals(stack.powers(np.zeros(budgets.size))) >= budgets
     rows = np.flatnonzero(live)
-    sub, low, high = stack.take(live), low[live], high[live]
+    sub, low, high, budget = stack.take(live), low[live], high[live], budgets[live]
     bisecting = np.zeros(rows.size, dtype=bool)
     steps = np.zeros(rows.size, dtype=int)
-    band = tolerance * total_power
+    band = tolerance * budget
     while rows.size:
         mid = np.sqrt(low * high)
         totals = sub.totals(sub.powers(np.where(bisecting, mid, low)))
-        found = ~bisecting & (totals >= total_power)
+        found = ~bisecting & (totals >= budget)
         missed = ~bisecting & ~found
-        converged = bisecting & (np.abs(totals - total_power) <= band)
-        raise_low = converged | (bisecting & (totals > total_power))
+        converged = bisecting & (np.abs(totals - budget) <= band)
+        raise_low = converged | (bisecting & (totals > budget))
         new_low = np.where(raise_low, mid, np.where(missed, low / 1e3, low))
         new_high = np.where(bisecting & ~raise_low, mid, high)
         steps = np.where(found, 0, steps + 1)
@@ -338,14 +364,16 @@ def _waterfill(
             eta[rows[done]] = low[done]
             keep = ~done
             rows, low, high = rows[keep], low[keep], high[keep]
+            budget, band = budget[keep], band[keep]
             bisecting, steps = bisecting[keep], steps[keep]
             sub = sub.take(keep)
 
     powers = stack.powers(eta)
-    scale = total_power / np.maximum(stack.totals(powers), 1e-300)
-    powers *= np.repeat(scale, widths)
-    splits = np.cumsum([g.size for _, g in blocks])[:-1]
-    return [part.reshape(g.shape) for part, (_, g) in zip(np.split(powers, splits), blocks)]
+    scale = budgets / np.maximum(stack.totals(powers), 1e-300)
+    powers *= np.repeat(scale, stack.spans)
+    powers = np.delete(powers, stack.starts)
+    splits = np.cumsum([g.size for _, g, _ in blocks])[:-1]
+    return [part.reshape(g.shape) for part, (_, g, _) in zip(np.split(powers, splits), blocks)]
 
 
 def mercury_waterfilling(
@@ -367,7 +395,9 @@ def mercury_waterfilling(
     if not (gains > 0).any():
         return np.zeros_like(gains)
     (powers,) = _waterfill(
-        [(modulation, gains.reshape(1, -1))], total_power, tolerance, max_bisections
+        [(modulation, gains.reshape(1, -1), np.full(1, total_power, dtype=float))],
+        tolerance,
+        max_bisections,
     )
     return powers.reshape(gains.shape)
 
@@ -389,7 +419,8 @@ def mercury_waterfilling_batch(
         raise ValueError("gains must have shape (n_rows, n_subcarriers)")
     if not np.all(gains > 0):
         raise ValueError("batched mercury/water-filling requires strictly positive gains")
-    (powers,) = _waterfill([(modulation, gains)], total_power, tolerance, max_bisections)
+    budgets = np.full(gains.shape[0], total_power, dtype=float)
+    (powers,) = _waterfill([(modulation, gains, budgets)], tolerance, max_bisections)
     return powers
 
 
@@ -423,11 +454,14 @@ def mercury_allocate(
 
 def mercury_allocate_batch(
     gains,
-    total_power: float,
+    total_power,
     drop_candidates: Optional[Sequence[int]] = None,
     modulations: Sequence[Modulation] = MODULATIONS,
 ) -> BatchAllocation:
     """:func:`mercury_allocate` for every row of ``gains`` (n_rows, n_sc).
+
+    ``total_power`` is a scalar or one budget per row; each row is
+    allocated at its own budget, bit for bit as alone.
 
     For each drop count ``d`` below n_sc, a row keeps its gains from rank
     ``d`` on in ascending order, less the non-positive ones (which sort
@@ -442,6 +476,7 @@ def mercury_allocate_batch(
         raise ValueError("gains must have shape (n_rows, n_subcarriers)")
     _check_budget(total_power)
     n_rows, n = gains.shape
+    budgets = np.broadcast_to(np.asarray(total_power, dtype=float), (n_rows,))
     drops = [d for d in (DEFAULT_DROPS if drop_candidates is None else drop_candidates) if d < n]
     if not (n_rows and drops and modulations):
         return BatchAllocation(
@@ -461,11 +496,11 @@ def mercury_allocate_batch(
         for d, starts in enumerate(first):
             for start in np.unique(starts[starts < n]).tolist():
                 members = np.flatnonzero(starts == start)
-                blocks.append((modulation, ranked[members, start:]))
+                blocks.append((modulation, ranked[members, start:], budgets[members]))
                 cells.append((m, d, members, start))
     ranked_powers = np.zeros((len(modulations), len(drops), n_rows, n))
     if blocks:
-        levels = _waterfill(blocks, total_power, tolerance=1e-9, max_bisections=80)
+        levels = _waterfill(blocks, tolerance=1e-9, max_bisections=80)
         for (m, d, members, start), powers in zip(cells, levels):
             ranked_powers[m, d, members, start:] = powers
 

@@ -125,9 +125,11 @@ WATERFILLING_CASES = {
     "bisection-budget-runs-out": _case(_PLAIN, 1.0, QAM16, "exhausted", max_bisections=5),
     "no-bisection-budget": _case(_PLAIN, 1.0, QAM64, "exhausted", max_bisections=0),
     # An exact tolerance leaves η_low and η_high adjacent floats, with
-    # the budget between their totals.
+    # the budget between their totals.  The gains stall at every x86-64
+    # SIMD level (X86_V2, V3, V4): whether the two totals straddle the
+    # budget depends on how the level's loops round the sums.
     "bisection-stalls": _case(
-        10 ** np.random.default_rng(3).uniform(-1, 4, (4, 12))[3],
+        10 ** np.random.default_rng(1).uniform(-1, 4, (4, 12))[3],
         1.0,
         QAM64,
         "stalled",

@@ -40,6 +40,7 @@ from repro.sim.fingerprint import (
 )
 from repro.sim.runner import build_tasks
 from repro.sim.service import AllocationService
+from tests.dispatch import pinned, simd_level
 
 CONFIG = SimConfig(n_topologies=2)
 SPEC = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
@@ -303,18 +304,40 @@ class TestGoldenKeys:
     constants without a salt bump.
     """
 
-    GOLDEN_TASK_KEYS = [
-        "39e1b78d1a50010e961d31a81965313aef9883de80e96b3951d66fcfaf34ded8",
-        "1c14ca28d183b598c3be39841c8064809fb669a79281d52325e82ade00b1c532",
-    ]
-    GOLDEN_TASKS_KEY = "c886fbae786c3ea3f1425621af6fe4cc6c39c633dff8b9b7856b360081cf8a3d"
+    #: Keyed by SIMD level (:func:`tests.dispatch.simd_level`): the
+    #: second realization's channel bytes, and so the task keys, differ
+    #: between X86_V4 and the levels below it, though not with OpenBLAS's
+    #: kernels.  The X86_V3 and X86_V2 values were recorded at commit
+    #: f8b8bf6 with NumPy's targets above them switched off.  The channel
+    #: config key hashes no channel bytes and is the same everywhere.
+    GOLDEN_TASK_KEYS = {
+        "X86_V4": [
+            "39e1b78d1a50010e961d31a81965313aef9883de80e96b3951d66fcfaf34ded8",
+            "1c14ca28d183b598c3be39841c8064809fb669a79281d52325e82ade00b1c532",
+        ],
+        **dict.fromkeys(
+            ("X86_V3", "X86_V2"),
+            [
+                "39e1b78d1a50010e961d31a81965313aef9883de80e96b3951d66fcfaf34ded8",
+                "c86c350bc1195dac1bb48000c31e76feab26d5304fe6e44239d87ee98aaab312",
+            ],
+        ),
+    }
+    GOLDEN_TASKS_KEY = {
+        "X86_V4": "c886fbae786c3ea3f1425621af6fe4cc6c39c633dff8b9b7856b360081cf8a3d",
+        **dict.fromkeys(
+            ("X86_V3", "X86_V2"),
+            "3429ead7f4b6233e4042b25bf49f95e53badf04ba6b75e2bb7415ce89452e11f",
+        ),
+    }
     GOLDEN_CHANNELS_KEY = "0cf68c3b6cf4194bdce22e4b984dc5f082e2d4079b42df6cfa2785783f9a38e3"
 
     def test_task_keys(self, tasks):
-        assert [fingerprint_task(task) for task in tasks] == self.GOLDEN_TASK_KEYS
+        golden = pinned(self.GOLDEN_TASK_KEYS, simd_level())
+        assert [fingerprint_task(task) for task in tasks] == golden
 
     def test_tasks_key(self, tasks):
-        assert fingerprint_tasks(tasks) == self.GOLDEN_TASKS_KEY
+        assert fingerprint_tasks(tasks) == pinned(self.GOLDEN_TASKS_KEY, simd_level())
 
     def test_channel_config_key(self):
         assert fingerprint_channel_config(SPEC, CONFIG) == self.GOLDEN_CHANNELS_KEY
@@ -556,36 +579,42 @@ class TestOptionGoldenKeys:
     without a salt bump.
     """
 
-    #: field → (``AllocationService.query_key`` of the first realization,
-    #: ``fingerprint_tasks`` of the module fixture's channel sets).
+    #: field → ``AllocationService.query_key`` of the first realization;
+    #: the key hashes quantized channels, so it is the same at every SIMD
+    #: level.
     GOLDEN = {
-        "allocator": (
-            "e8cf29e4411ce8681fcfd3c6885b36642d6cabc23913eb03fa6e2a8c4ce051e5",
-            "b7b9de61eb0aba5f8a666787ad475b045e094ee7cc80afe5812ddb4a33a1f06a",
-        ),
-        "rate_selector": (
-            "b818c2f36dbe72161595a365506c2a5779c04a7e819b24909ddc9de53869c3ad",
-            "f3223f22869008931b4a1edfa1f1adb9911e85d65c5d78bd568303666e5117b9",
-        ),
-        "max_iterations": (
-            "0f17c62a03c7ca3be6bc9d3e0c8699fa0559d49431541f7a7af6ed436e232824",
-            "22c9ff27e8527e2aff819d6d0f3c3e11c30e6cb3ce966f845b65a5b337767021",
-        ),
-        "tx_power_dbm": (
-            "ebe41eca3b3fb7fecbf1f65b901ca256c781be46fda2708899ad3aa0df4821ec",
-            "532355e2c58e0fb44e3f1854364a303baddbba2b3e84c92a4f9a0377e06d0c51",
-        ),
-        "oracle_check": (
-            TestServiceGoldenKeys.GOLDEN_DEFAULT,
-            TestGoldenKeys.GOLDEN_TASKS_KEY,
-        ),
-        "cluster_policy": (
-            "902572e05cf600bd6df0a1d173145cfbc3d0be6afc3a2ee40c30af29ec57ae3b",
-            "163a0f0807eebab367e4327e4793960ddedc677a8843a3e77d9d67dd7481c1ab",
-        ),
-        "cluster_threshold_db": (
-            "602c0ac081b88e25297d67009bcf878ed003c5098fd2ff03b8c4bb972ea4fb6e",
-            "5195536f46ecf20aeb0429ef8f307840ecc54bed6e07a2ad1685c8ef7753ed89",
+        "allocator": "e8cf29e4411ce8681fcfd3c6885b36642d6cabc23913eb03fa6e2a8c4ce051e5",
+        "rate_selector": "b818c2f36dbe72161595a365506c2a5779c04a7e819b24909ddc9de53869c3ad",
+        "max_iterations": "0f17c62a03c7ca3be6bc9d3e0c8699fa0559d49431541f7a7af6ed436e232824",
+        "tx_power_dbm": "ebe41eca3b3fb7fecbf1f65b901ca256c781be46fda2708899ad3aa0df4821ec",
+        "oracle_check": TestServiceGoldenKeys.GOLDEN_DEFAULT,
+        "cluster_policy": "902572e05cf600bd6df0a1d173145cfbc3d0be6afc3a2ee40c30af29ec57ae3b",
+        "cluster_threshold_db": "602c0ac081b88e25297d67009bcf878ed003c5098fd2ff03b8c4bb972ea4fb6e",
+    }
+
+    #: SIMD level → field → ``fingerprint_tasks`` of the module fixture's
+    #: channel sets (see :attr:`TestGoldenKeys.GOLDEN_TASK_KEYS`).
+    GOLDEN_TASKS = {
+        "X86_V4": {
+            "allocator": "b7b9de61eb0aba5f8a666787ad475b045e094ee7cc80afe5812ddb4a33a1f06a",
+            "rate_selector": "f3223f22869008931b4a1edfa1f1adb9911e85d65c5d78bd568303666e5117b9",
+            "max_iterations": "22c9ff27e8527e2aff819d6d0f3c3e11c30e6cb3ce966f845b65a5b337767021",
+            "tx_power_dbm": "532355e2c58e0fb44e3f1854364a303baddbba2b3e84c92a4f9a0377e06d0c51",
+            "oracle_check": TestGoldenKeys.GOLDEN_TASKS_KEY["X86_V4"],
+            "cluster_policy": "163a0f0807eebab367e4327e4793960ddedc677a8843a3e77d9d67dd7481c1ab",
+            "cluster_threshold_db": "5195536f46ecf20aeb0429ef8f307840ecc54bed6e07a2ad1685c8ef7753ed89",
+        },
+        **dict.fromkeys(
+            ("X86_V3", "X86_V2"),
+            {
+                "allocator": "b7b90b158b3347d7e2189c37ec3d84bca280a60d6407022347873d2d934481a1",
+                "rate_selector": "ba0c8f7bebcc2610ffa9fdfba4d54b3137f6e52cd115f359bc2373cc7069ffab",
+                "max_iterations": "72fe5888a7ba42f082253350da38d11c122b38e9eb8a1a5ca1db544ea1986de6",
+                "tx_power_dbm": "b91872b59d189a86d65506b0bb6356f9415275422ef867b1c85d58ad99d8495a",
+                "oracle_check": TestGoldenKeys.GOLDEN_TASKS_KEY["X86_V3"],
+                "cluster_policy": "aeb3a96fc320478d9ad8ca979c39fca0fddab0159c22cd86e7ceab2717a96410",
+                "cluster_threshold_db": "8caed6da42ae86ad81dea187c36c1f40822bb40574e3409d1d9502ef7cff48ca",
+            },
         ),
     }
 
@@ -609,14 +638,17 @@ class TestOptionGoldenKeys:
         return generate_channel_sets(SPEC, CONFIG)
 
     def test_every_field_is_pinned(self):
-        assert set(self.GOLDEN) == {f.name for f in dataclasses.fields(EngineOptions)}
+        fields = {f.name for f in dataclasses.fields(EngineOptions)}
+        assert set(self.GOLDEN) == fields
+        for table in self.GOLDEN_TASKS.values():
+            assert set(table) == fields
 
     @pytest.mark.parametrize("field_name", sorted(GOLDEN))
     def test_service_key(self, channel_sets, field_name):
         service = AllocationService(
             cache=None, config=CONFIG, options=self._options(field_name)
         )
-        assert service.query_key(channel_sets[0]) == self.GOLDEN[field_name][0]
+        assert service.query_key(channel_sets[0]) == self.GOLDEN[field_name]
 
     @pytest.mark.parametrize("field_name", sorted(GOLDEN))
     def test_tasks_key(self, channel_sets, field_name):
@@ -627,7 +659,7 @@ class TestOptionGoldenKeys:
             imperfections=CONFIG.imperfections(),
             options=self._options(field_name),
         )
-        assert fingerprint_tasks(tasks) == self.GOLDEN[field_name][1]
+        assert fingerprint_tasks(tasks) == pinned(self.GOLDEN_TASKS, simd_level())[field_name]
 
 
 class TestQuantizationSensitivity:
