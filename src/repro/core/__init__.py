@@ -2,8 +2,8 @@
 
 from .equi_snr import Allocation, allocate
 from .equi_sinr import (
+    BatchConcurrentContext,
     ConcurrentAllocation,
-    ConcurrentContext,
     StreamAllocation,
     allocate_concurrent,
     allocate_single,
@@ -25,11 +25,8 @@ from .mercury import mercury_allocate, mercury_waterfilling, mmse_of_snr
 from .multi_decoder import MultiDecoderSelection, per_subcarrier_rates
 from .oracle import (
     ORACLE_RTOL,
-    InterferenceGraph,
     OracleSolution,
-    allocate_graph,
     equilibrium_gaps,
-    graph_from_context,
     incentive_gaps,
     oracle_equi_snr,
     oracle_mercury,
@@ -56,20 +53,17 @@ from .strategy import (
 
 __all__ = [
     "Allocation",
+    "BatchConcurrentContext",
     "COPA_CANDIDATES",
     "ConcurrentAllocation",
-    "ConcurrentContext",
     "EngineOptions",
-    "InterferenceGraph",
     "ORACLE_RTOL",
     "OracleSolution",
     "SweepReport",
-    "allocate_graph",
     "differential_sweep",
     "draw_scenario",
     "equilibrium_gaps",
     "equilibrium_sweep",
-    "graph_from_context",
     "incentive_gaps",
     "load_reproducer",
     "oracle_equi_snr",

@@ -10,6 +10,12 @@ the documented per-scheme tolerance is dumped as a minimal, replayable
 reproducer (seed + the exact per-stream problem) so a failure in CI can be
 re-run locally from the JSON alone.
 
+:func:`equilibrium_sweep` does the same for the Figure-6 iteration with N
+players: :func:`draw_graph` draws the one-row
+:class:`~repro.core.equi_sinr.BatchConcurrentContext` the engine would
+solve, :func:`~repro.core.equi_sinr.allocate_concurrent` solves it, and
+:func:`~repro.core.oracle.equilibrium_gaps` measures each player's regret.
+
 Schema note: reproducer files carry ``"schema": "repro.oracle-repro/v1"``;
 consumers must ignore unknown keys so fields can be added compatibly.
 """
@@ -30,13 +36,10 @@ from ..phy.topology import TopologyGenerator
 from ..sim.config import SimConfig
 from ..util import dbm_to_mw
 from . import equi_snr
-from .equi_sinr import effective_gains
+from .equi_sinr import BatchConcurrentContext, allocate_concurrent, effective_gains
 from .mercury import mercury_allocate
 from .oracle import (
     ORACLE_RTOL,
-    GraphPlayer,
-    InterferenceGraph,
-    allocate_graph,
     equilibrium_gaps,
     oracle_equi_snr,
     oracle_for,
@@ -352,13 +355,15 @@ def draw_graph(
     n_players: int = 3,
     config: Optional[SimConfig] = None,
     tx_power_dbm: float = TX_POWER_DBM,
-) -> InterferenceGraph:
-    """Draw a seeded N-player interference graph from the office pipeline.
+) -> BatchConcurrentContext:
+    """Draw a seeded N-player Figure-6 problem from the office pipeline.
 
     Drops N (AP, client) pairs with the calibrated topology sampler
     (``n_aps=N``, at least two) and realizes their channels, as
     :func:`draw_scenario` does for two, then turns each pair's SVD design
-    plus all cross couplings into an :class:`InterferenceGraph`.
+    plus all cross couplings into a one-row
+    :class:`~repro.core.equi_sinr.BatchConcurrentContext`: the interference
+    graph of the N networks.
     """
     rng = np.random.default_rng(seed)
     ap_antennas, client_antennas = _ANTENNA_CYCLE[seed % len(_ANTENNA_CYCLE)]
@@ -370,19 +375,12 @@ def draw_graph(
     pairs = list(zip(topology.aps, topology.clients))
 
     designs = []
-    players = []
+    gains = []
     for ap, client in pairs:
         channel = channels.channel(ap.name, client.name)
         design = beamforming_design(channel, ap=ap.name, client=client.name)
         designs.append(design)
-        players.append(
-            GraphPlayer(
-                name=ap.name,
-                gains=stream_gains(channel, design),
-                budget=tx_power_mw,
-                noise_mw=channels.noise_floor_mw,
-            )
-        )
+        gains.append(stream_gains(channel, design)[None])
 
     coupling = {}
     for victim, (_, victim_client) in enumerate(pairs):
@@ -392,8 +390,13 @@ def draw_graph(
             channel = channels.channel(source_ap.name, victim_client.name)
             coupling[(victim, source)] = cross_coupling(
                 channel, designs[source], victim_active_rx=designs[victim].active_rx
-            )
-    return InterferenceGraph(players=players, coupling=coupling)
+            )[None]
+    return BatchConcurrentContext(
+        gains=gains,
+        coupling=coupling,
+        budgets=[tx_power_mw] * len(pairs),
+        noise_mw=[channels.noise_floor_mw] * len(pairs),
+    )
 
 
 @dataclass
@@ -431,10 +434,10 @@ def equilibrium_sweep(
     report = EquilibriumReport(n_players=n_players)
     with col.span("oracle.equilibrium_sweep", players=n_players, seeds=len(seeds)):
         for seed in seeds:
-            graph = draw_graph(seed, n_players=n_players, config=config)
-            result = allocate_graph(graph, collector=collector)
+            context = draw_graph(seed, n_players=n_players, config=config)
+            result = allocate_concurrent(context)
             gaps = equilibrium_gaps(
-                graph, result.allocations, oracle=oracle_equi_snr, collector=collector
+                context, result.allocations, oracle=oracle_equi_snr, collector=collector
             )
             report.max_regrets.append(max(g.regret for g in gaps))
             report.converged.append(result.converged)

@@ -16,11 +16,12 @@ with its AP1/AP2 subcarrier anecdote.  COPA's heuristic:
 
 :func:`allocate_concurrent_batch` is the one implementation: it runs the
 iteration for k ≥ 2 players over a batch of topologies, so the paper's
-AP pair and an N-AP coordination cluster take the same loop.  The
-iteration is synchronous, so the k best responses of a round do not
-depend on each other: a round is one batched allocator call over every
-stream of every player and topology (:func:`allocate_players_batch`),
-not one call per player.
+AP pair and an N-AP coordination cluster take the same loop, and
+:func:`allocate_concurrent` is its entry for one row.  The iteration
+is synchronous, so the k best responses of a round do not depend on
+each other: a round is one batched allocator call over every stream of
+every player and topology (:func:`allocate_players_batch`), not one
+call per player.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "BatchStreamAllocation",
     "StreamAllocator",
     "BatchStreamAllocator",
-    "ConcurrentContext",
     "BatchConcurrentContext",
     "ConcurrentAllocation",
     "effective_gains",
@@ -49,7 +49,6 @@ __all__ = [
     "allocate_single_batch",
     "allocate_players_batch",
     "allocate_concurrent",
-    "allocate_concurrent_row",
     "allocate_concurrent_batch",
 ]
 
@@ -372,86 +371,6 @@ def allocate_players_batch(
 
 
 @dataclass
-class ConcurrentContext:
-    """Everything the concurrent allocator needs about the two transmissions.
-
-    Index 0/1 identifies the two APs.  ``gains[a]`` is AP a's signal gain
-    at its *own* client, shape (n_sc, n_streams_a).  ``coupling[a]`` is the
-    per-antenna interference gain of AP a's streams at the *other* AP's
-    client, same shape.  All gains are per unit transmit power.
-    """
-
-    gains: Sequence[np.ndarray]
-    coupling: Sequence[np.ndarray]
-    budgets: Sequence[float]
-    noise_mw: Sequence[float]
-    leakage_linear: float = 10.0 ** (-27.0 / 10.0)
-
-    def __post_init__(self):
-        if len(self.gains) != 2 or len(self.coupling) != 2:
-            raise ValueError("exactly two APs are supported")
-        for a in range(2):
-            if self.gains[a].shape != self.coupling[a].shape:
-                raise ValueError("gains and coupling must have matching shapes")
-
-
-@dataclass
-class ConcurrentAllocation:
-    """Joint allocation for the concurrent transmissions, one per player."""
-
-    allocations: List[StreamAllocation]
-    iterations: int
-    converged: bool
-
-    @property
-    def predicted_aggregate_bps(self) -> float:
-        return float(sum(a.predicted_goodput_bps for a in self.allocations))
-
-
-def allocate_concurrent(
-    context: ConcurrentContext,
-    max_iterations: int = 8,
-    tolerance: float = 1e-3,
-    allocator: StreamAllocator = equi_snr.allocate,
-    collector=None,
-) -> ConcurrentAllocation:
-    """Run the Figure-6 iteration and return the best allocation found.
-
-    ``collector`` (a :class:`repro.obs.Collector`) records how hard the
-    iteration worked: a histogram of iteration counts and convergence
-    counters — the §3.2.1 telemetry the observability layer surfaces.
-    One row of :func:`allocate_concurrent_batch`.
-    """
-    batch = BatchConcurrentContext(
-        gains=[np.asarray(g)[None] for g in context.gains],
-        # context.coupling[a] is AP a's interference gain at the other client.
-        coupling={(1 - a, a): np.asarray(c)[None] for a, c in enumerate(context.coupling)},
-        budgets=context.budgets,
-        noise_mw=context.noise_mw,
-        leakage_linear=context.leakage_linear,
-    )
-    return allocate_concurrent_row(batch, max_iterations, tolerance, allocator, collector)
-
-
-def allocate_concurrent_row(
-    context: BatchConcurrentContext,
-    max_iterations: int,
-    tolerance: float,
-    allocator: StreamAllocator,
-    collector=None,
-) -> ConcurrentAllocation:
-    """:func:`allocate_concurrent_batch` on a one-row context, as one result."""
-    allocations, iterations, converged = allocate_concurrent_batch(
-        context, max_iterations, tolerance, _batched(allocator), collector
-    )
-    return ConcurrentAllocation(
-        allocations=[allocation.row(0) for allocation in allocations],
-        iterations=int(iterations[0]),
-        converged=bool(converged[0]),
-    )
-
-
-@dataclass
 class BatchConcurrentContext:
     """The Figure-6 problem of k ≥ 2 concurrent transmissions, one row per topology.
 
@@ -462,8 +381,9 @@ class BatchConcurrentContext:
     networks do not hear each other.  All gains are per unit transmit
     power.  Budgets and noise floors are per player and shared across the
     batch (the engine only batches topologies with identical
-    configuration).  :class:`repro.core.oracle.InterferenceGraph` is its
-    one-row, named form and is validated here.
+    configuration).  This is the only form of the Figure-6 problem:
+    :func:`allocate_concurrent` solves a one-row context, and the
+    oracle's equilibrium checks (:mod:`repro.core.oracle`) take one too.
     """
 
     gains: Sequence[np.ndarray]
@@ -479,6 +399,11 @@ class BatchConcurrentContext:
         for gains in self.gains:
             if np.ndim(gains) != 3 or np.shape(gains)[:2] != cells:
                 raise ValueError("all players must share the row and subcarrier axes")
+        for name, values in (("budgets", self.budgets), ("noise_mw", self.noise_mw)):
+            if len(values) != self.n_players:
+                raise ValueError(
+                    f"{name} must hold one entry per player: {len(values)} for {self.n_players}"
+                )
         for (victim, source), edge in self.coupling.items():
             if victim == source:
                 raise ValueError("a player cannot interfere with itself")
@@ -509,6 +434,46 @@ class BatchConcurrentContext:
             if edge is not None:
                 total += np.sum(edge * radiated[source], axis=2)
         return total
+
+
+@dataclass
+class ConcurrentAllocation:
+    """Joint allocation for the concurrent transmissions, one per player."""
+
+    allocations: List[StreamAllocation]
+    iterations: int
+    converged: bool
+
+    @property
+    def predicted_aggregate_bps(self) -> float:
+        return float(sum(a.predicted_goodput_bps for a in self.allocations))
+
+
+def allocate_concurrent(
+    context: BatchConcurrentContext,
+    max_iterations: int = 8,
+    tolerance: float = 1e-3,
+    allocator: StreamAllocator = equi_snr.allocate,
+    collector=None,
+) -> ConcurrentAllocation:
+    """Run the Figure-6 iteration on a one-row context and return the best allocation found.
+
+    ``collector`` (a :class:`repro.obs.Collector`) records how hard the
+    iteration worked: a histogram of iteration counts and convergence
+    counters — the §3.2.1 telemetry the observability layer surfaces.
+    The one-row case of :func:`allocate_concurrent_batch`; a context of
+    any other row count raises ``ValueError``.
+    """
+    if context.n_rows != 1:
+        raise ValueError(f"allocate_concurrent takes a one-row context, got {context.n_rows} rows")
+    allocations, iterations, converged = allocate_concurrent_batch(
+        context, max_iterations, tolerance, _batched(allocator), collector
+    )
+    return ConcurrentAllocation(
+        allocations=[allocation.row(0) for allocation in allocations],
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
+    )
 
 
 def _merge_batch_allocation(new: BatchAllocation, old: BatchAllocation, take) -> BatchAllocation:

@@ -21,14 +21,14 @@ as small mathematical programs and solving those with generic machinery:
   (dual bisection on the marginal rate as the SciPy-free fallback), and
   certifies any candidate allocation through its KKT residual.
 
-* **Best-response equilibrium** — :class:`InterferenceGraph` generalizes
-  the paper's 2-AP setting to N players over an interference graph.
-  :func:`allocate_graph` runs the Figure-6 best-response dynamic for N
-  players (bit-identical to :func:`repro.core.equi_sinr
-  .allocate_concurrent` at N = 2), :func:`equilibrium_gaps` measures each
-  player's regret against its oracle best response, and
-  :func:`incentive_gaps` generalizes §3.5's 2-player
-  incentive-compatibility ("fair") check to N players.
+* **Best-response equilibrium** — the checks take the Figure-6 problem
+  the engine solves, a one-row :class:`repro.core.equi_sinr
+  .BatchConcurrentContext` of N players (so they run directly on
+  ``engine.concurrent_context(...)``), and a joint allocation, such as
+  :func:`repro.core.equi_sinr.allocate_concurrent` returns.
+  :func:`equilibrium_gaps` measures each player's regret against its
+  oracle best response, and :func:`incentive_gaps` generalizes §3.5's
+  2-player incentive-compatibility ("fair") check to N players.
 
 All solves emit ``oracle.solve`` spans and ``oracle.*`` counters through
 an optional :class:`repro.obs.Collector`.  Nothing here imports SciPy at
@@ -59,10 +59,7 @@ from . import equi_snr
 from .equi_snr import MIN_GAIN
 from .equi_sinr import (
     BatchConcurrentContext,
-    ConcurrentAllocation,
-    ConcurrentContext,
     StreamAllocation,
-    allocate_concurrent_row,
     effective_gains,
     radiated_powers,
 )
@@ -84,11 +81,6 @@ __all__ = [
     "oracle_for",
     "allocator_key",
     "mercury_kkt_residual",
-    "GraphPlayer",
-    "InterferenceGraph",
-    "GraphAllocation",
-    "graph_from_context",
-    "allocate_graph",
     "PlayerGap",
     "score_stream_allocation",
     "equilibrium_gaps",
@@ -582,131 +574,45 @@ def oracle_single(
 
 
 # ----------------------------------------------------------------------
-# N-player interference graph, best-response dynamics, equilibrium checks
+# N-player equilibrium checks
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphPlayer:
-    """One (AP, client) pair in an N-player interference graph."""
-
-    name: str
-    #: (n_sc, n_streams) signal gain at the own client per unit power.
-    gains: np.ndarray
-    #: Transmit power budget in mW.
-    budget: float
-    #: Noise floor at the own client in mW.
-    noise_mw: float
-
-    @property
-    def n_streams(self) -> int:
-        return int(self.gains.shape[1])
+def _player_name(i: int) -> str:
+    """Player i's name in the gap reports, as the topology sampler names APs."""
+    return f"AP{i + 1}"
 
 
-@dataclass
-class InterferenceGraph:
-    """N players plus directed interference coupling between them.
-
-    ``coupling[(victim, source)]`` is the per-(subcarrier, stream)
-    interference gain of the source player's streams at the victim's
-    client, per unit transmit power — the N-player generalization of
-    :class:`repro.core.equi_sinr.ConcurrentContext`.  Missing edges mean
-    the two networks do not hear each other (out of carrier-sense range).
-    The graph is one row of a :class:`~repro.core.equi_sinr
-    .BatchConcurrentContext` with named players (:meth:`context`), which
-    also validates it.
-    """
-
-    players: List[GraphPlayer]
-    coupling: Dict[Tuple[int, int], np.ndarray]
-    leakage_linear: float = 10.0 ** (-27.0 / 10.0)
-
-    def __post_init__(self):
-        self.context()
-
-    @property
-    def n_players(self) -> int:
-        return len(self.players)
-
-    @property
-    def n_subcarriers(self) -> int:
-        return int(self.players[0].gains.shape[0])
-
-    def context(self) -> BatchConcurrentContext:
-        """This graph as a one-row batched Figure-6 context."""
-        return BatchConcurrentContext(
-            gains=[np.asarray(p.gains)[None] for p in self.players],
-            coupling={edge: np.asarray(gain)[None] for edge, gain in self.coupling.items()},
-            budgets=[p.budget for p in self.players],
-            noise_mw=[p.noise_mw for p in self.players],
-            leakage_linear=self.leakage_linear,
-        )
-
-    def interference_at(self, victim: int, radiated: Sequence[np.ndarray]) -> np.ndarray:
-        """Total interference power (n_sc,) at one victim's client."""
-        return self.context().interference_at(victim, [r[None] for r in radiated])[0]
-
-
-def graph_from_context(context: ConcurrentContext) -> InterferenceGraph:
-    """The 2-player graph equivalent to a :class:`ConcurrentContext`."""
-    players = [
-        GraphPlayer(
-            name=f"AP{a + 1}",
-            gains=np.asarray(context.gains[a], dtype=float),
-            budget=float(context.budgets[a]),
-            noise_mw=float(context.noise_mw[a]),
-        )
-        for a in range(2)
+def _joint_interference(
+    context: BatchConcurrentContext, allocations: Sequence[StreamAllocation]
+) -> List[np.ndarray]:
+    """Each player's (n_sc,) interference at the joint operating point."""
+    if context.n_rows != 1:
+        raise ValueError(f"the equilibrium checks take a one-row context, got {context.n_rows} rows")
+    if len(allocations) != context.n_players:
+        raise ValueError("one allocation per player is required")
+    radiated = [
+        radiated_powers(a.powers, a.used, context.leakage_linear)[None] for a in allocations
     ]
-    # context.coupling[a] is AP a's interference gain at the *other* client.
-    coupling = {
-        (1, 0): np.asarray(context.coupling[0], dtype=float),
-        (0, 1): np.asarray(context.coupling[1], dtype=float),
-    }
-    return InterferenceGraph(
-        players=players, coupling=coupling, leakage_linear=context.leakage_linear
-    )
-
-
-#: Joint allocation for all players of an interference graph.
-GraphAllocation = ConcurrentAllocation
-
-
-def allocate_graph(
-    graph: InterferenceGraph,
-    max_iterations: int = 8,
-    tolerance: float = 1e-3,
-    allocator=equi_snr.allocate,
-    collector: Optional[Collector] = None,
-) -> GraphAllocation:
-    """Synchronous best-response dynamics over the interference graph.
-
-    The N-player generalization of the Figure-6 iteration: every player
-    starts assuming equal power spread everywhere, then repeatedly re-runs
-    Algorithm 1 against the interference implied by everyone else's last
-    radiated powers (leakage included), keeping the best joint allocation
-    seen.  A one-row call of :func:`repro.core.equi_sinr
-    .allocate_concurrent_batch`, so at N = 2 it reproduces
-    :func:`repro.core.equi_sinr.allocate_concurrent` exactly.  The
-    collector sees one ``oracle.graph_dynamics`` span.
-    """
-    with active(collector).span("oracle.graph_dynamics", players=graph.n_players):
-        return allocate_concurrent_row(graph.context(), max_iterations, tolerance, allocator)
+    return [context.interference_at(i, radiated)[0] for i in range(context.n_players)]
 
 
 def score_stream_allocation(
-    player: GraphPlayer,
+    context: BatchConcurrentContext,
+    player: int,
     allocation: StreamAllocation,
     interference: np.ndarray,
 ) -> float:
     """Predicted goodput of a fixed allocation under given interference.
 
     Re-scores the allocation's per-stream SINRs with the shared rate
-    model; unlike ``Allocation.goodput_bps`` (computed against the
-    interference seen at solve time) this evaluates the allocation at the
-    joint operating point, which is what equilibrium checks need.
+    model, against the gains and noise floor of ``player`` in the
+    one-row ``context``; unlike ``Allocation.goodput_bps`` (computed
+    against the interference seen at solve time) this evaluates the
+    allocation at the joint operating point, which is what equilibrium
+    checks need.
     """
-    effective = effective_gains(player.gains, interference, player.noise_mw)
+    effective = effective_gains(context.gains[player][0], interference, context.noise_mw[player])
     total = 0.0
     for s in range(allocation.powers.shape[1]):
         used = allocation.used[:, s]
@@ -736,41 +642,38 @@ class PlayerGap:
 
 
 def equilibrium_gaps(
-    graph: InterferenceGraph,
+    context: BatchConcurrentContext,
     allocations: Sequence[StreamAllocation],
     oracle: Callable = oracle_equi_snr,
     collector: Optional[Collector] = None,
 ) -> List[PlayerGap]:
     """Per-player epsilon-best-response check of a joint allocation.
 
-    Holding everyone else's radiated powers fixed, each player's best
-    response is an independent single-stream oracle solve per stream; the
-    gap between that and the player's current (re-scored) goodput is its
-    regret.  A (near-)zero regret vector certifies a (near-)Nash
-    equilibrium of the allocation game on the graph.
+    ``context`` is a one-row Figure-6 problem, as
+    :func:`repro.core.equi_sinr.allocate_concurrent` takes, and player i
+    is reported as ``AP{i+1}``.  Holding everyone else's radiated powers
+    fixed, each player's best response is an independent single-stream
+    oracle solve per stream; the gap between that and the player's
+    current (re-scored) goodput is its regret.  A (near-)zero regret
+    vector certifies a (near-)Nash equilibrium of the allocation game.
     """
     col = active(collector)
-    if len(allocations) != graph.n_players:
-        raise ValueError("one allocation per player is required")
-    radiated = [
-        radiated_powers(a.powers, a.used, graph.leakage_linear) for a in allocations
-    ]
+    interference = _joint_interference(context, allocations)
     gaps: List[PlayerGap] = []
-    with col.span("oracle.equilibrium_check", players=graph.n_players):
-        for i, player in enumerate(graph.players):
-            interference = graph.interference_at(i, radiated)
-            current = score_stream_allocation(player, allocations[i], interference)
+    with col.span("oracle.equilibrium_check", players=context.n_players):
+        for i, allocation in enumerate(allocations):
+            current = score_stream_allocation(context, i, allocation, interference[i])
             solutions = oracle_single(
-                player.gains,
-                player.budget,
-                interference=interference,
-                noise_mw=player.noise_mw,
+                context.gains[i][0],
+                context.budgets[i],
+                interference=interference[i],
+                noise_mw=context.noise_mw[i],
                 oracle=oracle,
                 collector=collector,
             )
             best_response = float(sum(s.goodput_bps for s in solutions))
             gap = PlayerGap(
-                player=player.name, current_bps=current, best_response_bps=best_response
+                player=_player_name(i), current_bps=current, best_response_bps=best_response
             )
             col.observe("oracle.regret", gap.regret)
             gaps.append(gap)
@@ -792,7 +695,7 @@ class IncentiveGap:
 
 
 def incentive_gaps(
-    graph: InterferenceGraph,
+    context: BatchConcurrentContext,
     allocations: Sequence[StreamAllocation],
     oracle: Callable = oracle_equi_snr,
     collector: Optional[Collector] = None,
@@ -800,34 +703,30 @@ def incentive_gaps(
     """N-player generalization of §3.5's incentive-compatibility check.
 
     COPA's 2-player "fair" mode admits a concurrent strategy only when
-    neither client falls below its sequential (COPA-SEQ) throughput.  On a
-    graph the sequential baseline is each player transmitting alone —
+    neither client falls below its sequential (COPA-SEQ) throughput.  With
+    N players the sequential baseline is each player transmitting alone —
     interference-free, full budget — for a 1/N share of the airtime; a
     joint allocation is incentive compatible when every player's
-    concurrent goodput meets that baseline.
+    concurrent goodput meets that baseline.  ``context`` is one row, as
+    for :func:`equilibrium_gaps`.
     """
-    if len(allocations) != graph.n_players:
-        raise ValueError("one allocation per player is required")
-    radiated = [
-        radiated_powers(a.powers, a.used, graph.leakage_linear) for a in allocations
-    ]
-    share = 1.0 / graph.n_players
+    interference = _joint_interference(context, allocations)
+    share = 1.0 / context.n_players
     gaps: List[IncentiveGap] = []
-    for i, player in enumerate(graph.players):
-        interference = graph.interference_at(i, radiated)
-        concurrent = score_stream_allocation(player, allocations[i], interference)
+    for i, allocation in enumerate(allocations):
+        concurrent = score_stream_allocation(context, i, allocation, interference[i])
         alone = oracle_single(
-            player.gains,
-            player.budget,
+            context.gains[i][0],
+            context.budgets[i],
             interference=None,
-            noise_mw=player.noise_mw,
+            noise_mw=context.noise_mw[i],
             oracle=oracle,
             collector=collector,
         )
         sequential = float(sum(s.goodput_bps for s in alone)) * share
         gaps.append(
             IncentiveGap(
-                player=player.name, concurrent_bps=concurrent, sequential_bps=sequential
+                player=_player_name(i), concurrent_bps=concurrent, sequential_bps=sequential
             )
         )
     return gaps

@@ -1,11 +1,15 @@
 """Per-row Equi-SNR and Figure-6 entry points against the per-row reference.
 
 ``equalizing_powers``, ``allocate``, ``radiated_powers``,
-``allocate_single``, ``allocate_concurrent`` and ``oracle.allocate_graph``
-are one-row calls of their batched forms.  The references below are the per-row functions as
+``allocate_single`` and ``allocate_concurrent`` are one-row calls of
+their batched forms.  The references below are the per-row functions as
 first written, copied verbatim, less the ``stream_split`` and
 ``on_iteration`` knobs, and with each call to another per-row function
-pointed at that function's reference.  Goldens, fingerprint pins and
+pointed at that function's reference.  ``allocate_concurrent`` has two:
+the two-AP iteration and its N-player generalization.  Both take the
+input containers they were written for, which live here; each case is
+handed to ``allocate_concurrent`` as the one-row
+``BatchConcurrentContext`` it describes.  Goldens, fingerprint pins and
 engine digests cannot see these entry points, because the engine runs
 the batched forms; these tests are what pins them.  Every field must
 match byte for byte, on seeded inputs and on the edge cases a stream can
@@ -30,8 +34,8 @@ Two exemptions, both for a budget that is not finite and positive:
   still gives every stream an empty allocation, in both.
 """
 
-from dataclasses import fields, replace
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -41,7 +45,6 @@ from repro.core.differential import draw_graph
 from repro.core.equi_sinr import (
     BatchConcurrentContext,
     ConcurrentAllocation,
-    ConcurrentContext,
     StreamAllocation,
     _batched,
     allocate_concurrent,
@@ -62,12 +65,103 @@ from repro.core.equi_snr import (
     uniform_goodput,
 )
 from repro.core.mercury import mercury_allocate, mercury_allocate_batch
-from repro.core.oracle import GraphAllocation, GraphPlayer, InterferenceGraph, allocate_graph
 from repro.obs import Collector
 from repro.obs.collector import active
 from repro.phy.constants import MCS_TABLE, MPDU_PAYLOAD_BYTES, Mcs
 from tests.core.test_ncell_properties import _engine_graph
 from tests.phy.test_rates_reference import SAME_RATE_TIES, TABLES, mcs_copies
+
+# ---------------------------------------------------------------------------
+# Input containers of the Figure-6 references
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ConcurrentContext:
+    """The two-AP Figure-6 problem, as the two-AP reference reads it.
+
+    ``gains[a]`` is AP a's signal gain at its own client, shape
+    (n_sc, n_streams_a); ``coupling[a]`` is AP a's interference gain at
+    the *other* AP's client, same shape.
+    """
+
+    gains: Sequence[np.ndarray]
+    coupling: Sequence[np.ndarray]
+    budgets: Sequence[float]
+    noise_mw: Sequence[float]
+    leakage_linear: float = 10.0 ** (-27.0 / 10.0)
+
+    def batch(self) -> BatchConcurrentContext:
+        """The same problem as a one-row context."""
+        return BatchConcurrentContext(
+            gains=[np.asarray(g)[None] for g in self.gains],
+            coupling={(1 - a, a): np.asarray(c)[None] for a, c in enumerate(self.coupling)},
+            budgets=self.budgets,
+            noise_mw=self.noise_mw,
+            leakage_linear=self.leakage_linear,
+        )
+
+
+@dataclass(frozen=True)
+class GraphPlayer:
+    """One (AP, client) pair of the N-player reference's input."""
+
+    #: (n_sc, n_streams) signal gain at the own client per unit power.
+    gains: np.ndarray
+    budget: float
+    noise_mw: float
+
+    @property
+    def n_streams(self) -> int:
+        return int(self.gains.shape[1])
+
+
+@dataclass
+class InterferenceGraph:
+    """The N-player Figure-6 problem, as the N-player reference reads it.
+
+    ``coupling[(victim, source)]`` is the source's (n_sc, n_streams_source)
+    interference gain at the victim's client; a missing edge means the two
+    do not hear each other.
+    """
+
+    players: List[GraphPlayer]
+    coupling: Dict[Tuple[int, int], np.ndarray]
+    leakage_linear: float = 10.0 ** (-27.0 / 10.0)
+
+    @property
+    def n_players(self) -> int:
+        return len(self.players)
+
+    @property
+    def n_subcarriers(self) -> int:
+        return int(self.players[0].gains.shape[0])
+
+    @classmethod
+    def of(cls, context: BatchConcurrentContext) -> "InterferenceGraph":
+        """Row 0 of ``context``."""
+        return cls(
+            players=[
+                GraphPlayer(gains=gains[0], budget=budget, noise_mw=noise_mw)
+                for gains, budget, noise_mw in zip(context.gains, context.budgets, context.noise_mw)
+            ],
+            coupling={edge: gain[0] for edge, gain in context.coupling.items()},
+            leakage_linear=context.leakage_linear,
+        )
+
+    def batch(self) -> BatchConcurrentContext:
+        """The same problem as a one-row context."""
+        return BatchConcurrentContext(
+            gains=[np.asarray(p.gains)[None] for p in self.players],
+            coupling={edge: np.asarray(gain)[None] for edge, gain in self.coupling.items()},
+            budgets=[p.budget for p in self.players],
+            noise_mw=[p.noise_mw for p in self.players],
+            leakage_linear=self.leakage_linear,
+        )
+
+
+GraphAllocation = ConcurrentAllocation
+
 
 # ---------------------------------------------------------------------------
 # References
@@ -718,7 +812,9 @@ def test_allocate_concurrent_matches_the_reference(allocator, case):
     production, reference = ALLOCATORS[allocator]
     context, max_iterations, tolerance = CONCURRENT_CASES[case]
     collectors = Collector(), Collector()
-    actual = allocate_concurrent(context, max_iterations, tolerance, production, collectors[0])
+    actual = allocate_concurrent(
+        context.batch(), max_iterations, tolerance, production, collectors[0]
+    )
     expected = _reference_allocate_concurrent(
         context, max_iterations, tolerance, reference, collectors[1]
     )
@@ -742,13 +838,8 @@ def test_concurrent_cases_cover_both_endings():
 def _mixed_graph(rng, coupling_scale=1e-9, leakage_linear=10 ** (-2.7), streams=(1, 2, 3)):
     """Players with unequal stream counts, budgets and noise floors; every edge."""
     players = [
-        GraphPlayer(
-            name=f"AP{i + 1}",
-            gains=_stream_gains(rng, s, 10, 30),
-            budget=float(budget),
-            noise_mw=noise_mw,
-        )
-        for i, (s, budget, noise_mw) in enumerate(zip(streams, (31.6, 10.0, 3.2), (1e-10, 3e-10, 2e-11)))
+        GraphPlayer(gains=_stream_gains(rng, s, 10, 30), budget=float(budget), noise_mw=noise_mw)
+        for s, budget, noise_mw in zip(streams, (31.6, 10.0, 3.2), (1e-10, 3e-10, 2e-11))
     ]
     coupling = {
         (victim, source): _db(rng, 0, 15, (52, players[source].n_streams)) * coupling_scale
@@ -759,12 +850,21 @@ def _mixed_graph(rng, coupling_scale=1e-9, leakage_linear=10 ** (-2.7), streams=
     return InterferenceGraph(players=players, coupling=coupling, leakage_linear=leakage_linear)
 
 
+def _engine_input(n_aps, seed):
+    return InterferenceGraph.of(_engine_graph(n_aps, seed))
+
+
 def _graph_cases():
     """name -> (graph, max_iterations, tolerance)."""
     rng = np.random.default_rng(2026)
-    cases = {f"engine-n{n}": (_engine_graph(n, seed=1), 8, 1e-3) for n in (2, 3, 4, 6)}
-    cases.update({f"draw-graph-{seed}": (draw_graph(seed, n_players=3 + seed % 2), 8, 1e-3) for seed in range(3)})
-    full = _engine_graph(4, seed=2)
+    cases = {f"engine-n{n}": (_engine_input(n, seed=1), 8, 1e-3) for n in (2, 3, 4, 6)}
+    cases.update(
+        {
+            f"draw-graph-{seed}": (InterferenceGraph.of(draw_graph(seed, n_players=3 + seed % 2)), 8, 1e-3)
+            for seed in range(3)
+        }
+    )
+    full = _engine_input(4, seed=2)
     cases["missing-edges"] = (
         InterferenceGraph(
             players=full.players,
@@ -778,11 +878,11 @@ def _graph_cases():
     cases["unequal-players-weakly-coupled"] = (_mixed_graph(rng, coupling_scale=1e-12), 8, 1e-3)
     cases["no-edges"] = (InterferenceGraph(players=full.players, coupling={}), 8, 1e-3)
     cases["unequal-players-never-converges"] = (_mixed_graph(rng), 4, 0.0)
-    base = _engine_graph(3, seed=0)
+    base = _engine_input(3, seed=0)
     cases["no-leakage"] = (
         InterferenceGraph(players=base.players, coupling=base.coupling, leakage_linear=0.0), 8, 1e-3
     )
-    cases["one-iteration"] = (_engine_graph(4, seed=0), 1, 1e-3)
+    cases["one-iteration"] = (_engine_input(4, seed=0), 1, 1e-3)
     return cases
 
 
@@ -798,17 +898,12 @@ GRAPH_CASES = _graph_cases()
         for case in ("unequal-players-weakly-coupled", "one-iteration")
     ],
 )
-def test_allocate_graph_matches_the_reference(allocator, case):
+def test_allocate_concurrent_matches_the_graph_reference(allocator, case):
     production, reference = ALLOCATORS[allocator]
     graph, max_iterations, tolerance = GRAPH_CASES[case]
-    collectors = Collector(), Collector()
-    actual = allocate_graph(graph, max_iterations, tolerance, production, collectors[0])
-    expected = _reference_allocate_graph(graph, max_iterations, tolerance, reference, collectors[1])
+    actual = allocate_concurrent(graph.batch(), max_iterations, tolerance, production)
+    expected = _reference_allocate_graph(graph, max_iterations, tolerance, reference)
     assert_same_concurrent(actual, expected)
-    assert collectors[0].metrics.as_payload() == collectors[1].metrics.as_payload()
-    assert [(s.name, s.attrs) for s in collectors[0].spans] == [
-        (s.name, s.attrs) for s in collectors[1].spans
-    ]
 
 
 def test_graph_cases_cover_both_endings():
@@ -913,17 +1008,14 @@ def test_stream_allocators_reject_bad_budgets(budget):
     with pytest.raises(ValueError, match="total_power"):
         allocate_single_batch(gains[None], budget, noise_mw=1e-10)
     for budgets in ([budget, 31.6], [31.6, budget]):
-        context = ConcurrentContext(
-            gains=[gains, gains], coupling=[coupling, coupling], budgets=budgets, noise_mw=[1e-10, 1e-10]
-        )
-        with pytest.raises(ValueError, match="total_power"):
-            allocate_concurrent(context)
         batch = BatchConcurrentContext(
             gains=[gains[None], gains[None]],
             coupling={(0, 1): coupling[None], (1, 0): coupling[None]},
             budgets=budgets,
             noise_mw=[1e-10, 1e-10],
         )
+        with pytest.raises(ValueError, match="total_power"):
+            allocate_concurrent(batch)
         with pytest.raises(ValueError, match="total_power"):
             allocate_concurrent_batch(batch)
 
@@ -942,6 +1034,6 @@ def test_zero_budget_gives_empty_streams(allocator):
         noise_mw=[1e-10, 1e-10],
     )
     assert_same_concurrent(
-        allocate_concurrent(context, allocator=production),
+        allocate_concurrent(context.batch(), allocator=production),
         _reference_allocate_concurrent(context, allocator=reference),
     )

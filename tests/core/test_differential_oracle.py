@@ -172,7 +172,12 @@ class TestEquilibriumSweep:
         first = differential.draw_graph(2, n_players=3)
         second = differential.draw_graph(2, n_players=3)
         assert first.n_players == second.n_players
-        for a, b in zip(first.players, second.players):
-            np.testing.assert_array_equal(a.gains, b.gains)
+        assert (first.n_rows, first.budgets, first.noise_mw) == (
+            1,
+            second.budgets,
+            second.noise_mw,
+        )
+        for a, b in zip(first.gains, second.gains):
+            np.testing.assert_array_equal(a, b)
         for key in first.coupling:
             np.testing.assert_array_equal(first.coupling[key], second.coupling[key])

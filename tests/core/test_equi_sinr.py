@@ -1,10 +1,12 @@
 """The Figure-6 iterative concurrent Equi-SINR allocator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.equi_sinr import (
-    ConcurrentContext,
+    BatchConcurrentContext,
     allocate_concurrent,
     allocate_single,
     radiated_powers,
@@ -12,15 +14,20 @@ from repro.core.equi_sinr import (
 from repro.util import db_to_linear
 
 
+def _pair(gains, coupling, budgets=(31.6, 31.6), noise_mw=(1e-10, 1e-10)):
+    """A one-row two-AP context; ``coupling[a]`` is AP a's gain at the other client."""
+    return BatchConcurrentContext(
+        gains=[np.asarray(g)[None] for g in gains],
+        coupling={(1 - a, a): np.asarray(c)[None] for a, c in enumerate(coupling)},
+        budgets=list(budgets),
+        noise_mw=list(noise_mw),
+    )
+
+
 def _context(rng, n_sc=52, streams=(2, 2), coupling_scale=1e-10):
     gains = [db_to_linear(rng.uniform(20, 40, (n_sc, s))) * 1e-7 for s in streams]
     coupling = [np.full((n_sc, s), coupling_scale) for s in streams]
-    return ConcurrentContext(
-        gains=gains,
-        coupling=coupling,
-        budgets=[31.6, 31.6],  # ~15 dBm in mW
-        noise_mw=[1e-10, 1e-10],
-    )
+    return _pair(gains, coupling)  # budgets ~15 dBm in mW
 
 
 class TestRadiatedPowers:
@@ -110,12 +117,32 @@ class TestAllocateConcurrent:
         gains = [np.ones((52, 2)), np.ones((52, 2))]
         coupling = [np.ones((52, 1)), np.ones((52, 2))]
         with pytest.raises(ValueError):
-            ConcurrentContext(gains=gains, coupling=coupling, budgets=[1, 1], noise_mw=[1, 1])
+            _pair(gains, coupling, budgets=[1, 1], noise_mw=[1, 1])
 
-    def test_three_aps_rejected(self):
-        arrays = [np.ones((52, 1))] * 3
-        with pytest.raises(ValueError):
-            ConcurrentContext(gains=arrays, coupling=arrays, budgets=[1] * 3, noise_mw=[1] * 3)
+    def test_multi_row_context_rejected(self, rng):
+        """allocate_concurrent is the one-row entry; B rows go to the batch form."""
+        single = _context(rng)
+        two_rows = replace(
+            single,
+            gains=[np.concatenate([g, g]) for g in single.gains],
+            coupling={edge: np.concatenate([c, c]) for edge, c in single.coupling.items()},
+        )
+        with pytest.raises(ValueError, match="one-row context, got 2 rows"):
+            allocate_concurrent(two_rows)
+
+    @pytest.mark.parametrize(
+        "budgets, noise_mw",
+        [
+            ([31.6], [1e-10, 1e-10]),  # short budgets
+            ([31.6, 31.6], [1e-10]),  # short noise floors
+            ([31.6, 31.6], [1e-10, 1e-10, 1e-10]),  # an extra noise floor
+        ],
+        ids=["short-budgets", "short-noise", "extra-noise"],
+    )
+    def test_per_player_lists_must_match_the_players(self, rng, budgets, noise_mw):
+        gains = [np.ones((52, 2)), np.ones((52, 2))]
+        with pytest.raises(ValueError, match="one entry per player"):
+            _pair(gains, gains, budgets=budgets, noise_mw=noise_mw)
 
     def test_paper_anecdote_subcarrier_flip_flop_terminates(self):
         """§3.2.1's circular-dependency anecdote: the iteration must still
@@ -125,9 +152,7 @@ class TestAllocateConcurrent:
         # Coupling comparable to gains: decisions strongly interact.
         gains = [db_to_linear(rng.uniform(10, 25, (52, 1))) * 1e-8 for _ in range(2)]
         coupling = [db_to_linear(rng.uniform(8, 20, (52, 1))) * 1e-8 for _ in range(2)]
-        context = ConcurrentContext(
-            gains=gains, coupling=coupling, budgets=[31.6, 31.6], noise_mw=[1e-10, 1e-10]
-        )
+        context = _pair(gains, coupling)
         result = allocate_concurrent(context, max_iterations=6)
         assert result.iterations <= 6
         assert result.predicted_aggregate_bps >= 0

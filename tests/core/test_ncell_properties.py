@@ -1,8 +1,9 @@
-"""Oracle-checked properties of the N-AP interference-graph engine.
+"""Oracle-checked properties of the N-AP Figure-6 engine.
 
-Seeded sweeps over random N ∈ {3, 4, 6} office topologies build the
-strategy engine's concurrent interference graph and hold it against the
-PR-6 optimization oracle (:mod:`repro.core.oracle`):
+Seeded sweeps over random N ∈ {3, 4, 6} office topologies take the
+strategy engine's own concurrent Figure-6 problem (a one-row
+``BatchConcurrentContext``) and hold it against the optimization oracle
+(:mod:`repro.core.oracle`):
 
 * **equilibrium tolerance** — ``equilibrium_gaps`` regrets stay inside
   the documented policy (EXPERIMENTS.md, "Equilibrium tolerance"): every
@@ -15,7 +16,7 @@ PR-6 optimization oracle (:mod:`repro.core.oracle`):
   ``test_differential_oracle`` suite asserts the same band).
 * **incentive structure** — ``incentive_gaps`` yields one coherent entry
   per player whose ``compatible()`` verdict matches the raw throughputs.
-* **invariance / invariants** — ``allocate_graph`` is AP-permutation
+* **invariance / invariants** — ``allocate_concurrent`` is AP-permutation
   equivariant (it is a synchronous/Jacobi iteration, so player order
   cannot matter), clustering is label-equivariant, and every per-player
   allocation keeps the power-budget and drop invariants generalized from
@@ -23,19 +24,15 @@ PR-6 optimization oracle (:mod:`repro.core.oracle`):
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.clustering import form_clusters
+from repro.core.equi_sinr import allocate_concurrent
 from repro.core.strategy import StrategyEngine
-from repro.core.oracle import (
-    GraphPlayer,
-    InterferenceGraph,
-    allocate_graph,
-    equilibrium_gaps,
-    incentive_gaps,
-)
+from repro.core.oracle import equilibrium_gaps, incentive_gaps
 from repro.sim.config import DEFAULT_CONFIG
 
 #: The sweep grid: AP counts crossed with topology/CSI seeds.
@@ -69,20 +66,18 @@ def _cluster_engine(n_aps, seed, ap_antennas=4, client_antennas=2):
 
 
 def _engine_graph(n_aps, seed):
-    """The engine's concurrent beamforming problem as a named graph."""
+    """The engine's own concurrent beamforming problem, one row."""
     engine = _cluster_engine(n_aps, seed)
     context = engine.concurrent_context(engine.beamforming_designs())
-    players = [
-        GraphPlayer(name=ap.name, gains=gains[0], budget=budget, noise_mw=noise_mw)
-        for ap, gains, budget, noise_mw in zip(
-            engine.channels[0].topology.aps, context.gains, context.budgets, context.noise_mw
-        )
-    ]
-    return InterferenceGraph(
-        players=players,
-        coupling={edge: gain[0] for edge, gain in context.coupling.items()},
-        leakage_linear=context.leakage_linear,
+    return replace(
+        context,
+        gains=[gains[:1] for gains in context.gains],
+        coupling={edge: gain[:1] for edge, gain in context.coupling.items()},
     )
+
+
+def _names(context):
+    return [f"AP{i + 1}" for i in range(context.n_players)]
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +88,12 @@ def _engine_graph(n_aps, seed):
 @pytest.mark.parametrize("n_aps", N_VALUES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equilibrium_gaps_within_documented_tolerance(n_aps, seed):
-    graph = _engine_graph(n_aps, seed)
-    allocation = allocate_graph(graph)
-    gaps = equilibrium_gaps(graph, allocation.allocations)
+    context = _engine_graph(n_aps, seed)
+    allocation = allocate_concurrent(context)
+    gaps = equilibrium_gaps(context, allocation.allocations)
 
     assert len(gaps) == n_aps
-    assert [gap.player for gap in gaps] == [p.name for p in graph.players]
+    assert [gap.player for gap in gaps] == _names(context)
     for gap in gaps:
         assert math.isfinite(gap.regret)
         assert math.isfinite(gap.current_bps)
@@ -114,11 +109,8 @@ def test_equilibrium_gaps_within_documented_tolerance(n_aps, seed):
 @pytest.mark.parametrize("n_aps", N_VALUES)
 def test_uncoupled_graph_reaches_zero_regret(n_aps):
     """No coupling, no leakage: everyone's joint play IS the best response."""
-    base = _engine_graph(n_aps, seed=0)
-    isolated = InterferenceGraph(
-        players=base.players, coupling={}, leakage_linear=0.0
-    )
-    allocation = allocate_graph(isolated)
+    isolated = replace(_engine_graph(n_aps, seed=0), coupling={}, leakage_linear=0.0)
+    allocation = allocate_concurrent(isolated)
     assert allocation.converged
     for gap in equilibrium_gaps(isolated, allocation.allocations):
         assert gap.regret <= ISOLATED_REGRET_TOLERANCE
@@ -132,12 +124,12 @@ def test_uncoupled_graph_reaches_zero_regret(n_aps):
 @pytest.mark.parametrize("n_aps", N_VALUES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_incentive_gaps_cohere_with_throughputs(n_aps, seed):
-    graph = _engine_graph(n_aps, seed)
-    allocation = allocate_graph(graph)
-    gaps = incentive_gaps(graph, allocation.allocations)
+    context = _engine_graph(n_aps, seed)
+    allocation = allocate_concurrent(context)
+    gaps = incentive_gaps(context, allocation.allocations)
 
     assert len(gaps) == n_aps
-    assert [gap.player for gap in gaps] == [p.name for p in graph.players]
+    assert [gap.player for gap in gaps] == _names(context)
     for gap in gaps:
         assert gap.sequential_bps > 0.0
         assert gap.concurrent_bps >= 0.0
@@ -153,28 +145,30 @@ def test_incentive_gaps_cohere_with_throughputs(n_aps, seed):
 # ---------------------------------------------------------------------------
 
 
-def _permuted_graph(graph, perm):
+def _permuted_graph(context, perm):
     """Relabel players so new index j holds old player perm[j]."""
     inverse = {old: new for new, old in enumerate(perm)}
-    players = [graph.players[old] for old in perm]
-    coupling = {
-        (inverse[victim], inverse[source]): matrix
-        for (victim, source), matrix in graph.coupling.items()
-    }
-    return InterferenceGraph(
-        players=players, coupling=coupling, leakage_linear=graph.leakage_linear
+    return replace(
+        context,
+        gains=[context.gains[old] for old in perm],
+        coupling={
+            (inverse[victim], inverse[source]): matrix
+            for (victim, source), matrix in context.coupling.items()
+        },
+        budgets=[context.budgets[old] for old in perm],
+        noise_mw=[context.noise_mw[old] for old in perm],
     )
 
 
 @pytest.mark.parametrize("n_aps", N_VALUES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_allocate_graph_is_permutation_equivariant(n_aps, seed):
-    graph = _engine_graph(n_aps, seed)
+def test_allocate_concurrent_is_permutation_equivariant(n_aps, seed):
+    context = _engine_graph(n_aps, seed)
     perm = list(np.random.default_rng(seed + 999).permutation(n_aps))
-    permuted = _permuted_graph(graph, perm)
+    permuted = _permuted_graph(context, perm)
 
-    base = allocate_graph(graph)
-    other = allocate_graph(permuted)
+    base = allocate_concurrent(context)
+    other = allocate_concurrent(permuted)
 
     assert base.iterations == other.iterations
     assert base.converged == other.converged
@@ -225,16 +219,16 @@ def test_clustering_is_label_equivariant(n_aps, policy):
 @pytest.mark.parametrize("n_aps", N_VALUES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_graph_allocations_keep_budget_and_drop_invariants(n_aps, seed):
-    graph = _engine_graph(n_aps, seed)
-    allocation = allocate_graph(graph)
+    context = _engine_graph(n_aps, seed)
+    allocation = allocate_concurrent(context)
     assert len(allocation.allocations) == n_aps
-    for player, alloc in zip(graph.players, allocation.allocations):
+    for gains, budget, alloc in zip(context.gains, context.budgets, allocation.allocations):
         powers = np.asarray(alloc.powers)
         used = np.asarray(alloc.used)
-        assert powers.shape == player.gains.shape
-        assert used.shape == player.gains.shape
+        assert powers.shape == gains[0].shape
+        assert used.shape == gains[0].shape
         # Never negative, never over budget (per subcarrier-summed total).
         assert np.all(powers >= 0.0)
-        assert float(powers.sum()) <= player.budget * BUDGET_SLACK
+        assert float(powers.sum()) <= budget * BUDGET_SLACK
         # Dropped streams carry exactly zero power.
         assert np.all(powers[~used] == 0.0)

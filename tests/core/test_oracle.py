@@ -2,10 +2,12 @@
 
 Covers the solver layer (LP vs. the closed form, SLSQP vs. the production
 bisection, the SciPy-free fallbacks), optimality certificates (exhaustive
-subset enumeration at small n, KKT residuals), the N-player interference
-graph (bit-identical to ``allocate_concurrent`` at N = 2), the equilibrium
-and incentive checkers, and the engine's shadow-check hook.
+subset enumeration at small n, KKT residuals), the N-player equilibrium
+and incentive checkers on one-row Figure-6 contexts, and the engine's
+shadow-check hook.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ import pytest
 from repro.core import equi_snr, mercury, oracle
 from repro.core.equi_sinr import (
     BatchConcurrentContext,
-    ConcurrentContext,
     allocate_concurrent,
     allocate_single,
 )
@@ -25,6 +26,11 @@ from repro.core.mercury import (
 )
 from repro.obs.collector import Collector
 from repro.phy.constants import MCS_TABLE, MODULATIONS, N_DATA_SUBCARRIERS
+from tests.core.test_allocator_reference import (
+    InterferenceGraph,
+    _reference_allocate_graph,
+    assert_same_concurrent,
+)
 
 TOTAL_POWER_MW = 100.0
 SEEDS = (0, 1, 2, 3, 4)
@@ -261,71 +267,44 @@ class TestNoScipyFallback:
 
 
 # ----------------------------------------------------------------------
-# interference graph and best-response dynamics
+# equilibrium and incentive checks on one-row Figure-6 contexts
 # ----------------------------------------------------------------------
 
 
-def _random_context(seed: int) -> ConcurrentContext:
+def _random_context(seed: int) -> BatchConcurrentContext:
+    """A one-row two-player problem with every edge."""
     rng = np.random.default_rng(seed)
     gains = [rng.exponential(size=(16, 2)) * 5 for _ in range(2)]
     coupling = [rng.exponential(size=(16, 2)) * 0.3 for _ in range(2)]
-    return ConcurrentContext(
-        gains=gains,
-        coupling=coupling,
+    return BatchConcurrentContext(
+        gains=[g[None] for g in gains],
+        # coupling[a] is player a's gain at the other player's client.
+        coupling={(1, 0): coupling[0][None], (0, 1): coupling[1][None]},
         budgets=[TOTAL_POWER_MW, TOTAL_POWER_MW],
         noise_mw=[1.0, 1.0],
     )
 
 
-def _isolated_graph(seed: int, n_players: int = 3) -> oracle.InterferenceGraph:
-    """A graph with no interference edges (players out of range)."""
+def _isolated_context(seed: int, n_players: int = 3) -> BatchConcurrentContext:
+    """A one-row problem with no interference edges (players out of range)."""
     rng = np.random.default_rng(seed)
-    players = [
-        oracle.GraphPlayer(
-            name=f"AP{i + 1}",
-            gains=rng.exponential(size=(16, 2)) * 5,
-            budget=TOTAL_POWER_MW,
-            noise_mw=1.0,
-        )
-        for i in range(n_players)
-    ]
-    return oracle.InterferenceGraph(players=players, coupling={})
+    return BatchConcurrentContext(
+        gains=[rng.exponential(size=(1, 16, 2)) * 5 for _ in range(n_players)],
+        coupling={},
+        budgets=[TOTAL_POWER_MW] * n_players,
+        noise_mw=[1.0] * n_players,
+    )
 
 
-class TestInterferenceGraph:
+class TestEquilibriumChecks:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_two_player_graph_matches_allocate_concurrent(self, seed):
-        """allocate_graph must be bit-identical to the production 2-AP path."""
+        """The N-player graph reference on two players is bit-identical to allocate_concurrent."""
         context = _random_context(seed)
-        reference = allocate_concurrent(context)
-        result = oracle.allocate_graph(oracle.graph_from_context(context))
-        assert result.iterations == reference.iterations
-        assert result.converged == reference.converged
-        for a in range(2):
-            np.testing.assert_array_equal(
-                result.allocations[a].powers, reference.allocations[a].powers
-            )
-            np.testing.assert_array_equal(
-                result.allocations[a].used, reference.allocations[a].used
-            )
+        expected = _reference_allocate_graph(InterferenceGraph.of(context))
+        assert_same_concurrent(allocate_concurrent(context), expected)
 
     def test_validation_rejects_malformed_graphs(self):
-        graph = _isolated_graph(0)
-        with pytest.raises(ValueError, match="at least two"):
-            oracle.InterferenceGraph(players=graph.players[:1], coupling={})
-        with pytest.raises(ValueError, match="itself"):
-            oracle.InterferenceGraph(
-                players=graph.players, coupling={(0, 0): np.zeros((16, 2))}
-            )
-        with pytest.raises(ValueError, match="n_sc"):
-            oracle.InterferenceGraph(
-                players=graph.players, coupling={(0, 1): np.zeros((4, 2))}
-            )
-        with pytest.raises(ValueError, match="missing player"):
-            oracle.InterferenceGraph(
-                players=graph.players, coupling={(3, 0): np.zeros((16, 2))}
-            )
-        # The batched k-player context is where these checks live.
         gains = [np.ones((2, 16, s)) for s in (2, 1, 2)]
         malformed = [
             ("itself", [np.ones((2, 16, 2))] * 3, {(1, 1): np.ones((2, 16, 2))}),
@@ -349,39 +328,48 @@ class TestInterferenceGraph:
 
     def test_isolated_players_reach_equilibrium_immediately(self):
         """With no edges, best response == own optimum: zero regret for all."""
-        graph = _isolated_graph(1)
-        result = oracle.allocate_graph(graph)
+        context = _isolated_context(1)
+        result = allocate_concurrent(context)
         assert result.converged
-        gaps = oracle.equilibrium_gaps(graph, result.allocations)
+        gaps = oracle.equilibrium_gaps(context, result.allocations)
+        assert [gap.player for gap in gaps] == ["AP1", "AP2", "AP3"]
         for gap in gaps:
             assert gap.regret == pytest.approx(0.0, abs=1e-9)
 
     def test_regret_is_bounded_and_recorded(self):
         context = _random_context(2)
-        graph = oracle.graph_from_context(context)
-        result = oracle.allocate_graph(graph)
+        result = allocate_concurrent(context)
         collector = Collector()
-        gaps = oracle.equilibrium_gaps(graph, result.allocations, collector=collector)
+        gaps = oracle.equilibrium_gaps(context, result.allocations, collector=collector)
         for gap in gaps:
             assert 0.0 <= gap.regret <= 1.0
         assert collector.metrics.histograms["oracle.regret"].count == 2
 
     def test_incentive_gaps_trivially_compatible_without_interference(self):
         """Interference-free concurrent transmission beats any 1/N share."""
-        graph = _isolated_graph(3)
-        result = oracle.allocate_graph(graph)
-        gaps = oracle.incentive_gaps(graph, result.allocations)
+        context = _isolated_context(3)
+        result = allocate_concurrent(context)
+        gaps = oracle.incentive_gaps(context, result.allocations)
+        assert [gap.player for gap in gaps] == ["AP1", "AP2", "AP3"]
         for gap in gaps:
             assert gap.compatible()
             assert gap.concurrent_bps == pytest.approx(
-                gap.sequential_bps * graph.n_players, rel=1e-6
+                gap.sequential_bps * context.n_players, rel=1e-6
             )
 
     def test_equilibrium_gaps_requires_matching_allocations(self):
-        graph = _isolated_graph(4)
-        result = oracle.allocate_graph(graph)
+        context = _isolated_context(4)
+        result = allocate_concurrent(context)
         with pytest.raises(ValueError, match="one allocation per player"):
-            oracle.equilibrium_gaps(graph, result.allocations[:1])
+            oracle.equilibrium_gaps(context, result.allocations[:1])
+
+    def test_checks_take_a_one_row_context(self):
+        context = _isolated_context(5)
+        result = allocate_concurrent(context)
+        two_rows = replace(context, gains=[np.concatenate([g, g]) for g in context.gains])
+        for check in (oracle.equilibrium_gaps, oracle.incentive_gaps):
+            with pytest.raises(ValueError, match="one-row context, got 2 rows"):
+                check(two_rows, result.allocations)
 
 
 # ----------------------------------------------------------------------
