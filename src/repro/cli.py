@@ -49,6 +49,14 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
+def _grid_db(value: str) -> float:
+    """argparse type: a quantization grid, a finite number of dB > 0."""
+    try:
+        return check_grid_db(float(value))
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a finite number of dB > 0") from None
+
+
 def _engine_options(args) -> EngineOptions:
     """Typed engine options from the CLI overrides."""
     options = EngineOptions()
@@ -148,6 +156,7 @@ from .core.options import EngineOptions
 from .obs import Collector, format_trace, write_json
 from .sim.config import DEFAULT_CONFIG
 from .sim.experiment import ScenarioSpec, generate_channel_sets, run_experiment
+from .sim.fingerprint import check_grid_db
 from .sim.metrics import compare
 from .sim.network import measure_nulling_effect
 from .sim.runner import RunnerError, workers_from_env
@@ -769,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--grid-db",
-        type=_positive_float,
+        type=_grid_db,
         default=0.25,
         help="quantization grid for the lookup key (default: 0.25 dB)",
     )

@@ -27,6 +27,13 @@ The resulting hex digests are stable across processes, machines and
 Python versions for a given repo state; ``tests/sim/test_fingerprint.py``
 pins golden values to catch accidental drift.
 
+The allocation service's lookup keys (:func:`fingerprint_quantized`)
+hash a channel set's grid cell instead of its bytes.  Every query pays
+for one, so it is built in one vectorized pass: all links are binned by
+one set of ufunc calls and the bins' decimal text is written by NumPy,
+byte for byte the ``repr`` of the :func:`quantize_channels` tuple that
+defines the cell.  Non-finite entries and grids raise ``ValueError``.
+
 Everything here is duck-typed (tasks, channel sets, scenario specs and
 sim configs are only touched through their public attributes), so this
 module imports nothing from the rest of the package and sits below both
@@ -49,6 +56,7 @@ __all__ = [
     "fingerprint_task",
     "fingerprint_tasks",
     "fingerprint_channel_config",
+    "check_grid_db",
     "quantize_channels",
     "fingerprint_quantized",
 ]
@@ -182,6 +190,23 @@ def fingerprint_tasks(tasks: Sequence) -> str:
 #: representation; any finite gain, however small, lands elsewhere).
 _ZERO_BIN = np.iinfo(np.int64).min
 
+#: Bins must round to less than this to be cast to ``int64`` exactly.
+_BIN_LIMIT = 2.0**63
+
+#: The divisor that peels one decimal digit off a ``uint64`` magnitude.
+_TEN = np.uint64(10)
+
+
+def check_grid_db(grid_db: float) -> float:
+    """``grid_db`` as a float, or ``ValueError`` unless finite and > 0.
+
+    An infinite grid would round every nonzero entry to bin 0, so every
+    cell without exact zeros would share one key.
+    """
+    if not (grid_db > 0 and math.isfinite(grid_db)):
+        raise ValueError(f"grid_db must be a finite number > 0, got {grid_db!r}")
+    return float(grid_db)
+
 
 def _phase_step_rad(grid_db: float) -> float:
     """Phase bin width matching ``grid_db``'s relative resolution.
@@ -195,6 +220,62 @@ def _phase_step_rad(grid_db: float) -> float:
     return grid_db * math.log(10.0) / 20.0
 
 
+def _quantize(channels, grid_db: float):
+    """Every link's bins, computed in one pass over all channel entries.
+
+    Returns ``(keys, shapes, bounds, bins, links, noise_bin)``: the sorted
+    link keys and their array shapes, the ``len(keys) + 1`` offsets of
+    each link's entries in the flat entry order, ``bins``, a
+    ``(2, n_entries)`` ``int64`` array of magnitude (row 0) and phase
+    (row 1) bins, and the link-gain and noise-floor bins.  The ufuncs see
+    the same contiguous operands, element by element, as they would one
+    link at a time, so no bin depends on how the links are grouped (the
+    links share one dtype, ``complex128`` from every realization path, so
+    concatenating them casts nothing).
+    """
+    grid_db = check_grid_db(grid_db)
+    keys = sorted(channels.channels)
+    arrays = [np.ascontiguousarray(channels.channels[key]) for key in keys]
+    bounds = np.cumsum([0] + [array.size for array in arrays])
+    entries = (
+        np.concatenate([array.ravel() for array in arrays])
+        if arrays
+        else np.empty(0, dtype=complex)
+    )
+    magnitude = np.abs(entries)
+    nonzero = magnitude > 0
+    safe = np.where(nonzero, magnitude, 1.0)
+    rounded = np.empty((2, entries.size))
+    rounded[0] = 20.0 * np.log10(safe) / grid_db
+    rounded[1] = np.angle(entries) / _phase_step_rad(grid_db)
+    np.round(rounded, out=rounded)
+    # A non-finite entry is caught here, before it can cast into the zero
+    # bin: an infinite part makes |h| and its dB bin infinite, and a NaN
+    # part without one makes the phase bin NaN.
+    if not np.abs(rounded).max(initial=0.0) < _BIN_LIMIT:
+        index = int(np.argmin((np.abs(rounded) < _BIN_LIMIT).all(axis=0)))
+        key = keys[int(np.searchsorted(bounds, index, side="right")) - 1]
+        entry = entries[index]
+        if not np.isfinite(entry):
+            raise ValueError(f"channel link {key!r} has a non-finite entry {entry!r}")
+        raise ValueError(
+            f"channel entry {entry!r} of link {key!r} has a bin beyond int64 "
+            f"at grid_db={grid_db!r}"
+        )
+    bins = rounded.astype(np.int64)
+    if not nonzero.all():
+        zero = ~nonzero
+        bins[0, zero] = _ZERO_BIN
+        bins[1, zero] = 0
+    links = tuple(
+        (str(a), str(b), int(round(gain / grid_db)))
+        for (a, b), gain in sorted(channels.topology.link_gain_db.items())
+    )
+    noise_bin = int(round(10.0 * math.log10(channels.noise_floor_mw) / grid_db))
+    shapes = [array.shape for array in arrays]
+    return keys, shapes, bounds, bins, links, noise_bin
+
+
 def quantize_channels(channels, grid_db: float) -> Tuple:
     """The grid cell one :class:`~repro.phy.channel.ChannelSet` lands in.
 
@@ -206,39 +287,53 @@ def quantize_channels(channels, grid_db: float) -> Tuple:
     ints/strings — hashable and comparable — such that two channel sets
     share a cell **iff** this function returns equal tuples for them
     (which is exactly when :func:`fingerprint_quantized` collides).
+    Non-finite entries and non-finite or non-positive grids raise
+    ``ValueError``.
     """
-    if not grid_db > 0:
-        raise ValueError(f"grid_db must be > 0, got {grid_db!r}")
-    phase_step = _phase_step_rad(grid_db)
-    entries = []
-    for key in sorted(channels.channels):
-        array = np.ascontiguousarray(channels.channels[key])
-        magnitude = np.abs(array)
-        nonzero = magnitude > 0
-        safe = np.where(nonzero, magnitude, 1.0)
-        mag_bins = np.where(
-            nonzero,
-            np.round(20.0 * np.log10(safe) / grid_db),
-            float(_ZERO_BIN),
-        ).astype(np.int64)
-        phase_bins = np.where(
-            nonzero, np.round(np.angle(array) / phase_step), 0.0
-        ).astype(np.int64)
-        entries.append(
-            (
-                str(key[0]),
-                str(key[1]),
-                array.shape,
-                tuple(mag_bins.ravel().tolist()),
-                tuple(phase_bins.ravel().tolist()),
-            )
-        )
-    links = tuple(
-        (str(a), str(b), int(round(gain / grid_db)))
-        for (a, b), gain in sorted(channels.topology.link_gain_db.items())
+    keys, shapes, bounds, bins, links, noise_bin = _quantize(channels, grid_db)
+    mags, phases = bins.tolist()
+    entries = tuple(
+        (str(key[0]), str(key[1]), shape, tuple(mags[start:stop]), tuple(phases[start:stop]))
+        for key, shape, start, stop in zip(keys, shapes, bounds[:-1], bounds[1:])
     )
-    noise_bin = int(round(10.0 * math.log10(channels.noise_floor_mw) / grid_db))
-    return (int(channels.n_subcarriers), noise_bin, tuple(entries), links)
+    return (int(channels.n_subcarriers), noise_bin, entries, links)
+
+
+def _decimal_rows(values: np.ndarray) -> np.ndarray:
+    """Each ``int64`` of ``values`` as one fixed-width ASCII row.
+
+    A row is a sign byte, the value's digits right-aligned in as many
+    columns as the longest value needs, and ``", "``; the sign and the
+    leading-zero columns a value does not use are NUL.  So the rows of a
+    1-D ``values``, read with ``rows.tobytes().translate(None, b"\\0")``,
+    are ``", ".join(map(str, values)) + ", "``.  Magnitudes are read as
+    ``uint64``: ``np.abs`` of the zero bin, ``int64`` min, wraps to
+    itself, and that bit pattern is its true magnitude ``2**63`` there.
+    """
+    magnitude = np.abs(values).view(np.uint64)
+    width = len(str(magnitude.max(initial=0)))
+    rows = np.zeros(values.shape + (width + 3,), dtype=np.uint8)
+    rows[..., 0] = (values < 0) * np.uint8(ord("-"))
+    rows[..., width + 1] = ord(",")
+    rows[..., width + 2] = ord(" ")
+    remaining = magnitude
+    for column in range(width, 0, -1):
+        quotient = remaining // _TEN
+        digit = remaining - quotient * _TEN + ord("0")
+        if column < width:
+            # Past the value's leading digit: a pad, not a "0".
+            digit *= remaining > 0
+        rows[..., column] = digit
+        remaining = quotient
+    return rows
+
+
+def _tuple_text(rows: np.ndarray) -> bytes:
+    """``repr`` of the tuple of the values written in ``rows``."""
+    text = rows.tobytes().translate(None, b"\0")
+    # Each value's text ends in ", ": a lone value keeps its comma, as in
+    # ``(x,)``, and more than one drop the whole last separator.
+    return b"(" + text[: -1 if len(rows) == 1 else -2] + b")"
 
 
 def fingerprint_quantized(channels, grid_db: float) -> str:
@@ -250,12 +345,32 @@ def fingerprint_quantized(channels, grid_db: float) -> str:
     same set under a different grid — gets a different key.  The grid
     itself is folded in, so answers computed at one tolerance are never
     served at another.
+
+    The hashed text is ``repr(quantize_channels(channels, grid_db))``,
+    byte for byte, written in one pass: every link's bins come from one
+    set of ufunc calls (:func:`_quantize`) and their decimal text from
+    NumPy digit columns (:func:`_decimal_rows`), so no tuple of Python
+    ints is built.  Non-finite entries and grids raise ``ValueError``.
     """
-    cell = quantize_channels(channels, grid_db)
+    keys, shapes, bounds, bins, links, noise_bin = _quantize(channels, grid_db)
+    mags, phases = _decimal_rows(bins)
+    parts = [
+        b"%s, %s, %s)"
+        % (
+            repr((str(key[0]), str(key[1]), shape))[:-1].encode(),
+            _tuple_text(mags[start:stop]),
+            _tuple_text(phases[start:stop]),
+        )
+        for key, shape, start, stop in zip(keys, shapes, bounds[:-1], bounds[1:])
+    ]
+    entries = b"(" + b", ".join(parts) + (b",)" if len(parts) == 1 else b")")
     digest = hashlib.sha256()
     digest.update(QUANTIZED_SALT.encode())
     digest.update(f"|grid={grid_db!r}|".encode())
-    digest.update(repr(cell).encode())
+    digest.update(
+        b"(%d, %d, %s, %s)"
+        % (int(channels.n_subcarriers), noise_bin, entries, repr(links).encode())
+    )
     return digest.hexdigest()
 
 

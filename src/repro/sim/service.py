@@ -97,6 +97,7 @@ from .experiment import ExperimentResult, ScenarioSpec, generate_channel_sets
 from .faults import FaultPlan
 from .fingerprint import (
     RESULT_IRRELEVANT_OPTION_FIELDS,
+    check_grid_db,
     describe_value,
     fingerprint_quantized,
     fingerprint_tasks,
@@ -1075,7 +1076,16 @@ class AllocationService:
     computed answer.  ``grid_db`` picks the operating point — the
     sensitivity matrix in ``tests/sim/test_fingerprint.py`` and the
     EXPERIMENTS.md policy section quantify the divergence; exact repeat
-    queries are always bit-identical by construction.
+    queries are always bit-identical by construction.  ``grid_db`` must
+    be finite and > 0, and a query whose channels hold a non-finite entry
+    raises ``ValueError`` rather than share the zero bin's cell.
+
+    Every query, hit or miss, pays for :meth:`query_key`, so the key is
+    built in one vectorized pass: all links are binned by one set of
+    ufunc calls and the bins' decimal text is written by NumPy, with the
+    same bytes as hashing the ``repr`` of
+    :func:`~repro.sim.fingerprint.quantize_channels` (see
+    :func:`~repro.sim.fingerprint.fingerprint_quantized`).
     """
 
     def __init__(
@@ -1087,10 +1097,8 @@ class AllocationService:
         include_copa_plus: bool = False,
         collector: Optional[Collector] = None,
     ):
-        if not grid_db > 0:
-            raise ValueError(f"grid_db must be > 0, got {grid_db!r}")
         self.cache = cache
-        self.grid_db = float(grid_db)
+        self.grid_db = check_grid_db(grid_db)
         self.config = DEFAULT_CONFIG if config is None else config
         self.options = EngineOptions.resolve(options)
         self.include_copa_plus = bool(include_copa_plus)

@@ -12,6 +12,8 @@ hashing changes are caught even when they are internally consistent.
 """
 
 import dataclasses
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -20,16 +22,21 @@ import repro.sim.checkpoint as checkpoint
 import repro.sim.fingerprint as fingerprint_module
 from repro.core import mercury
 from repro.core.options import EngineOptions
-from repro.phy.channel import ChannelSet
+from repro.phy.channel import ChannelModel, ChannelSet
+from repro.phy.topology import TopologyGenerator
 from repro.sim.config import SimConfig
 from repro.sim.experiment import ScenarioSpec, generate_channel_sets
 from repro.sim.faults import FaultKind, FaultPlan
 from repro.sim.fingerprint import (
     CHANNEL_IRRELEVANT_CONFIG_FIELDS,
     CHANNEL_IRRELEVANT_SPEC_FIELDS,
+    QUANTIZED_SALT,
     RESULT_IRRELEVANT_OPTION_FIELDS,
     _ZERO_BIN,
+    _decimal_rows,
     _phase_step_rad,
+    _tuple_text,
+    check_grid_db,
     describe_value,
     fingerprint_channel_config,
     fingerprint_channels,
@@ -535,6 +542,189 @@ class TestQuantizedGoldenKeys:
         key = fingerprint_quantized(channels, 0.25)
         assert len(key) == 64
         int(key, 16)
+
+
+def _repr_key(channels, grid_db):
+    """The quantized key as ``repr`` of the cell tuple would hash it."""
+    digest = hashlib.sha256()
+    digest.update(QUANTIZED_SALT.encode())
+    digest.update(f"|grid={grid_db!r}|".encode())
+    digest.update(repr(quantize_channels(channels, grid_db)).encode())
+    return digest.hexdigest()
+
+
+def _reference_cell(channels, grid_db):
+    """:func:`quantize_channels` computed one link at a time."""
+    phase_step = _phase_step_rad(grid_db)
+    entries = []
+    for key in sorted(channels.channels):
+        array = np.ascontiguousarray(channels.channels[key])
+        magnitude = np.abs(array)
+        nonzero = magnitude > 0
+        safe = np.where(nonzero, magnitude, 1.0)
+        mag_bins = np.where(
+            nonzero, np.round(20.0 * np.log10(safe) / grid_db), float(_ZERO_BIN)
+        ).astype(np.int64)
+        phase_bins = np.where(
+            nonzero, np.round(np.angle(array) / phase_step), 0.0
+        ).astype(np.int64)
+        entries.append(
+            (
+                str(key[0]),
+                str(key[1]),
+                array.shape,
+                tuple(mag_bins.ravel().tolist()),
+                tuple(phase_bins.ravel().tolist()),
+            )
+        )
+    links = tuple(
+        (str(a), str(b), int(round(gain / grid_db)))
+        for (a, b), gain in sorted(channels.topology.link_gain_db.items())
+    )
+    noise_bin = int(round(10.0 * math.log10(channels.noise_floor_mw) / grid_db))
+    return (int(channels.n_subcarriers), noise_bin, tuple(entries), links)
+
+
+def _first_link_with(channels, index, value):
+    """``channels`` with entry ``index`` of its first sorted link set."""
+    key = sorted(channels.channels)[0]
+    array = channels.channels[key].astype(complex)
+    array[index] = value
+    return _with_channels(channels, {**channels.channels, key: array})
+
+
+class TestQuantizedKeyText:
+    """The one-pass key hashes exactly the bytes of ``repr`` of the cell.
+
+    :func:`fingerprint_quantized` writes the cell's text from NumPy digit
+    columns instead of building the tuple; every input here checks those
+    bytes against ``repr(quantize_channels(...))``, and the cell itself
+    against :func:`_reference_cell`, the binning done link by link.
+    """
+
+    GRIDS = [1e-4, 0.0625, 0.25, 1.0, 4.0, 8.0]
+
+    @pytest.fixture(scope="class")
+    def realizations(self):
+        """The module fixture's 1x1 sets and one 4x2 set, the service's shape."""
+        rng = np.random.default_rng(2015)
+        topology = TopologyGenerator().sample(rng, ap_antennas=4, client_antennas=2)
+        return generate_channel_sets(SPEC, CONFIG) + [ChannelModel().realize(topology, rng)]
+
+    def assert_repr_bytes(self, channels, grid_db):
+        assert quantize_channels(channels, grid_db) == _reference_cell(channels, grid_db)
+        assert fingerprint_quantized(channels, grid_db) == _repr_key(channels, grid_db)
+
+    @pytest.mark.parametrize("grid_db", GRIDS)
+    def test_realizations(self, realizations, grid_db):
+        for channels in realizations:
+            self.assert_repr_bytes(channels, grid_db)
+
+    @pytest.mark.parametrize("grid_db", GRIDS)
+    def test_exact_zero_entry(self, realizations, grid_db):
+        zeroed = _first_link_with(realizations[0], (0, 0, 0), 0.0)
+        assert quantize_channels(zeroed, grid_db)[2][0][3][0] == _ZERO_BIN
+        self.assert_repr_bytes(zeroed, grid_db)
+
+    @pytest.mark.parametrize("grid_db", GRIDS)
+    def test_one_element_and_zero_size_links(self, realizations, grid_db):
+        channels = realizations[-1]
+        first, second, *_ = sorted(channels.channels)
+        cut = _with_channels(
+            channels,
+            {
+                **channels.channels,
+                first: channels.channels[first][:1, :1, :1],
+                second: channels.channels[second][:0],
+            },
+        )
+        self.assert_repr_bytes(cut, grid_db)
+        only = _with_channels(channels, {first: channels.channels[first][:1, :1, :1]})
+        self.assert_repr_bytes(only, grid_db)
+
+    @pytest.mark.parametrize("grid_db", GRIDS)
+    def test_empty_channels(self, realizations, grid_db):
+        self.assert_repr_bytes(_with_channels(realizations[0], {}), grid_db)
+
+    @pytest.mark.parametrize("grid_db", GRIDS)
+    def test_gains_above_one(self, realizations, grid_db):
+        channels = realizations[-1]
+        scale = 2.0 / min(np.abs(value).min() for value in channels.channels.values())
+        loud = _with_channels(
+            channels, {key: scale * value for key, value in channels.channels.items()}
+        )
+        assert all(min(link[3]) > 0 for link in quantize_channels(loud, grid_db)[2])
+        self.assert_repr_bytes(loud, grid_db)
+
+
+class TestDecimalText:
+    """The NumPy decimal writer under the one-pass key."""
+
+    INT64 = np.iinfo(np.int64)
+    VALUES = sorted(
+        {0, INT64.max, INT64.min}
+        | {sign * v for sign in (1, -1) for v in [1, 9, 10, 99, 100]}
+        | {sign * 10**k + d for sign in (1, -1) for k in range(19) for d in (-1, 0, 1)}
+    )
+
+    def test_matches_str_join(self):
+        values = np.array(self.VALUES, dtype=np.int64)
+        text = _decimal_rows(values).tobytes().translate(None, b"\0")
+        assert text == (", ".join(map(str, self.VALUES)) + ", ").encode()
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_each_value_alone(self, value):
+        rows = _decimal_rows(np.array([value], dtype=np.int64))
+        assert rows.tobytes().translate(None, b"\0") == f"{value}, ".encode()
+
+    def test_rows_of_a_2d_array(self):
+        values = np.array([[-5, 12, 0], [7, -300, 4]], dtype=np.int64)
+        mags, phases = _decimal_rows(values)
+        assert _tuple_text(mags) == b"(-5, 12, 0)"
+        assert _tuple_text(phases) == b"(7, -300, 4)"
+
+    @pytest.mark.parametrize("values", [(), (3,), (-3, 4), (0, _ZERO_BIN, 1)])
+    def test_tuple_text_is_tuple_repr(self, values):
+        rows = _decimal_rows(np.array(values, dtype=np.int64))
+        assert _tuple_text(rows) == repr(values).encode()
+
+
+class TestQuantizedRejections:
+    """Non-finite entries and grids raise instead of sharing a cell."""
+
+    @pytest.fixture(scope="class")
+    def channels(self):
+        return generate_channel_sets(SPEC, CONFIG)[0]
+
+    BAD_ENTRIES = [
+        np.nan,
+        np.inf,
+        -np.inf,
+        complex(0.0, np.nan),
+        complex(np.inf, 0.0),
+        complex(0.5, -np.inf),
+    ]
+
+    @pytest.mark.parametrize("value", BAD_ENTRIES)
+    def test_non_finite_entry_names_its_link(self, channels, value):
+        bad = _first_link_with(channels, (0, 0, 0), value)
+        key = sorted(channels.channels)[0]
+        for quantize in (quantize_channels, fingerprint_quantized):
+            with pytest.raises(ValueError, match="non-finite") as excinfo:
+                quantize(bad, 0.25)
+            assert repr(key) in str(excinfo.value)
+
+    @pytest.mark.parametrize("grid_db", [np.inf, -np.inf, np.nan])
+    def test_non_finite_grid_rejected(self, channels, grid_db):
+        with pytest.raises(ValueError, match="grid_db"):
+            check_grid_db(grid_db)
+        for quantize in (quantize_channels, fingerprint_quantized):
+            with pytest.raises(ValueError, match="grid_db"):
+                quantize(channels, grid_db)
+
+    def test_grid_finer_than_int64_bins_rejected(self, channels):
+        with pytest.raises(ValueError, match="beyond int64"):
+            fingerprint_quantized(channels, 1e-300)
 
 
 class TestServiceGoldenKeys:

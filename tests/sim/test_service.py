@@ -9,6 +9,7 @@ prefill into shard journals, and the :class:`AllocationService` hit/miss
 contract.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -490,3 +491,25 @@ class TestAllocationService:
     def test_invalid_grid_rejected(self, cache):
         with pytest.raises(ValueError):
             AllocationService(cache, grid_db=0.0)
+
+    @pytest.mark.parametrize("grid_db", [np.inf, np.nan, 1e400])
+    def test_non_finite_grid_rejected(self, cache, grid_db):
+        with pytest.raises(ValueError, match="finite"):
+            AllocationService(cache, grid_db=grid_db)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_channels_fail_the_query(self, cache, channel_sets, value):
+        """A corrupt entry is not served the cached answer of a zeroed one."""
+
+        def with_first_entry(entry):
+            channels = channel_sets[0]
+            key = sorted(channels.channels)[0]
+            array = channels.channels[key].copy()
+            array[0, 0, 0] = entry
+            return dataclasses.replace(channels, channels={**channels.channels, key: array})
+
+        svc = AllocationService(cache, config=CONFIG)
+        svc.query(with_first_entry(0.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            svc.query(with_first_entry(value))
+        assert (svc.stats.hits, svc.stats.misses) == (0, 1)

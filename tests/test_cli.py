@@ -112,6 +112,17 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "1x1", "--task-timeout", bad])
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "inf", "-inf", "nan", "1e400"])
+    def test_bad_grid_db_rejected_in_db(self, capsys, bad):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["service", "query", "1x1", f"--grid-db={bad}"])
+        assert excinfo.value.code == 2
+        assert "--grid-db: must be a finite number of dB > 0" in capsys.readouterr().err
+
+    def test_grid_db_accepted(self):
+        args = build_parser().parse_args(["service", "query", "1x1", "--grid-db", "0.5"])
+        assert args.grid_db == 0.5
+
     def test_fault_tolerance_defaults(self):
         args = build_parser().parse_args(["run", "1x1"])
         assert args.max_retries == 2
