@@ -7,17 +7,25 @@ processes and runs)::
     <root>/v1/<namespace>/<key[:2]>/<key>.lock    # advisory lock sidecar
 
 ``namespace`` is ``results`` (one :class:`~repro.sim.runner.TaskResult`
-per per-topology fingerprint) or ``channels`` (one scenario's full list
-of realized :class:`~repro.phy.channel.ChannelSet`).  ``key`` is the
-64-hex-char SHA-256 fingerprint from :mod:`repro.sim.fingerprint`; the
+per per-topology fingerprint), ``channels`` (one scenario's full list
+of realized :class:`~repro.phy.channel.ChannelSet`) or ``answers`` (one
+allocation-service answer, the ``(outcome, plus_outcome)`` pair, per
+composed service key).  ``key`` is the 64-hex-char SHA-256 fingerprint
+from :mod:`repro.sim.fingerprint` (or the service key built on it); the
 schema version lives in the path, so bumping ``v1`` orphans (never
 misreads) every old artifact.
 
-Artifact format: one JSON header line, then the raw pickle payload::
+Artifact format: one JSON header line, then the payload::
 
     {"schema": "repro.cache/v1", "namespace": ..., "key": ...,
      "sha256": <hex of payload>, "bytes": <payload length>}\\n
-    <pickle bytes>
+    <payload bytes>
+
+The payload is a plain pickle, except in ``answers``: there it is a
+*packed* pickle (:func:`_pack`), whose NumPy arrays sit in one
+contiguous buffer after the pickle and come back as read-only views of
+it.  Older code kept whole task results under the same keys in a
+``service`` namespace, which nothing reads any more.
 
 Durability and concurrency:
 
@@ -49,12 +57,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import pickle
+import struct
 import uuid
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..sim.fingerprint import fingerprint_channel_config, fingerprint_task
 from .lock import FileLock
@@ -72,8 +85,68 @@ CHANNELS_NAMESPACE = "channels"
 #: Strategy answers keyed by *quantized* channel fingerprint — the
 #: allocation service's namespace.  Kept apart from ``results`` because
 #: these keys are tolerance-equivalent lookups (any channel set in the
-#: grid cell shares the artifact), never bit-identity claims.
-SERVICE_NAMESPACE = "service"
+#: grid cell shares the artifact), never bit-identity claims.  Its
+#: artifacts are packed ``(outcome, plus_outcome)`` pairs.  Older code
+#: stored whole task results under the same keys in ``service``; the new
+#: name makes such a cache miss instead of loading the other type.
+ANSWERS_NAMESPACE = "answers"
+
+#: Lengths of a packed payload's array table and body pickles.
+_PACKED_HEADER = struct.Struct("<QQ")
+#: Array byte offsets in a packed buffer are multiples of this.
+_ALIGN = 8
+
+
+def _pack(value) -> bytes:
+    """``value`` pickled with its NumPy arrays moved into one buffer.
+
+    Layout: the two pickles' lengths, the array table pickle (``(dtype,
+    shape, offset)`` per distinct array), the body pickle, in which each
+    numeric array is a persistent id (its row in the table), then the
+    aligned array buffer.  Arrays with equal dtype, shape and bytes share
+    one row, so equal allocations are stored once; :func:`_unpack` makes
+    every row one read-only view, which keeps that sharing harmless.
+    """
+    table, chunks, rows, size = [], [], {}, 0
+
+    def persistent_id(obj):
+        nonlocal size
+        if type(obj) is not np.ndarray or obj.dtype.kind not in "biufc":
+            return None
+        data = obj.tobytes()
+        content = (obj.dtype.str, obj.shape, data)
+        row = rows.get(content)
+        if row is None:
+            row = rows[content] = len(table)
+            table.append((obj.dtype.str, obj.shape, size))
+            chunks.append(data + bytes(-len(data) % _ALIGN))
+            size += len(chunks[-1])
+        return row
+
+    stream = io.BytesIO()
+    pickler = pickle.Pickler(stream, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = persistent_id
+    pickler.dump(value)
+    body = stream.getvalue()
+    head = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
+    text = _PACKED_HEADER.pack(len(head), len(body)) + head + body
+    return text + bytes(-len(text) % _ALIGN) + b"".join(chunks)
+
+
+def _unpack(payload) -> object:
+    """The value :func:`_pack` wrote; its arrays are read-only views."""
+    n_head, n_body = _PACKED_HEADER.unpack_from(payload)
+    body_start = _PACKED_HEADER.size + n_head
+    buffer_start = body_start + n_body
+    buffer_start += -buffer_start % _ALIGN
+    table = pickle.loads(payload[_PACKED_HEADER.size : body_start])
+    views = [
+        np.frombuffer(payload, dtype, math.prod(shape), buffer_start + offset).reshape(shape)
+        for dtype, shape, offset in table
+    ]
+    unpickler = pickle.Unpickler(io.BytesIO(payload[body_start:buffer_start]))
+    unpickler.persistent_load = views.__getitem__
+    return unpickler.load()
 
 
 class _CorruptArtifact(Exception):
@@ -189,7 +262,7 @@ class ResultCache:
             header = json.loads(data[:newline])
         except json.JSONDecodeError as error:
             raise _CorruptArtifact(f"unreadable header ({error})")
-        payload = data[newline + 1 :]
+        payload = memoryview(data)[newline + 1 :]
         if (
             not isinstance(header, dict)
             or header.get("schema") != SCHEMA_ID
@@ -199,10 +272,11 @@ class ResultCache:
             or header.get("sha256") != hashlib.sha256(payload).hexdigest()
         ):
             raise _CorruptArtifact("header/payload mismatch")
+        decode = _unpack if namespace == ANSWERS_NAMESPACE else pickle.loads
         try:
-            return pickle.loads(payload), len(data)
+            return decode(payload), len(data)
         except Exception as error:
-            raise _CorruptArtifact(f"unpicklable payload ({error})")
+            raise _CorruptArtifact(f"undecodable payload ({error})")
 
     def _evict(self, path: str, lock_path: str) -> None:
         """Best-effort removal of a corrupt artifact so it is recomputed."""
@@ -228,7 +302,10 @@ class ResultCache:
         path, lock_path = self._paths(namespace, key)
         if os.path.exists(path):
             return False
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        if namespace == ANSWERS_NAMESPACE:
+            payload = _pack(value)
+        else:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         header = json.dumps(
             {
                 "schema": SCHEMA_ID,
@@ -284,18 +361,26 @@ class ResultCache:
         )
 
     def load_service_answer(self, key: str, collector=None):
-        """The cached :class:`TaskResult` for one service query key, or ``None``.
+        """The cached ``(outcome, plus_outcome)`` for one service key, or ``None``.
 
         ``key`` is the composed service key (quantized channel cell +
         result-determining query context) built by
-        :meth:`repro.sim.service.AllocationService.query_key`.
+        :meth:`repro.sim.service.AllocationService.query_key`.  The
+        outcomes' arrays are read-only views of the loaded artifact (see
+        :func:`_pack`); ``plus_outcome`` is ``None`` without COPA+.
         """
-        return self.load(SERVICE_NAMESPACE, key, collector=collector)
+        return self.load(ANSWERS_NAMESPACE, key, collector=collector)
 
-    def store_service_answer(self, key: str, result, collector=None) -> bool:
-        """Cache one computed strategy answer under its service key."""
-        stripped = dataclasses.replace(result, spans=None, metrics=None)
-        return self.store(SERVICE_NAMESPACE, key, stripped, collector=collector)
+    def store_service_answer(self, key: str, outcome, plus_outcome=None, collector=None) -> bool:
+        """Cache one computed strategy answer under its service key.
+
+        Only what a service answer exposes is stored: the outcome and the
+        COPA+ outcome, not the channels that produced them (a hit carries
+        its own caller's channels) nor any timing or observation data.
+        """
+        return self.store(
+            ANSWERS_NAMESPACE, key, (outcome, plus_outcome), collector=collector
+        )
 
     def load_channel_sets(self, spec, config, collector=None) -> Optional[List]:
         """The cached channel realizations for (spec, config), or ``None``."""

@@ -343,8 +343,9 @@ def fingerprint_quantized(channels, grid_db: float) -> str:
     that quantize to the same ``grid_db`` cell share the key (and may
     share a cached strategy answer); any set in a different cell — or the
     same set under a different grid — gets a different key.  The grid
-    itself is folded in, so answers computed at one tolerance are never
-    served at another.
+    itself is folded in, as the ``repr`` of its :func:`check_grid_db`
+    float, so answers computed at one tolerance are never served at
+    another and ``1``, ``1.0`` and ``np.float64(1.0)`` name one grid.
 
     The hashed text is ``repr(quantize_channels(channels, grid_db))``,
     byte for byte, written in one pass: every link's bins come from one
@@ -352,6 +353,7 @@ def fingerprint_quantized(channels, grid_db: float) -> str:
     NumPy digit columns (:func:`_decimal_rows`), so no tuple of Python
     ints is built.  Non-finite entries and grids raise ``ValueError``.
     """
+    grid_db = check_grid_db(grid_db)
     keys, shapes, bounds, bins, links, noise_bin = _quantize(channels, grid_db)
     mags, phases = _decimal_rows(bins)
     parts = [

@@ -1040,7 +1040,14 @@ class QueryStats:
 
 @dataclass
 class ServiceAnswer:
-    """One strategy query's answer and how it was served."""
+    """One strategy query's answer and how it was served.
+
+    ``record`` is the record a miss computes: index 0, the *caller's*
+    channels, and the cell's ``outcome`` and ``plus_outcome``.  A hit
+    rebuilds it from the cell's stored outcomes, so its channels are the
+    querier's own even when another channel set of the cell filled it;
+    its outcomes' arrays are read-only views of the loaded artifact.
+    """
 
     record: TopologyRecord
     key: str
@@ -1069,7 +1076,12 @@ class AllocationService:
     engine; a miss computes through :func:`repro.sim.runner
     .evaluate_topology` (deterministically — the service seed is fixed,
     so the same query always computes the same answer) and stores the
-    result for every later client of the shared cache.
+    answer for every later client of the shared cache.
+
+    A cell stores only what a :class:`ServiceAnswer` exposes beyond the
+    query itself: the ``(outcome, plus_outcome)`` pair, packed with its
+    arrays in one buffer (``ResultCache.store_service_answer``).  A hit
+    pairs those outcomes with the caller's own channels.
 
     Quantization is a tolerance trade-off, not a bit-identity claim: any
     channel set in the same ``grid_db`` cell is served the cell's first
@@ -1080,10 +1092,13 @@ class AllocationService:
     be finite and > 0, and a query whose channels hold a non-finite entry
     raises ``ValueError`` rather than share the zero bin's cell.
 
-    Every query, hit or miss, pays for :meth:`query_key`, so the key is
-    built in one vectorized pass: all links are binned by one set of
-    ufunc calls and the bins' decimal text is written by NumPy, with the
-    same bytes as hashing the ``repr`` of
+    Every query, hit or miss, pays for :meth:`query_key`.  The query
+    context is hashed once, in ``__init__`` (which is why ``grid_db``,
+    ``config``, ``options`` and ``include_copa_plus`` are read-only), and
+    each key copies that digest and adds the channels' quantized
+    fingerprint, built in one vectorized pass: all links are binned by
+    one set of ufunc calls and the bins' decimal text is written by
+    NumPy, with the same bytes as hashing the ``repr`` of
     :func:`~repro.sim.fingerprint.quantize_channels` (see
     :func:`~repro.sim.fingerprint.fingerprint_quantized`).
     """
@@ -1098,27 +1113,45 @@ class AllocationService:
         collector: Optional[Collector] = None,
     ):
         self.cache = cache
-        self.grid_db = check_grid_db(grid_db)
-        self.config = DEFAULT_CONFIG if config is None else config
-        self.options = EngineOptions.resolve(options)
-        self.include_copa_plus = bool(include_copa_plus)
+        self._grid_db = check_grid_db(grid_db)
+        self._config = DEFAULT_CONFIG if config is None else config
+        self._options = EngineOptions.resolve(options)
+        self._include_copa_plus = bool(include_copa_plus)
         self.collector = collector
         self.stats = QueryStats()
+        context = hashlib.sha256()
+        context.update(SERVICE_SALT.encode())
+        context.update(
+            f"|grid={self._grid_db!r}|coh={self._config.coherence_s!r}"
+            f"|seed={self._config.seed}|plus={int(self._include_copa_plus)}|".encode()
+        )
+        for f in dataclasses.fields(self._options):
+            if f.name in RESULT_IRRELEVANT_OPTION_FIELDS:
+                continue
+            value = getattr(self._options, f.name)
+            context.update(f"opt|{f.name}={describe_value(value)}".encode())
+        context.update(repr(self._config.imperfections()).encode())
+        self._context = context
+
+    @property
+    def grid_db(self) -> float:
+        return self._grid_db
+
+    @property
+    def config(self) -> SimConfig:
+        return self._config
+
+    @property
+    def options(self) -> EngineOptions:
+        return self._options
+
+    @property
+    def include_copa_plus(self) -> bool:
+        return self._include_copa_plus
 
     def query_key(self, channels) -> str:
         """The composed service cache key for one query's channels."""
-        digest = hashlib.sha256()
-        digest.update(SERVICE_SALT.encode())
-        digest.update(
-            f"|grid={self.grid_db!r}|coh={self.config.coherence_s!r}"
-            f"|seed={self.config.seed}|plus={int(self.include_copa_plus)}|".encode()
-        )
-        for f in dataclasses.fields(self.options):
-            if f.name in RESULT_IRRELEVANT_OPTION_FIELDS:
-                continue
-            value = getattr(self.options, f.name)
-            digest.update(f"opt|{f.name}={describe_value(value)}".encode())
-        digest.update(repr(self.config.imperfections()).encode())
+        digest = self._context.copy()
         digest.update(fingerprint_quantized(channels, self.grid_db).encode())
         return digest.hexdigest()
 
@@ -1129,11 +1162,15 @@ class AllocationService:
         with col.span("service.query", grid_db=self.grid_db) as span:
             key = self.query_key(channels)
             span.set_attr("key", key[:12])
-            result = self.cache.load_service_answer(key, collector=self.collector)
-            hit = result is not None
+            answer = self.cache.load_service_answer(key, collector=self.collector)
+            hit = answer is not None
             if hit:
                 self.stats.hits += 1
                 col.inc("service.hit")
+                outcome, plus_outcome = answer
+                record = TopologyRecord(
+                    index=0, channels=channels, outcome=outcome, plus_outcome=plus_outcome
+                )
             else:
                 self.stats.misses += 1
                 col.inc("service.miss")
@@ -1152,9 +1189,12 @@ class AllocationService:
                 # Both are no-ops unless the miss was observed.
                 graft(col.tracer, result.spans or (), span.span_id, base_offset_s=offset_s)
                 col.metrics.merge(result.metrics)
-                self.cache.store_service_answer(key, result, collector=self.collector)
+                record = result.record
+                self.cache.store_service_answer(
+                    key, record.outcome, record.plus_outcome, collector=self.collector
+                )
         return ServiceAnswer(
-            record=result.record,
+            record=record,
             key=key,
             hit=hit,
             elapsed_s=time.perf_counter() - start,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.cache import SCHEMA_ID, CacheStats, FileLock, ResultCache
-from repro.cache.store import CHANNELS_NAMESPACE, RESULTS_NAMESPACE
+from repro.cache.store import ANSWERS_NAMESPACE, CHANNELS_NAMESPACE, RESULTS_NAMESPACE
 from repro.obs import Collector
 from repro.sim.config import SimConfig
 from repro.sim.experiment import ScenarioSpec, generate_channel_sets
@@ -310,6 +310,80 @@ class TestTypedEntryPoints:
 
     def test_channel_sets_miss(self, cache):
         assert cache.load_channel_sets(SPEC, CONFIG) is None
+
+
+class TestPackedAnswers:
+    """The ``answers`` namespace: arrays in one buffer, read-only views."""
+
+    @staticmethod
+    def arrays():
+        square = np.arange(12.0).reshape(3, 4)
+        return {
+            "float": square,
+            "fortran": np.asfortranarray(square),
+            "strided": square[:, ::2],
+            "bool": square > 4,
+            "int": np.arange(5, dtype=np.int64),
+            "complex": np.exp(1j * square),
+            "big_endian": square.astype(">f8"),
+            "scalar": np.array(2.5),
+            "empty": np.zeros((0, 2)),
+            "object": np.array([None, "x"], dtype=object),
+        }
+
+    def test_arrays_round_trip(self, cache):
+        value = self.arrays()
+        cache.store(ANSWERS_NAMESPACE, KEY, value)
+        loaded = cache.load(ANSWERS_NAMESPACE, KEY)
+        assert loaded.keys() == value.keys()
+        for name, array in value.items():
+            assert loaded[name].dtype == array.dtype, name
+            assert loaded[name].shape == array.shape, name
+            np.testing.assert_array_equal(loaded[name], array)
+        assert not loaded["float"].flags.writeable
+        # Only numeric arrays go to the buffer; the rest are pickled.
+        assert loaded["object"].flags.writeable
+
+    def test_equal_arrays_share_one_read_only_view(self, cache):
+        base = np.linspace(0.0, 1.0, 52)
+        value = (base, base.copy(), np.zeros(52), np.zeros(52, dtype=np.int64))
+        cache.store(ANSWERS_NAMESPACE, KEY, value)
+        shared, copy, zeros, int_zeros = cache.load(ANSWERS_NAMESPACE, KEY)
+        assert shared is copy
+        # Equal bytes under another dtype are another array.
+        assert zeros is not int_zeros and int_zeros.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1.0
+        assert base[0] == 0.0
+
+    def test_equal_arrays_are_stored_once(self, cache):
+        import pickle
+
+        big = np.arange(4096.0)
+        value = [big.copy() for _ in range(4)]
+        cache.store(ANSWERS_NAMESPACE, KEY, value)
+        assert cache.stats.bytes_written < len(pickle.dumps(value)) / 3
+
+    def test_inconsistent_packed_payload_is_corrupt(self, cache):
+        import hashlib
+
+        payload = bytes(16) + b"\x80\x05garbage"
+        header = json.dumps(
+            {
+                "schema": SCHEMA_ID,
+                "namespace": ANSWERS_NAMESPACE,
+                "key": KEY,
+                "sha256": hashlib.sha256(payload).hexdigest(),
+                "bytes": len(payload),
+            }
+        ).encode()
+        path = artifact_path(cache, ANSWERS_NAMESPACE, KEY)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(header + b"\n" + payload)
+        assert cache.load(ANSWERS_NAMESPACE, KEY) is None
+        assert cache.stats.corrupt == 1
+        assert not os.path.exists(path)
 
 
 class TestStatsAndSummary:

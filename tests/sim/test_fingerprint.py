@@ -538,6 +538,19 @@ class TestQuantizedGoldenKeys:
     def test_one_db_key(self, channels):
         assert fingerprint_quantized(channels, 1.0) == self.GOLDEN_ONE_DB
 
+    @pytest.mark.parametrize(
+        "grid_db, golden",
+        [
+            (1, GOLDEN_ONE_DB),
+            (np.float64(1.0), GOLDEN_ONE_DB),
+            (np.float64(0.25), GOLDEN_QUARTER_DB),
+            (np.float32(0.25), GOLDEN_QUARTER_DB),
+        ],
+        ids=["int", "float64", "float64-quarter", "float32-quarter"],
+    )
+    def test_every_spelling_of_a_grid_has_its_pinned_key(self, channels, grid_db, golden):
+        assert fingerprint_quantized(channels, grid_db) == golden
+
     def test_keys_are_hex_sha256(self, channels):
         key = fingerprint_quantized(channels, 0.25)
         assert len(key) == 64

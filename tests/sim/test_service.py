@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from repro.cache import ResultCache
+from repro.core.multi_decoder import MultiDecoderSelection, per_subcarrier_rates
+from repro.core.ncell import GraphStrategyOutcome
 from repro.core.options import EngineOptions
 from repro.obs import Collector
 from repro.sim.config import SimConfig
@@ -38,6 +40,7 @@ from repro.sim.service import (
     run_worker,
     worker_entry,
 )
+from repro.sim.runner import TopologyTask, evaluate_topology
 from tests.core.test_batch import assert_same_outcome
 
 SPEC = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
@@ -385,6 +388,45 @@ class TestWorkerAndHarvest:
         assert "service.reclaim" not in col.metrics.counters
 
 
+def _copa_plus_answer():
+    def check(record):
+        assert record.plus_outcome is not None
+
+    return generate_channel_sets(SPEC, CONFIG)[0], {"include_copa_plus": True}, check
+
+
+def _split_cluster_answer():
+    """A 3-AP topology the threshold policy splits into (0, 2) and (1,)."""
+    spec = ScenarioSpec("1x1-n3", 1, 1, include_copa_plus=False, n_aps=3)
+    options = EngineOptions(cluster_policy="threshold", cluster_threshold_db=-65.0)
+
+    def check(record):
+        assert isinstance(record.outcome, GraphStrategyOutcome)
+        assert record.outcome.clusters == ((0, 2), (1,))
+
+    return generate_channel_sets(spec, CONFIG)[0], {"options": options}, check
+
+
+def _multi_decoder_answer():
+    def check(record):
+        assert all(
+            isinstance(rate, MultiDecoderSelection)
+            for scheme in record.outcome.schemes.values()
+            for rate in scheme.rates
+        )
+
+    options = EngineOptions(rate_selector=per_subcarrier_rates)
+    return generate_channel_sets(SPEC, CONFIG)[0], {"options": options}, check
+
+
+#: Answer shape → (channels, service kwargs, check on the answer's record).
+ANSWER_SHAPES = {
+    "copa_plus": _copa_plus_answer,
+    "split_clusters": _split_cluster_answer,
+    "multi_decoder": _multi_decoder_answer,
+}
+
+
 class TestAllocationService:
     @pytest.fixture()
     def cache(self, tmp_path):
@@ -395,6 +437,9 @@ class TestAllocationService:
         """A warm answer is the cold answer that filled its cell, bit for bit."""
         assert warm.key == cold.key
         assert_same_outcome(warm.record.outcome, cold.record.outcome)
+        assert (warm.record.plus_outcome is None) == (cold.record.plus_outcome is None)
+        if cold.record.plus_outcome is not None:
+            assert_same_outcome(warm.record.plus_outcome, cold.record.plus_outcome)
 
     @pytest.mark.parametrize("repeats", [2, 20])
     def test_repeat_query_hits_bit_identically(self, cache, channel_sets, repeats):
@@ -417,6 +462,80 @@ class TestAllocationService:
             warm = other.query(channels)
             assert warm.hit
             self.assert_same_answer(warm, answer)
+
+    def test_hit_carries_the_callers_channels(self, cache, channel_sets):
+        """A hit pairs the cell's outcome with the querier's own channels."""
+        svc = AllocationService(cache, config=CONFIG)
+        first = channel_sets[0]
+        nearby = dataclasses.replace(
+            first,
+            channels={key: value * (1 + 1e-7) for key, value in first.channels.items()},
+        )
+        cold = svc.query(first)
+        warm = svc.query(nearby)
+        assert warm.hit
+        self.assert_same_answer(warm, cold)
+        assert cold.record.channels is first
+        assert warm.record.channels is nearby
+        assert warm.record.index == cold.record.index == 0
+
+    @pytest.mark.parametrize("shape", sorted(ANSWER_SHAPES))
+    def test_every_answer_shape_round_trips_through_a_hit(self, cache, shape):
+        channels, kwargs, check = ANSWER_SHAPES[shape]()
+        svc = AllocationService(cache, config=CONFIG, **kwargs)
+        cold = svc.query(channels)
+        warm = AllocationService(cache, config=CONFIG, **kwargs).query(channels)
+        assert (cold.hit, warm.hit) == (False, True)
+        self.assert_same_answer(warm, cold)
+        check(cold.record)
+        check(warm.record)
+
+    def test_hit_arrays_are_read_only(self, cache, channel_sets):
+        """Equal arrays share one view in a hit, so none can be written."""
+        svc = AllocationService(cache, config=CONFIG)
+        cold, warm = svc.query(channel_sets[0]), svc.query(channel_sets[0])
+        measured = warm.outcome.schemes["copa_seq"].allocations[0].powers
+        predicted = warm.outcome.predictions["copa_seq"].allocations[0].powers
+        assert measured is predicted
+        with pytest.raises(ValueError, match="read-only"):
+            measured[0, 0] = 1.0
+        # The miss's own arrays stay writable and unshared.
+        assert cold.outcome.schemes["copa_seq"].allocations[0].powers.flags.writeable
+
+    def test_old_task_result_artifacts_are_never_loaded(self, cache, channel_sets):
+        """A whole ``TaskResult`` under the old namespace and key is a miss."""
+        svc = AllocationService(cache, config=CONFIG)
+        key = svc.query_key(channel_sets[0])
+        task = TopologyTask(
+            index=0,
+            channels=channel_sets[1],
+            imperfections=CONFIG.imperfections(),
+            seed=CONFIG.seed,
+            coherence_s=CONFIG.coherence_s,
+        )
+        assert cache.store("service", key, evaluate_topology(task))
+        answer = svc.query(channel_sets[0])
+        assert not answer.hit
+        assert (cache.stats.hits, cache.stats.corrupt) == (0, 0)
+        reference = AllocationService(ResultCache(cache.root + "-fresh"), config=CONFIG)
+        self.assert_same_answer(answer, reference.query(channel_sets[0]))
+        assert svc.query(channel_sets[0]).hit
+
+    def test_corrupt_answer_is_counted_and_recomputed(self, cache, channel_sets):
+        col = Collector()
+        svc = AllocationService(cache, config=CONFIG, collector=col)
+        cold = svc.query(channel_sets[0])
+        path = os.path.join(cache.root, "v1", "answers", cold.key[:2], f"{cold.key}.art")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[:-16] + bytes(16))
+        again = svc.query(channel_sets[0])
+        assert not again.hit
+        assert cache.stats.corrupt == 1
+        assert col.metrics.counters["cache.corrupt"] == 1.0
+        self.assert_same_answer(again, cold)
+        assert svc.query(channel_sets[0]).hit
 
     def test_distinct_channels_miss(self, cache, channel_sets):
         svc = AllocationService(cache, config=CONFIG)
@@ -487,6 +606,17 @@ class TestAllocationService:
         assert answer.hit and answer.elapsed_s >= 0.02
         span = [span for span in col.spans if span.name == "service.query"][-1]
         assert span.duration_s >= 0.02 and span.attrs["key"] == answer.key[:12]
+
+    @pytest.mark.parametrize(
+        "name", ["grid_db", "config", "options", "include_copa_plus"]
+    )
+    def test_key_context_is_read_only(self, cache, channel_sets, name):
+        """The context is hashed once, so it cannot be changed afterwards."""
+        svc = AllocationService(cache, config=CONFIG)
+        key = svc.query_key(channel_sets[0])
+        with pytest.raises(AttributeError):
+            setattr(svc, name, getattr(svc, name))
+        assert svc.query_key(channel_sets[0]) == key
 
     def test_invalid_grid_rejected(self, cache):
         with pytest.raises(ValueError):
